@@ -13,9 +13,7 @@ reports CutoffTooDeep.  Equality is only ever decided against a cutoff.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-import os
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,12 +30,11 @@ from .errors import (
     WitnessViolated,
     ZeroWithinBound,
 )
-from .gps import GenSeries
+from .gps import DEFAULT_BUDGET, GenSeries
 from .scale import Monomial, Scale, make_scale, monomial_cmp
 from .support import MemoStream, Q, SupportUniverse, Vec, vadd, vsub, vzero
 from .germ import GermTerm
 
-DEFAULT_BUDGET = int(os.environ.get("TRANSGERM_BUDGET", "10000"))
 
 Term = tuple[Vec, Fraction]
 

@@ -11,10 +11,9 @@ decreasing monomial order.
 from __future__ import annotations
 
 import heapq
-import itertools
 import threading
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 Q = Fraction
 Vec = tuple[Fraction, ...]
@@ -32,10 +31,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vscale(u: Vec, q: Fraction) -> Vec:
-    return tuple(a * q for a in u)
-
-
 def vmin(u: Vec, v: Vec) -> Vec:
     return tuple(min(a, b) for a, b in zip(u, v))
 
@@ -49,6 +44,11 @@ def lex_positive(u: Vec) -> bool:
         if a:
             return a > 0
     return False
+
+
+def _lead(u: Vec) -> int:
+    """Index of the first nonzero coordinate of a nonzero vector."""
+    return next(i for i, a in enumerate(u) if a)
 
 
 def leq_componentwise(u: Vec, v: Vec) -> bool:
@@ -79,6 +79,12 @@ class SupportUniverse:
                     raise ValueError(f"universe generator {g} is not lex-positive")
                 cleaned.add(tuple(Q(a) for a in g))
         self.gens = frozenset(cleaned)
+        self._by_lead: dict[int, list[Vec]] = {}
+        for g in sorted(self.gens):
+            self._by_lead.setdefault(_lead(g), []).append(g)
+        # membership answers; every entry is a fact, so concurrent writers
+        # can only store the same value and no lock is needed
+        self._known: dict[Vec, bool] = {self.offset: True}
 
     # -- constructors --------------------------------------------------------
 
@@ -133,16 +139,6 @@ class SupportUniverse:
             gens.add(self.offset)
         return SupportUniverse(self.arity, gens=gens)
 
-    def mapped(self, fn) -> "SupportUniverse":
-        """Image under a linear map on exponent vectors."""
-        new_arity = len(fn(vzero(self.arity)))
-        if self.explicit is not None:
-            return SupportUniverse.finite(new_arity,
-                                          (fn(p) for p in self.explicit))
-        off = fn(self.offset)
-        gens = [fn(g) for g in self.gens]
-        return SupportUniverse(new_arity, offset=off, gens=gens)
-
     def _as_generated(self) -> "SupportUniverse":
         if self.explicit is None:
             return self
@@ -155,23 +151,6 @@ class SupportUniverse:
         return SupportUniverse(self.arity, offset=off, gens=gens)
 
     # -- queries ----------------------------------------------------------------
-
-    def occurring_coordinates(self) -> set[int]:
-        out = set()
-        if self.explicit is not None:
-            for p in self.explicit:
-                for i, a in enumerate(p):
-                    if a:
-                        out.add(i)
-            return out
-        for g in self.gens:
-            for i, a in enumerate(g):
-                if a:
-                    out.add(i)
-        for i, a in enumerate(self.offset):
-            if a:
-                out.add(i)
-        return out
 
     def infinite_coordinates(self) -> set[int]:
         """Coordinates touched by some generator (directions of infinitude)."""
@@ -200,40 +179,53 @@ class SupportUniverse:
         return [s if s == "omega" else sorted(s) for s in sets]
 
     def contains(self, v: Vec) -> bool:
+        """Whether v is a point of the universe.
+
+        A generated universe keeps every answer, those for the intermediate
+        points of a search included, in a memo that lives exactly as long as
+        the universe; lex_stream records each point it emits there.  Along
+        the universe's own stream a query is one dict lookup (amortized
+        O(1)); a cold query visits each point v - (sum of generators) at most
+        once, which for a point reached along one generator chain is linear
+        in its depth.  The search keeps an explicit stack, so depth is not
+        limited by the interpreter's recursion limit."""
         if self.explicit is not None:
             return v in self.explicit
-        return self._member(vsub(v, self.offset))
+        hit = self._known.get(v)
+        return self._member(v) if hit is None else hit
 
-    def _member(self, target: Vec) -> bool:
-        gens = sorted(self.gens)
-        memo: dict[Vec, bool] = {}
-
-        def solve(tau: Vec, idx_gens: tuple[Vec, ...]) -> bool:
-            if not any(tau):
-                return True
-            key = (tau, len(idx_gens))
-            if key in memo:
-                return memo[key]
-            ok = False
-            # stratify by leading coordinate: generators whose first nonzero
-            # coordinate is the first nonzero coordinate of tau or earlier
-            lead = next((i for i, a in enumerate(tau) if a), None)
-            if lead is None:
-                return True
-            if tau[lead] < 0:
-                memo[key] = False
-                return False
-            for g in idx_gens:
-                glead = next((i for i, a in enumerate(g) if a), None)
-                if glead is None or glead > lead:
-                    continue
-                ok = solve(vsub(tau, g), idx_gens)
-                if ok:
+    def _member(self, v: Vec) -> bool:
+        # depth-first search: a point is a member iff one of its predecessors
+        # is; each stack entry is the one above it plus a generator, so a
+        # member found at the top makes every point on the stack a member
+        known = self._known
+        stack = [(v, self._predecessors(v))]
+        while stack:
+            w, preds = stack[-1]
+            for u in preds:
+                hit = known.get(u)
+                if hit is None:
+                    stack.append((u, self._predecessors(u)))
                     break
-            memo[key] = ok
-            return ok
+                if hit:
+                    for w, _ in stack:
+                        known[w] = True
+                    return True
+            else:
+                known[w] = False
+                stack.pop()
+        return False
 
-        return solve(target, tuple(gens))
+    def _predecessors(self, w: Vec) -> Iterator[Vec]:
+        """w - g for each generator g whose leading coordinate is that of
+        w - offset (w is not the offset).  A generator leading earlier would
+        take that coordinate below the offset's, and lex-positive generators
+        can never bring it back."""
+        tau = vsub(w, self.offset)
+        lead = _lead(tau)
+        if tau[lead] < 0:
+            return iter(())
+        return (vsub(w, g) for g in self._by_lead.get(lead, ()))
 
     # -- streams ----------------------------------------------------------------
 
@@ -243,17 +235,22 @@ class SupportUniverse:
         if self.explicit is not None:
             yield from sorted(self.explicit)
             return
+        # a point reached along several generator paths is pushed once per
+        # path; the copies pop consecutively, so comparing with the previous
+        # point drops them
         heap = [self.offset]
-        seen = {self.offset}
+        prev = None
         gens = sorted(self.gens)
+        known = self._known
         while heap:
             v = heapq.heappop(heap)
+            if v == prev:
+                continue
+            prev = v
+            known[v] = True
             yield v
             for g in gens:
-                w = vadd(v, g)
-                if w not in seen:
-                    seen.add(w)
-                    heapq.heappush(heap, w)
+                heapq.heappush(heap, vadd(v, g))
 
     def graded_stream(self) -> Iterator[Vec]:
         """Points in ascending (total degree, lex) order.  Only valid when

@@ -1,0 +1,145 @@
+import itertools
+import os
+import random
+import sys
+import threading
+from fractions import Fraction as Q
+
+import pytest
+
+from transgerm import gps
+from transgerm.germ import g_x
+from transgerm.scale import make_scale
+from transgerm.series import make_laurent
+from transgerm.support import SupportUniverse, vadd
+
+
+def brute_members(u, nmax):
+    """offset + sum n_i g_i over 0 <= n_i <= nmax, by plain enumeration."""
+    gens = sorted(u.gens)
+    out = set()
+    for ns in itertools.product(range(nmax + 1), repeat=len(gens)):
+        v = u.offset
+        for n, g in zip(ns, gens):
+            v = vadd(v, tuple(n * a for a in g))
+        out.add(v)
+    return out
+
+
+def box(*ranges):
+    return [tuple(Q(a) for a in p)
+            for p in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))]
+
+
+def gen(arity, gens, offset=None):
+    return SupportUniverse.generated(
+        arity, [tuple(Q(a) for a in g) for g in gens],
+        offset=None if offset is None else tuple(Q(a) for a in offset))
+
+
+# (universe, target box, n_i bound that reaches every member in the box)
+CASES = {
+    "dependent-1d": (gen(1, [(2,), (3,)]), box((-2, 25)), 13),
+    "dependent-2d": (gen(2, [(1, 0), (0, 1), (1, 1)]), box((-1, 5), (-2, 5)), 6),
+    "negative-trailing": (gen(2, [(1, -1), (0, 1)]),
+                          box((-1, 4), (-6, 5)), 10),
+    "offset": (gen(2, [(1, -1), (0, 2)], offset=(1, -3)),
+               box((0, 4), (-9, 3)), 8),
+    "union": (gen(1, [(3,)], offset=(2,)).union(gen(1, [(5,)], offset=(1,))),
+              box((-1, 30)), 30),
+    "shifted": (gen(2, [(1, 0), (1, 2), (0, 3)]).shifted((Q(1, 2), Q(-1))),
+                box((-1, 3), (-3, 8)), 4),
+    "closure": (gen(2, [(0, 2), (1, -1)], offset=(0, 3)).closure(),
+                box((-1, 3), (-4, 7)), 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_contains_matches_enumeration(name, monkeypatch):
+    u, targets, nmax = CASES[name]
+    members = brute_members(u, nmax)
+    # boxes are relative to the offset, which can be fractional
+    targets = [vadd(t, u.offset) for t in targets]
+    want = {t: t in members for t in targets}
+    assert any(want.values()) and not all(want.values())
+    # cold queries in two orders on fresh universes, then warm queries
+    cold = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    assert {t: cold.contains(t) for t in targets} == want
+    rev = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    assert {t: rev.contains(t) for t in reversed(targets)} == want
+    shuffled = targets[:]
+    random.Random(name).shuffle(shuffled)
+    assert {t: cold.contains(t) for t in shuffled} == want
+    # the stream is strictly ascending, every streamed point is a member, and
+    # the streaming universe answers for its own points without a search
+    streaming = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    streamed = list(itertools.islice(streaming.lex_stream(), 40))
+    assert streamed == sorted(set(streamed))
+    fresh = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    assert all(fresh.contains(v) for v in streamed)
+    monkeypatch.setattr(streaming, "_member", None)
+    assert all(streaming.contains(v) for v in streamed)
+
+
+def test_universe_algebra_is_a_superset():
+    a = gen(2, [(1, 0), (0, 2)], offset=(0, 1))
+    b = gen(2, [(0, 3)], offset=(1, -1))
+    delta = (Q(2), Q(-1, 3))
+    pts_a = brute_members(a, 4)
+    pts_b = brute_members(b, 4)
+    union, shifted, closure = a.union(b), a.shifted(delta), a.closure()
+    assert all(union.contains(p) for p in pts_a | pts_b)
+    assert all(shifted.contains(vadd(p, delta)) for p in pts_a)
+    assert not shifted.contains(vadd((Q(0), Q(0)), delta))
+    sums = {vadd(p, q) for p in pts_a for q in pts_a}
+    assert all(closure.contains(p) for p in pts_a | sums)
+
+
+def test_lex_stream_one_dimensional_prefix():
+    u = gen(1, [(4,), (6,), (9,)], offset=(-1,))
+    want = sorted(brute_members(u, 20))[:30]
+    assert list(itertools.islice(u.lex_stream(), 30)) == want
+
+
+@pytest.mark.parametrize("r", [Q(1, 2), Q(-2, 3)])
+def test_deep_support_has_no_recursion_limit(r):
+    n = 5000
+    sc = make_scale([g_x()])
+    f = make_laurent(sc, sc.unit(), gps.geometric_in(1, (1,), r))
+    terms = f.terms_to_cutoff(sc.monomial([n]))
+    assert [v for v, _ in terms] == [(Q(k),) for k in range(n + 1)]
+    assert [c for _, c in terms] == [r ** k for k in range(n + 1)]
+    assert SupportUniverse.generated(1, [(1,)]).contains((Q(20000),))
+
+
+def test_shared_memo_under_threads():
+    u = gen(2, [(2, -1), (3, 1), (0, 2), (0, 3)], offset=(1, 0))
+    targets = box((0, 14), (-12, 12))
+    ref = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    want = [ref.contains(t) for t in targets]
+    assert any(want) and not all(want)
+    shared = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    nthreads = 2 * (os.cpu_count() or 1) + 2
+    results = [None] * nthreads
+
+    def work(k):
+        order = list(range(len(targets)))
+        random.Random(k).shuffle(order)
+        got = [None] * len(targets)
+        for i in order:
+            got[i] = shared.contains(targets[i])
+        results[k] = got
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == want for got in results)
