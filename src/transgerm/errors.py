@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
-Every error carries a stable machine-readable ``code`` so the CLI can map
-failures to exit status 1 without exposing stack traces.
+Every error carries a stable machine-readable ``code``, so callers can tell
+refusals apart without parsing messages.
 """
 
 from __future__ import annotations
@@ -117,60 +117,3 @@ class NotAScaleAfterShift(TransgermError):
     """Composed generators fail scale validation."""
 
     code = "not-a-scale-after-shift"
-
-
-class NotEmbeddable(TransgermError):
-    """Generator derivatives leave the representable fragment."""
-
-    code = "not-embeddable"
-
-
-# -- calculus / domain / validation ----------------------------------------
-
-class WrongScale(TransgermError):
-    """Operation requires the single-generator scale in x."""
-
-    code = "wrong-scale"
-
-
-class BelowBase(TransgermError):
-    """Boundary queried left of the domain vertex."""
-
-    code = "below-base"
-
-
-class HypothesisViolated(TransgermError):
-    """Inclusion-fact parameters violate the fact's hypotheses."""
-
-    code = "hypothesis-violated"
-
-
-class InsufficientSamples(TransgermError):
-    """Too few sample points for a meaningful verdict."""
-
-    code = "insufficient-samples"
-
-
-class NonEvaluable(TransgermError):
-    """Target or series cannot be evaluated at a sample point."""
-
-    code = "non-evaluable"
-
-
-# -- parsing ---------------------------------------------------------------
-
-class ParseError(TransgermError):
-    """Syntax error with byte offset and expected-token set."""
-
-    code = "syntax-error"
-
-    def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
-        super().__init__(message, offset=offset, expected=expected)
-        self.offset = offset
-        self.expected = expected
-
-
-class LiteralOverflow(TransgermError):
-    """Numeric literal too large to be a sane rational."""
-
-    code = "literal-overflow"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import cmath
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -365,10 +364,6 @@ def g_invert_term(f: GermTerm) -> GermTerm:
     return GermTerm(((1 / c, mono_inv(m)),))
 
 
-def g_div(f: GermTerm, g: GermTerm) -> GermTerm:
-    return g_mul(f, g_invert_term(g))
-
-
 # ---------------------------------------------------------------------------
 # exp / log
 
@@ -496,10 +491,6 @@ def same_archimedean_class(f: GermTerm, g: GermTerm) -> bool:
     return mono_cmp(leading_mono(f), leading_mono(g)) == 0
 
 
-def germ_comparable(f: GermTerm, g: GermTerm) -> bool:
-    return compare(f, g).comparable
-
-
 # ---------------------------------------------------------------------------
 # level and exponential height
 
@@ -541,10 +532,6 @@ def level(f: GermTerm) -> int:
 
 def level_and_eh(f: GermTerm) -> tuple[int, int]:
     return level(f), eh(f)
-
-
-def is_simple(f: GermTerm) -> bool:
-    return level(f) == eh(f)
 
 
 # ---------------------------------------------------------------------------
@@ -696,31 +683,6 @@ def eval_mono(m: Transmono, x: float) -> float:
 
 def eval_germ(f: GermTerm, x: float) -> float:
     return math.fsum(float(c) * eval_mono(m, x) for c, m in f.terms)
-
-
-def _logk_cval(z: complex, k: int) -> complex:
-    v = z
-    for _ in range(k):
-        if v == 0:
-            raise DomainError("log of zero during iterate")
-        v = cmath.log(v)
-    return v
-
-
-def eval_mono_complex(m: Transmono, z: complex) -> complex:
-    out = 1 + 0j
-    for k, r in m.powers:
-        base = _logk_cval(z, k)
-        if base == 0:
-            raise DomainError("zero base")
-        out *= cmath.exp(float(r) * cmath.log(base))
-    if m.expart is not None:
-        out *= cmath.exp(eval_germ_complex(m.expart, z))
-    return out
-
-
-def eval_germ_complex(f: GermTerm, z: complex) -> complex:
-    return sum((complex(c) * eval_mono_complex(m, z) for c, m in f.terms), 0j)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,6 @@ class Scale:
                 f"expected {self.arity} exponents, got {len(coords)}")
         return Monomial(self, coords)
 
-    def generator_monomial(self, i: int) -> "Monomial":
-        coords = [Q(0)] * self.arity
-        coords[i] = Q(1)
-        return Monomial(self, tuple(coords))
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
@@ -97,26 +92,11 @@ class Monomial:
         except OverflowError:
             return math.inf
 
-    def eval_complex(self, z: complex) -> complex:
-        s = 0j
-        for a, f in zip(self.vector, self.scale.generators):
-            if a:
-                s -= complex(a) * G.eval_germ_complex(f, z)
-        return _cexp(s)
-
     def __str__(self) -> str:
         return "m[" + ",".join(str(a) for a in self.vector) + "]"
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
-
-
-def _cexp(z: complex) -> complex:
-    import cmath
-    try:
-        return cmath.exp(z)
-    except OverflowError:
-        return complex(math.inf, math.inf)
 
 
 def _check_same(m: Monomial, n: Monomial) -> None:

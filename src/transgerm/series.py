@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import germ as G
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .gps import DEFAULT_BUDGET, GenSeries
 from .scale import Monomial, Scale, make_scale, monomial_cmp
-from .support import MemoStream, Q, SupportUniverse, Vec, vadd, vsub, vzero
+from .support import MemoStream, Q, SupportUniverse, Vec, lex_positive, vadd, vzero
 from .germ import GermTerm
 
 
@@ -61,12 +60,9 @@ class LaurentSeries:
 
     def __init__(self, scale: Scale, factory: Callable[[], Iterator[Term]],
                  *, universe: Optional[SupportUniverse] = None,
-                 shift: Optional[Monomial] = None, body: Optional[GenSeries] = None,
                  convergence: Optional[Convergence] = None,
                  provenance: str = ""):
         self.scale = scale
-        self.shift = shift
-        self.body = body
         self.convergence = convergence
         self.provenance = provenance
         self._universe = universe
@@ -96,16 +92,6 @@ class LaurentSeries:
                 out.append((v, c))
         return out
 
-    def nonzero_prefix(self, count: int,
-                       budget: int = DEFAULT_BUDGET) -> list[Term]:
-        out = []
-        for n, (v, c) in enumerate(self.iter_terms()):
-            if len(out) >= count or n >= budget:
-                break
-            if c:
-                out.append((v, c))
-        return out
-
     def leading_term(self, budget: int = DEFAULT_BUDGET) -> Term:
         for n, (v, c) in enumerate(self.iter_terms()):
             if n >= budget:
@@ -114,20 +100,6 @@ class LaurentSeries:
                 return (v, c)
         raise ZeroWithinBound(
             f"no nonzero coefficient within the first {budget} skeleton points")
-
-    def leading_monomial(self, budget: int = DEFAULT_BUDGET) -> Monomial:
-        return Monomial(self.scale, self.leading_term(budget)[0])
-
-    def coeff_at(self, mono: Monomial, budget: int = DEFAULT_BUDGET) -> Fraction:
-        self._check_monomial(mono)
-        for n, (v, c) in enumerate(self.iter_terms()):
-            if n >= budget:
-                raise CutoffTooDeep(f"coefficient at {mono} beyond budget {budget}")
-            if v == mono.vector:
-                return c
-            if v > mono.vector:
-                break
-        return Q(0)
 
     def _check_monomial(self, m: Monomial) -> None:
         if m.scale != self.scale:
@@ -200,7 +172,6 @@ class LaurentSeries:
     def assert_convergent(self, threshold: Optional[float] = None) -> "LaurentSeries":
         out = LaurentSeries(self.scale, lambda: self.iter_terms(),
                             universe=self._universe,
-                            shift=self.shift, body=self.body,
                             convergence=Convergence("asserted", threshold),
                             provenance=self.provenance)
         out._memo = self._memo
@@ -284,8 +255,7 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
 
 
 def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
-                    lm_hint: Callable[[int], Optional[Vec]],
-                    open_budget: int = DEFAULT_BUDGET):
+                    lm_hint: Callable[[int], Optional[Vec]]):
     """Sum of a (possibly infinite) family whose leading monomials strictly
     decrease; ``lm_hint(nu)`` bounds member nu's support from above and must
     be strictly lex-increasing.  None signals the end of the family."""
@@ -321,7 +291,7 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
                         f"leading monomial")
                 t = next(it, None)
                 skipped += 1
-                if skipped > open_budget:
+                if skipped > DEFAULT_BUDGET:
                     raise CutoffTooDeep(
                         "family member fast-forward budget exceeded")
             iters.append(it)
@@ -343,7 +313,7 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
                 if not open_next():
                     break
                 guard += 1
-                if guard > open_budget:
+                if guard > DEFAULT_BUDGET:
                     raise CutoffTooDeep(
                         "family opening budget exceeded; leading monomials "
                         "are not coinitial past the frontier")
@@ -386,16 +356,8 @@ def from_terms(scale: Scale, terms: dict, *,
                          provenance="terms")
 
 
-def zero(scale: Scale) -> LaurentSeries:
-    return from_terms(scale, {})
-
-
 def one(scale: Scale) -> LaurentSeries:
     return from_terms(scale, {vzero(scale.arity): 1})
-
-
-def constant(scale: Scale, q) -> LaurentSeries:
-    return from_terms(scale, {vzero(scale.arity): Q(q)})
 
 
 def monomial_series(scale: Scale, m: Monomial, coeff=1) -> LaurentSeries:
@@ -419,8 +381,7 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
         for v in body.universe.lex_stream():
             yield (vadd(v, delta), body.coeff(v))
 
-    return LaurentSeries(scale, factory, universe=uni, shift=shift, body=body,
-                         convergence=convergence,
+    return LaurentSeries(scale, factory, universe=uni, convergence=convergence,
                          provenance=f"laurent({body.provenance})")
 
 
@@ -443,23 +404,10 @@ def geometric(scale: Scale, step: Monomial, ratio=1) -> LaurentSeries:
     """sum_nu ratio^nu step^nu for a small step monomial."""
     if not step.is_small():
         raise WitnessViolated(f"geometric step {step} is not small")
-    r = Q(ratio)
-    sv = step.vector
-    pows: dict[int, LaurentSeries] = {}
-
-    def member(nu: int) -> LaurentSeries:
-        if nu not in pows:
-            pows[nu] = from_terms(scale, {tuple(a * nu for a in sv): r**nu})
-        return pows[nu]
-
-    def hint(nu: int) -> Vec:
-        return tuple(a * nu for a in sv)
-
-    uni = SupportUniverse.generated(scale.arity, [sv])
-    return LaurentSeries(scale, _family_factory(member, hint),
-                         universe=uni,
-                         convergence=Convergence("geometric"),
-                         provenance=f"geom({step})")
+    out = _geometric_of(monomial_series(scale, step, ratio), DEFAULT_BUDGET)
+    out.convergence = Convergence("geometric")
+    out.provenance = f"geom({step})"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -487,41 +435,58 @@ def factor_leading(f: LaurentSeries, budget: int = DEFAULT_BUDGET
 
 
 def _geometric_of(e: LaurentSeries, budget: int) -> LaurentSeries:
-    """sum_nu e^nu for a series whose leading monomial is small."""
+    """sum_nu e^nu for a series whose leading monomial is small.
+
+    The sum c solves c = 1 + e*c, so c_v = [v = 0] + sum_u e_u c_(v-u) over
+    the terms u of e above the origin: a self-referential online product
+    (van der Hoeven, "Relax, but don't be too lazy", 2002).  The heap holds
+    pairs (i, j) standing for term i of e times term j of c, each reached
+    once: (first, k) when c's term k is emitted, (i+1, j) when (i, j) pops.
+    Every such u is lex-positive, so c_(v-u) is emitted before v."""
     try:
         ev, _ = e.leading_term(budget)
     except ZeroWithinBound:
         return one(e.scale)
     if not Monomial(e.scale, ev).is_small():
         raise ZeroWithinBound(f"leading monomial of remainder {ev} is not small")
-    pows: dict[int, LaurentSeries] = {0: one(e.scale)}
-    lock = threading.Lock()
+    origin = vzero(e.scale.arity)
 
-    def member(nu: int) -> LaurentSeries:
-        with lock:
-            top = max(pows)
-            while top < nu:
-                pows[top + 1] = pows[top] * e
-                top += 1
-            return pows[nu]
+    def factory():
+        # e's terms at or below the origin all precede ev, so they are zero;
+        # keeping the zero term at the origin would make c_v depend on c_v.
+        # Zero terms above it stay pairs, so the skeleton stays complete.
+        first = 0
+        while e._term(first)[0] <= origin:
+            first += 1
+        out: list[Term] = []
+        heap = [(origin, -1, -1)]  # the constant 1
 
-    def hint(nu: int) -> Vec:
-        return tuple(a * nu for a in ev)
+        def push(i: int, j: int):
+            t = e._term(i)
+            if t is not None:
+                heapq.heappush(heap, (vadd(t[0], out[j][0]), i, j))
+
+        while heap:
+            v = heap[0][0]
+            total = Q(0)
+            while heap and heap[0][0] == v:
+                _, i, j = heapq.heappop(heap)
+                if i < 0:
+                    total += 1
+                else:
+                    total += e._term(i)[1] * out[j][1]
+                    push(i + 1, j)
+            out.append((v, total))
+            push(first, len(out) - 1)
+            yield (v, total)
 
     uni = None
     if e._universe is not None and e._universe.explicit is not None:
         gens = {p for p in e._universe.explicit if any(p)}
-        if all(_lexpos(p) for p in gens):
+        if all(lex_positive(p) for p in gens):
             uni = SupportUniverse.generated(e.scale.arity, gens)
-    return LaurentSeries(e.scale, _family_factory(member, hint),
+    return LaurentSeries(e.scale, factory,
                          universe=uni, provenance=f"geomsum({e.provenance})")
-
-
-def _lexpos(v: Vec) -> bool:
-    for a in v:
-        if a:
-            return a > 0
-    return False
 
 
 def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
@@ -661,9 +626,6 @@ class OmegaPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading_exponent(self) -> int:
-        return self.coeffs[0][0] if self.coeffs else 0
-
     def times_finite(self, n: int) -> "OmegaPoly":
         if n == 0 or self.is_zero():
             return OmegaPoly(())
@@ -780,11 +742,3 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
         if c:
             total.append(float(c) * Monomial(f.scale, v).eval(x))
     return math.fsum(total), tail
-
-
-def eval_truncation_complex(f: LaurentSeries, z: complex, cutoff: Monomial,
-                            budget: int = DEFAULT_BUDGET) -> complex:
-    total = 0j
-    for v, c in f.terms_to_cutoff(cutoff, budget):
-        total += complex(c) * Monomial(f.scale, v).eval_complex(z)
-    return total

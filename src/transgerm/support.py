@@ -330,12 +330,6 @@ class MemoStream:
         except StopIteration:
             self._done = True
 
-    def prefix(self, n: int) -> list:
-        with self._lock:
-            while len(self._items) < n and not self._done:
-                self._pull()
-        return self._items[:n]
-
     def __iter__(self):
         i = 0
         while True:

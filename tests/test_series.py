@@ -1,5 +1,9 @@
+import itertools
 import math
+import os
 import random
+import sys
+import threading
 from fractions import Fraction as Q
 
 import pytest
@@ -141,6 +145,12 @@ def test_invert_geometric_identity(sx):
     inv = invert(f)
     got = inv.terms_to_cutoff(cut(sx, 10))
     assert got == [((Q(n),), Q(1)) for n in range(11)]
+    # the same 1 - exp(-x) over an infinite skeleton whose coefficients are
+    # zero past exp(-x): the zero points stay in the remainder's stream
+    one_minus = gps.constant(1, 1) - gps.monomial(1, (1,))
+    body = one_minus * gps.geometric_in(1, (1,)) * one_minus
+    inv = invert(make_laurent(sx, sx.unit(), body))
+    assert inv.terms_to_cutoff(cut(sx, 10)) == got
 
 
 def test_invert_monomial(sx):
@@ -156,6 +166,45 @@ def test_invert_long_division_oracle(sl):
     got = inv.terms_to_cutoff(cut(sl, 3))
     assert got == [((Q(0),), Q(1, 2)), ((Q(1),), Q(-1, 4)),
                    ((Q(2),), Q(1, 8)), ((Q(3),), Q(-1, 16))]
+    # and to depth 1000: c_n = (-1)^n / 2^(n+1)
+    got = inv.terms_to_cutoff(cut(sl, 1000))
+    assert got == [((Q(n),), Q((-1) ** n, 2 ** (n + 1))) for n in range(1001)]
+
+
+def test_invert_deep_arity2_is_typed(sxl):
+    # 1/(1 - x^-1 + exp(-x)/2): infinitely many x^-n lie above exp(-x)
+    f = from_terms(sxl, {(0, 0): 1, (0, 1): -1, (1, 0): Q(1, 2)})
+    with pytest.raises(CutoffTooDeep):
+        invert(f).terms_to_cutoff(cut(sxl, 1, 0))
+
+
+def test_invert_shared_across_threads(sxl):
+    def build():
+        return invert(from_terms(sxl, {(0, 0): 2, (1, 0): -3, (1, -2): 1,
+                                       (2, 1): Q(1, 2)}))
+
+    c = cut(sxl, 10, 0)
+    want = build().terms_to_cutoff(c)
+    shared = build()
+    nthreads = 2 * (os.cpu_count() or 1) + 2
+    results = [None] * nthreads
+
+    def work(k):
+        results[k] = shared.terms_to_cutoff(c)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == want for got in results)
 
 
 def test_invert_roundtrip_random(sxl):
@@ -179,9 +228,8 @@ def test_invert_roundtrip_random(sxl):
 
 def _depth_cutoff(f, depth):
     """Monomial at lex depth `depth` of the series' skeleton stream."""
-    terms = f._memo.prefix(depth + 1)
-    v = terms[-1][0] if len(terms) > depth else terms[-1][0]
-    return Monomial(f.scale, v)
+    terms = list(itertools.islice(f.iter_terms(), depth + 1))
+    return Monomial(f.scale, terms[-1][0])
 
 
 def test_field_laws_random(sxl):
@@ -212,6 +260,11 @@ def test_order_type_double_series(sxl):
     ot = order_type(f)
     assert str(ot.exact) == "omega^2"
     assert ot.bound_exponent == 2
+
+
+def test_geometric_ratio_zero_is_one(sx):
+    f = geometric(sx, cut(sx, 1), 0)
+    assert list(f.iter_terms()) == [((Q(0),), Q(1))]
 
 
 def test_order_type_single_geometric(sx):
