@@ -8,19 +8,19 @@ decidable only up to a bound and the API says so.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import ArityMismatch, OrderNotPositive, ZeroWithinBound
 from .support import (
+    MemoStream,
     Q,
     SupportUniverse,
     Vec,
     grade,
     is_nonnegative,
-    vadd,
     vsub,
     vzero,
 )
@@ -79,8 +79,9 @@ class GenSeries:
         self.universe = universe
         self._oracle = oracle
         self.provenance = provenance
+        # every entry is a fact, so concurrent writers can only store the
+        # same value and no lock is needed
         self._memo: dict[Vec, Fraction] = {}
-        self._lock = threading.Lock()
 
     # -- coefficient access ---------------------------------------------------
 
@@ -95,8 +96,7 @@ class GenSeries:
             c = Q(0)
         else:
             c = self._oracle(v)
-        with self._lock:
-            self._memo[v] = c
+        self._memo[v] = c
         return c
 
     def enumerate(self, bound: Sequence) -> list[tuple[Vec, Fraction]]:
@@ -259,8 +259,16 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
                budget: int = DEFAULT_BUDGET) -> GenSeries:
     """P o G = sum_nu a_nu G^nu for a one-variable power series P.
 
-    Requires ord(G) > 0, so only finitely many powers reach any exponent:
-    nu <= |alpha| / ord(G)."""
+    Requires ord(G) > 0.  Every term of G^nu has grade between nu * ord(G)
+    and nu * maxdeg(G), so only the nu in the window
+
+        ceil(|alpha| / maxdeg(G)) <= nu <= floor(|alpha| / ord(G))
+
+    reach alpha; the lower end is used only for a finite skeleton of G, and
+    is 0 otherwise.  The coefficients [G^nu]_w come from one memo, filled on
+    an explicit stack by [G^nu]_w = sum_u g_u [G^(nu-1)]_(w-u) over the
+    nonzero terms u <= w of G, which are pulled once, by point grade, in
+    (grade, lex) order; entries (nu, w) outside the window are never made."""
     if callable(p):
         pc = p
     else:
@@ -283,22 +291,81 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
         raise ZeroWithinBound(
             "could not certify ord within budget; series may be zero")
 
-    powers: list[GenSeries] = [constant(g.arity, 1), g]
-    lock = threading.Lock()
+    def by_grade():
+        # one item per grade of g's skeleton points, holding g's nonzero
+        # terms there: a reader that needs the grades up to d stops at the
+        # first item above d even when no nonzero term follows
+        d, terms = None, []
+        for v in g.universe.graded_stream():
+            dv = grade(v)
+            if dv != d:
+                if d is not None:
+                    yield d, tuple(terms)
+                d, terms = dv, []
+            c = g.coeff(v)
+            if c:
+                terms.append((v, c))
+        if d is not None:
+            yield d, tuple(terms)
 
-    def power(nu: int) -> GenSeries:
-        with lock:
-            while len(powers) <= nu:
-                powers.append(powers[-1] * g)
-            return powers[nu]
+    groups = MemoStream(by_grade)
+    top = None  # maxdeg(G), known only when G's skeleton is finite
+    if not g.universe.gens:
+        top = max(d for d, terms in groups if terms)
+    # (nu, w) -> [G^nu]_w; every entry is a fact, so concurrent writers can
+    # only store the same value and no lock is needed
+    memo: dict[tuple[int, Vec], Fraction] = {(0, vzero(g.arity)): Q(1)}
+
+    def reaches(nu: int, d: Fraction) -> bool:
+        if nu == 0:
+            return d == 0
+        return nu * g_ord <= d and (top is None or d <= nu * top)
+
+    def factors(nu: int, w: Vec):
+        """(g_u, (nu-1, w-u)) for the nonzero terms u <= w of G whose
+        cofactor w-u lies in the window of nu-1."""
+        d = grade(w)
+        i = 0
+        while True:
+            item = groups.get(i)
+            if item is None or item[0] > d:
+                return
+            du, terms = item
+            if reaches(nu - 1, d - du):
+                for u, c in terms:
+                    x = vsub(w, u)
+                    if is_nonnegative(x):
+                        yield c, (nu - 1, x)
+            i += 1
+
+    def power_coeff(nu: int, w: Vec) -> Fraction:
+        stack = [(nu, w)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            total, missing = Q(0), False
+            for c, sub in factors(*key):
+                hit = memo.get(sub)
+                if hit is None:
+                    stack.append(sub)
+                    missing = True
+                else:
+                    total += c * hit
+            if not missing:
+                memo[key] = total
+                stack.pop()
+        return memo[(nu, w)]
 
     def oracle(v: Vec) -> Fraction:
-        nmax = int(grade(v) / g_ord)
+        d = grade(v)
+        lo = 0 if top is None else math.ceil(d / top)
         total = Q(0)
-        for nu in range(nmax + 1):
+        for nu in range(lo, math.floor(d / g_ord) + 1):
             a = pc(nu)
-            if a:
-                total += a * power(nu).coeff(v)
+            if a and reaches(nu, d):
+                total += a * power_coeff(nu, v)
         return total
 
     return GenSeries(g.arity, g.universe.closure(), oracle,

@@ -446,7 +446,11 @@ def _geometric_of(e: LaurentSeries, budget: int) -> LaurentSeries:
     try:
         ev, _ = e.leading_term(budget)
     except ZeroWithinBound:
-        return one(e.scale)
+        # only a stream that ends within the budget proves e = 0; a longer
+        # one may still have a nonzero term past it
+        if e._term(budget) is None:
+            return one(e.scale)
+        raise
     if not Monomial(e.scale, ev).is_small():
         raise ZeroWithinBound(f"leading monomial of remainder {ev} is not small")
     origin = vzero(e.scale.arity)

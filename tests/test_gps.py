@@ -1,5 +1,9 @@
 import itertools
+import math
+import os
 import random
+import sys
+import threading
 from fractions import Fraction as Q
 
 import pytest
@@ -143,7 +147,6 @@ def test_compose_identity_series():
 
 def test_compose_binomial_grid():
     # P = geometric, G = X0 + X1: coefficient of X0^a X1^b is C(a+b, a)
-    import math
     g = from_terms(2, {(1, 0): 1, (0, 1): 1})
     comp = compose_ps(geom, g)
     for a in range(5):
@@ -231,3 +234,112 @@ def test_enumeration_stable():
     second = g.enumerate((2,))
     assert first == second
     assert [v for v, _ in first] == [(Q(0),), (Q(1, 2),), (Q(1),), (Q(3, 2),), (Q(2),)]
+
+
+def _brute_compose(p, g_terms, bound, ord_g):
+    """sum_nu p[nu] G^nu on the box below `bound`, by dict convolution."""
+    def inside(v):
+        return all(a <= b for a, b in zip(v, bound))
+
+    arity = len(bound)
+    out = {}
+    power = {(Q(0),) * arity: Q(1)}
+    for nu in range(int(sum(bound) / ord_g) + 1):
+        if nu:
+            nxt = {}
+            for v, c in power.items():
+                for u, d in g_terms.items():
+                    w = tuple(a + b for a, b in zip(v, u))
+                    if inside(w):
+                        nxt[w] = nxt.get(w, Q(0)) + c * d
+            power = nxt
+        a = p[nu] if nu < len(p) else Q(0)
+        for v, c in power.items():
+            out[v] = out.get(v, Q(0)) + a * c
+    return {v: c for v, c in out.items() if c}
+
+
+def test_compose_grade_window_differential():
+    # finite G of mixed grades and fractional exponents, P with zeros, against
+    # an expansion sharing no code with gps; queried cold in two orders
+    rng = random.Random(611)
+    exps = [Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2)]
+    for trial in range(24):
+        arity = 1 + trial % 2
+        g_terms = {}
+        while len({sum(v) for v in g_terms}) < 2:
+            v = tuple(rng.choice(exps) for _ in range(arity))
+            if any(v):
+                g_terms[v] = Q(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2]))
+        p = [Q(rng.choice([0, 0, 1, -2, 3])) for _ in range(rng.randint(3, 9))]
+        bound = (Q(7, 2),) * arity
+        want = _brute_compose(p, g_terms, bound, min(sum(v) for v in g_terms))
+        g = from_terms(arity, g_terms)
+        got = compose_ps(p, g).enumerate(bound)
+        assert dict(got) == want
+        comp = compose_ps(p, g)
+        assert [(v, comp.coeff(v)) for v, _ in reversed(got)] == got[::-1]
+
+
+def test_compose_infinite_zero_skeleton():
+    # X over an infinite skeleton of zeros: g's terms are pulled by point
+    # grade, so each coefficient terminates
+    g = monomial(1, (1,)) + (geometric_in(1, (1,)) - geometric_in(1, (1,)))
+    comp = compose_ps(geom, g)
+    assert [comp.coeff((n,)) for n in reversed(range(30))] == [Q(1)] * 30
+    comp = compose_ps([1, 0, 2], g)
+    assert [comp.coeff((n,)) for n in range(6)] == [1, 0, 2, 0, 0, 0]
+
+
+def test_compose_deep_binomial(X, LOG):
+    # the benchmark's compose-ps body p*X0 + q*X1 over (x, log x): depth 1100
+    # along log x, and a cold coefficient 80 powers deep
+    import time
+
+    from transgerm.scale import make_scale
+    from transgerm.series import make_laurent
+
+    p, q = Q(1, 2), Q(-3)
+    sc = make_scale([X, LOG])
+    t0 = time.perf_counter()
+    body = compose_ps(geom, from_terms(2, {(1, 0): p, (0, 1): q}))
+    f = make_laurent(sc, sc.unit(), body)
+    got = f.terms_to_cutoff(sc.monomial([0, 1100]))
+    assert got == [((Q(0), Q(k)), q ** k) for k in range(1101)]
+    cold = compose_ps(geom, from_terms(2, {(1, 0): p, (0, 1): q}))
+    assert cold.coeff((40, 40)) == math.comb(80, 40) * p ** 40 * q ** 40
+    # linear in the depth: the quadratic construction took about 30 s
+    assert time.perf_counter() - t0 < 5
+
+
+def test_compose_shared_across_threads():
+    # g = p*X0 + q*X1 over an infinite skeleton, so that threads pull its
+    # term stream, not only the memo
+    p, q = Q(2, 3), Q(-5, 2)
+    unit = from_terms(2, {(0, 0): 1, (1, 1): -1}) * geometric_in(2, (1, 1))
+    g = monomial(2, (1, 0), p) * unit + monomial(2, (0, 1), q) * unit
+    shared = compose_ps(geom, g)
+    pts = [(a, b) for a in range(14) for b in range(14 - a)]
+    nthreads = 2 * (os.cpu_count() or 1) + 2
+    results = [None] * nthreads
+
+    def work(k):
+        order = pts[:]
+        random.Random(k).shuffle(order)
+        results[k] = all(
+            shared.coeff((a, b)) == math.comb(a + b, a) * p ** a * q ** b
+            for a, b in order)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results)

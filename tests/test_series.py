@@ -178,6 +178,19 @@ def test_invert_deep_arity2_is_typed(sxl):
         invert(f).terms_to_cutoff(cut(sxl, 1, 0))
 
 
+def test_invert_remainder_past_budget_is_typed(sx):
+    # 1 + exp(-100x) over a skeleton with zeros at every exp(-nx): with a
+    # budget of 50 the remainder -exp(-100x) is not found, which must not
+    # read as a zero remainder and the answer 1
+    one_minus = gps.constant(1, 1) - gps.monomial(1, (1,))
+    body = one_minus * gps.geometric_in(1, (1,)) + gps.monomial(1, (100,))
+    f = make_laurent(sx, sx.unit(), body)
+    with pytest.raises((ZeroWithinBound, CutoffTooDeep)):
+        invert(f, budget=50).terms_to_cutoff(cut(sx, 200))
+    assert invert(f).terms_to_cutoff(cut(sx, 200)) == [
+        ((Q(0),), Q(1)), ((Q(100),), Q(-1)), ((Q(200),), Q(1))]
+
+
 def test_invert_shared_across_threads(sxl):
     def build():
         return invert(from_terms(sxl, {(0, 0): 2, (1, 0): -3, (1, -2): 1,
