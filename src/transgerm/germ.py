@@ -40,8 +40,39 @@ Q = Fraction
 # data model
 
 
-@dataclass(frozen=True)
-class Transmono:
+class _Structural:
+    """Equality and hashing over a frozen dataclass's ``_key()``.
+
+    The hash is computed on first use and kept on the instance, so nested
+    germs are not rehashed on every dict or cache lookup.  Equality returns at
+    once on identity and on a hash mismatch.  The cached hash is left out of
+    pickled state: ``hash(None)`` differs between processes.
+    """
+
+    _hash: Optional[int] = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._key())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return hash(self) == hash(other) and self._key() == other._key()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+@dataclass(frozen=True, eq=False)
+class Transmono(_Structural):
     """One transmonomial in normal form.
 
     ``powers`` maps iterate index to exponent: index 0 is x, index k >= 1 is
@@ -53,6 +84,9 @@ class Transmono:
 
     powers: tuple[tuple[int, Fraction], ...] = ()
     expart: Optional["GermTerm"] = None
+
+    def _key(self) -> tuple:
+        return self.powers, self.expart
 
     def depth(self) -> int:
         return 0 if self.expart is None else 1 + self.expart.depth()
@@ -67,12 +101,15 @@ class Transmono:
         return f"Transmono({mono_str(self)})"
 
 
-@dataclass(frozen=True)
-class GermTerm:
+@dataclass(frozen=True, eq=False)
+class GermTerm(_Structural):
     """A germ in normal form: nonzero rational coefficients on strictly
     decreasing transmonomials."""
 
     terms: tuple[tuple[Fraction, Transmono], ...] = ()
+
+    def _key(self) -> tuple:
+        return self.terms
 
     # -- structure ----------------------------------------------------------
 
@@ -166,12 +203,22 @@ def mono_log(t: Transmono) -> GermTerm:
 
 
 def _cmp_pure(a: Transmono, b: Transmono) -> int:
-    # no exp parts: lexicographic on exponents, lowest iterate index dominates
-    da = dict(a.powers)
-    db = dict(b.powers)
-    for k in sorted(set(da) | set(db)):
-        ra = da.get(k, Q(0))
-        rb = db.get(k, Q(0))
+    # no exp parts: lexicographic on exponents, lowest iterate index dominates;
+    # walks both index-sorted powers in step, an absent index being exponent 0
+    pa, pb = a.powers, b.powers
+    na, nb = len(pa), len(pb)
+    i = j = 0
+    while i < na or j < nb:
+        if j == nb or (i < na and pa[i][0] < pb[j][0]):
+            ra, rb = pa[i][1], 0
+            i += 1
+        elif i == na or pb[j][0] < pa[i][0]:
+            ra, rb = 0, pb[j][1]
+            j += 1
+        else:
+            ra, rb = pa[i][1], pb[j][1]
+            i += 1
+            j += 1
         if ra != rb:
             return 1 if ra > rb else -1
     return 0
@@ -201,7 +248,7 @@ def mono_cmp(a: Transmono, b: Transmono) -> int:
 def mono_mul(a: Transmono, b: Transmono) -> Transmono:
     da = dict(a.powers)
     for k, r in b.powers:
-        nr = da.get(k, Q(0)) + r
+        nr = da.get(k, 0) + r
         if nr:
             da[k] = nr
         else:
@@ -235,7 +282,11 @@ def mono_inv(a: Transmono) -> Transmono:
 # germ ring
 
 
-def _sorted_terms(acc: dict[Transmono, Fraction]) -> GermTerm:
+def _sum_terms(products: Iterable[tuple[Fraction, Transmono]]) -> GermTerm:
+    """Normal form of a sum of terms: like monomials collected, one sort."""
+    acc: dict[Transmono, Fraction] = {}
+    for c, m in products:
+        acc[m] = acc.get(m, 0) + c
     monos = [m for m, c in acc.items() if c]
     monos.sort(key=functools.cmp_to_key(mono_cmp), reverse=True)
     return GermTerm(tuple((acc[m], m) for m in monos))
@@ -280,12 +331,8 @@ def g_scale(f: GermTerm, q: Fraction) -> GermTerm:
 
 
 def g_mul(f: GermTerm, g: GermTerm) -> GermTerm:
-    acc: dict[Transmono, Fraction] = {}
-    for cf, mf in f.terms:
-        for cg, mg in g.terms:
-            m = mono_mul(mf, mg)
-            acc[m] = acc.get(m, Q(0)) + cf * cg
-    return _sorted_terms(acc)
+    return _sum_terms((cf * cg, mono_mul(mf, mg))
+                      for cf, mf in f.terms for cg, mg in g.terms)
 
 
 def _iroot(n: int, r: int) -> Optional[int]:
@@ -708,10 +755,9 @@ def mono_dlog(m: Transmono) -> GermTerm:
 
 def derivative(f: GermTerm) -> GermTerm:
     """Exact d/dx; the fragment is closed under differentiation."""
-    acc = ZERO
-    for c, m in f.terms:
-        acc = g_add(acc, g_scale(g_mul(GermTerm(((Q(1), m),)), mono_dlog(m)), c))
-    return acc
+    # (c m)' = c m (log m)'
+    return _sum_terms((c * cd, mono_mul(m, md))
+                      for c, m in f.terms for cd, md in mono_dlog(m).terms)
 
 
 # ---------------------------------------------------------------------------

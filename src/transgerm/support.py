@@ -10,6 +10,7 @@ decreasing monomial order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import threading
 from fractions import Fraction
@@ -142,13 +143,14 @@ class SupportUniverse:
     def _as_generated(self) -> "SupportUniverse":
         if self.explicit is None:
             return self
-        # explicit sets become offset+gens with the lex-least point as offset
+        # explicit sets become offset+gens with the componentwise minimum as
+        # offset, so every generator is nonnegative (and, being nonzero,
+        # lex-positive); for a chain the minimum is the lex-least point
         if not self.explicit:
             return SupportUniverse(self.arity)
-        pts = sorted(self.explicit)
-        off = pts[0]
-        gens = [vsub(p, off) for p in pts[1:]]
-        return SupportUniverse(self.arity, offset=off, gens=gens)
+        off = functools.reduce(vmin, self.explicit)
+        return SupportUniverse(self.arity, offset=off,
+                               gens=[vsub(p, off) for p in self.explicit])
 
     # -- queries ----------------------------------------------------------------
 

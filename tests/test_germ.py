@@ -1,9 +1,15 @@
+import copy
 import math
+import os
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction as Q
 
 import mpmath
 import pytest
+import sympy
 
 from transgerm import germ
 from transgerm.errors import (
@@ -14,6 +20,7 @@ from transgerm.errors import (
     Unclassifiable,
 )
 from transgerm.germ import (
+    Transmono,
     compare,
     compose,
     derivative,
@@ -317,6 +324,166 @@ def test_derivative_numeric(germ_pool):
         sym = eval_germ(df, x0)
         if abs(sym) > 1e-8:
             assert abs(num - sym) / abs(sym) < 1e-4
+
+
+# derivative against sympy.diff: random germs of exp-depth <= 2, converted to
+# sympy from their structure and evaluated with mpmath at 30 digits
+_SX = sympy.Symbol("x", positive=True)
+
+
+def _sym(f):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * _sym_mono(m)
+                       for c, m in f.terms))
+
+
+def _sym_mono(m):
+    out = sympy.Integer(1)
+    for k, r in m.powers:
+        base = _SX
+        for _ in range(k):
+            base = sympy.log(base)
+        out *= base ** sympy.Rational(r.numerator, r.denominator)
+    if m.expart is not None:
+        out *= sympy.exp(_sym(m.expart))
+    return out
+
+
+def _random_germ(rng, depth, large):
+    """1-3 terms c x^a log(x)^b [exp(+-h)], h drawn one level down; in a
+    `large` level (an exp argument) every term tends to infinity."""
+    X, LOG = g_x(), g_logk(1)
+    acc = germ.ZERO
+    for _ in range(rng.randint(1, 3)):
+        if large:
+            c = Q(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+            a = rng.choice((Q(1, 2), Q(1), Q(3, 2)))
+            b = rng.choice((-1, 0, 1))
+        else:
+            c = Q(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 3)))
+            a = rng.choice((Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(1), Q(2)))
+            b = rng.choice((-1, 0, 1, 2))
+        t = g_scale(g_mul(g_pow(X, a), g_pow(LOG, b)), c)
+        if depth and rng.random() < 0.6:
+            h = _random_germ(rng, depth - 1, True)
+            t = g_mul(t, g_exp(h if large or rng.random() < 0.5 else g_neg(h)))
+        acc = g_add(acc, t)
+    return acc
+
+
+def test_derivative_matches_sympy_diff():
+    rng = random.Random(1806)
+    checked = 0
+    with mpmath.workdps(30):
+        for _ in range(20):
+            f = _random_germ(rng, 2, False)
+            if f.is_zero():
+                continue
+            want = sympy.lambdify(_SX, sympy.diff(_sym(f), _SX), "mpmath")
+            got = sympy.lambdify(_SX, _sym(derivative(f)), "mpmath")
+            for x0 in (3, 7):
+                w, g = want(mpmath.mpf(x0)), got(mpmath.mpf(x0))
+                # exp of an argument near L = log|w| keeps 30 - log10(L) digits
+                tol = mpmath.mpf(10) ** -27 * (1 + mpmath.log(1 + abs(w)))
+                assert abs(w - g) <= tol * max(abs(w), 1), (f, x0)
+            checked += 1
+    assert checked >= 18
+
+
+def test_mono_cmp_pure_matches_dense_lex():
+    # pure monomials: dominance is lexicographic on the dense exponent vector
+    rng = random.Random(1732)
+    exps = (Q(-2), Q(-1), Q(-1, 2), Q(1, 2), Q(1), Q(2))
+
+    def draw(idx):
+        return Transmono(tuple((k, rng.choice(exps)) for k in sorted(idx)))
+
+    def dense(m):
+        v = [Q(0)] * 4
+        for k, r in m.powers:
+            v[k] = r
+        return v
+
+    pairs = []
+    for trial in range(400):
+        ia = rng.sample(range(4), rng.randint(0, 4))
+        a = draw(ia)
+        mode = trial % 4
+        if mode == 0:  # independent index sets
+            b = draw(rng.sample(range(4), rng.randint(0, 4)))
+        elif mode == 1:  # the same index set, a common prefix of exponents
+            cut = rng.randint(0, len(a.powers))
+            b = Transmono(a.powers[:cut] + draw(ia).powers[cut:])
+        elif mode == 2:  # disjoint index sets
+            b = draw([k for k in range(4) if k not in ia])
+        else:  # equal, built separately
+            b = Transmono(tuple(a.powers))
+        pairs.append((a, b))
+    assert any(dense(a) == dense(b) for a, b in pairs)
+    for a, b in pairs:
+        da, db = dense(a), dense(b)
+        want = (da > db) - (da < db)
+        assert mono_cmp(a, b) == want
+        assert mono_cmp(b, a) == -want
+
+
+def test_structural_hash_and_eq(X, LOG, LOG2):
+    sqrt = g_pow(X, Q(1, 2))
+    # exp parts built by different routes
+    e1 = g_exp(g_add(X, sqrt))
+    e2 = g_exp(g_scale(g_add(g_scale(sqrt, 2), g_scale(X, 2)), Q(1, 2)))
+    f1 = g_add(g_mul(e1, LOG), g_neg(LOG2))
+    f2 = g_add(g_neg(LOG2), g_mul(LOG, e2))
+    pairs = [(g_mul(X, LOG), g_mul(LOG, X)), (e1, e2), (f1, f2),
+             (g_pow(f1, 3), g_mul(g_mul(f2, f2), f2)),
+             (germ.leading_mono(f1), germ.leading_mono(f2))]
+    for a, b in pairs:
+        assert a is not b and a == b
+        h = hash(a)
+        assert hash(b) == h and {a: 1}[b] == 1 and {b: 2}[a] == 2
+        for c in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+            assert c == a and hash(c) == h
+        assert hash(a) == h
+        # a hash is computed in its own process: hash(None) is not portable
+        assert "_hash" not in a.__getstate__()
+    assert g_scale(f1, 2) != f1 and hash(g_scale(f1, 2)) != hash(f1)
+    assert e1 != germ.leading_mono(e1) and f1 != 1
+
+
+def test_mono_cmp_cache_shared_across_threads(germ_pool):
+    monos = []
+    for f in germ_pool:
+        for _, m in f.terms:
+            if m not in monos:
+                monos.append(m)
+    pairs = [(i, j) for i in range(len(monos)) for j in range(len(monos))]
+    germ._cmp_cache.clear()
+    want = {(i, j): mono_cmp(monos[i], monos[j]) for i, j in pairs}
+    germ._cmp_cache.clear()
+    blob = pickle.dumps(monos)
+    nthreads = 2 * (os.cpu_count() or 1) + 2
+    results = [None] * nthreads
+
+    def work(k):
+        fresh = pickle.loads(blob)  # equal copies with no hash computed yet
+        order = pairs[:]
+        random.Random(k).shuffle(order)
+        results[k] = {(i, j): mono_cmp(fresh[i], fresh[j]) for i, j in order}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == want for got in results)
+    assert all(germ._cmp_cache[(monos[i], monos[j])] == want[(i, j)]
+               for i, j in pairs if (monos[i], monos[j]) in germ._cmp_cache)
 
 
 def test_pow_exact_roots(X):

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from transgerm import gps
+from transgerm.errors import OrderNotPositive
 from transgerm.germ import g_x
 from transgerm.scale import make_scale
 from transgerm.series import make_laurent
@@ -93,6 +94,39 @@ def test_universe_algebra_is_a_superset():
     assert not shifted.contains(vadd((Q(0), Q(0)), delta))
     sums = {vadd(p, q) for p in pts_a for q in pts_a}
     assert all(closure.contains(p) for p in pts_a | sums)
+
+
+def test_explicit_non_chain_in_a_sum():
+    # {X0, X1} is no componentwise chain; as the offset of a generated
+    # universe it gives nonnegative generators, so enumeration and compose_ps
+    # answer instead of raising ValueError
+    s = gps.from_terms(2, {(1, 0): 1, (0, 1): 1}) + gps.geometric_in(2, (1, 1))
+    bound = (Q(4), Q(4))
+    terms = {(Q(1), Q(0)): Q(1), (Q(0), Q(1)): Q(1)}
+    terms.update({(Q(n), Q(n)): Q(1) for n in range(5)})
+    assert dict(s.enumerate(bound)) == terms
+    assert s.ord_and_min() == (0, [(Q(0), Q(0))])
+    with pytest.raises(OrderNotPositive):
+        gps.compose_ps(lambda k: 1, s)
+    # sum_nu G^nu for G = s - 1 on the box, by dict convolution
+    g = s - gps.constant(2, 1)
+    del terms[(Q(0), Q(0))]
+    want, power = {}, {(Q(0), Q(0)): Q(1)}
+    while power:  # every term of G has grade >= 1, so this stops
+        for v, c in power.items():
+            want[v] = want.get(v, 0) + c
+        nxt = {}
+        for v, c in power.items():
+            for u, d in terms.items():
+                w = vadd(v, u)
+                if all(a <= b for a, b in zip(w, bound)):
+                    nxt[w] = nxt.get(w, 0) + c * d
+        power = nxt
+    comp = gps.compose_ps(lambda k: 1, g)
+    got = comp.enumerate(bound)
+    assert dict(got) == want
+    cold = gps.compose_ps(lambda k: 1, g)
+    assert {v: cold.coeff(v) for v in reversed(list(want))} == want
 
 
 def test_lex_stream_one_dimensional_prefix():
