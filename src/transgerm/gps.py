@@ -8,19 +8,20 @@ decidable only up to a bound and the API says so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import ArityMismatch, OrderNotPositive, ZeroWithinBound
 from .support import (
+    Coord,
     MemoStream,
     Q,
     SupportUniverse,
     Vec,
     grade,
     is_nonnegative,
+    vec,
     vsub,
     vzero,
 )
@@ -40,7 +41,7 @@ class ExponentSet:
     def of(arity: int, gens: Iterable[Sequence]) -> "ExponentSet":
         out = set()
         for g in gens:
-            v = tuple(Q(a) for a in g)
+            v = vec(g)
             if len(v) != arity:
                 raise ArityMismatch(f"generator {v} has arity {len(v)}, expected {arity}")
             if not is_nonnegative(v):
@@ -86,23 +87,25 @@ class GenSeries:
     # -- coefficient access ---------------------------------------------------
 
     def coeff(self, alpha: Sequence) -> Fraction:
-        v = tuple(Q(a) for a in alpha)
-        if len(v) != self.arity:
-            raise ArityMismatch(f"point {v} has arity {len(v)}, expected {self.arity}")
-        hit = self._memo.get(v)
+        # equal coordinates hash alike whatever their type, so a tuple is
+        # looked up as given and normalised only on a miss
+        memo = self._memo
+        hit = memo.get(alpha) if type(alpha) is tuple else None
         if hit is not None:
             return hit
-        if not self.universe.contains(v):
-            c = Q(0)
-        else:
-            c = self._oracle(v)
-        self._memo[v] = c
-        return c
+        v = vec(alpha)
+        if len(v) != self.arity:
+            raise ArityMismatch(f"point {v} has arity {len(v)}, expected {self.arity}")
+        hit = memo.get(v)
+        if hit is None:
+            hit = memo[v] = (self._oracle(v) if self.universe.contains(v)
+                             else Q(0))
+        return hit
 
     def enumerate(self, bound: Sequence) -> list[tuple[Vec, Fraction]]:
         """All nonzero-coefficient support points componentwise below the
         bound, in (total degree, lex) order; terminates for any finite bound."""
-        b = tuple(Q(a) for a in bound)
+        b = vec(bound)
         out = []
         for v in self.universe.box_points(b):
             c = self.coeff(v)
@@ -168,8 +171,8 @@ class GenSeries:
     # -- order ------------------------------------------------------------------
 
     def ord_and_min(self, budget: int = DEFAULT_BUDGET,
-                    grade_cap: Optional[Fraction] = None
-                    ) -> tuple[Fraction, list[Vec]]:
+                    grade_cap: Optional[Coord] = None
+                    ) -> tuple[Coord, list[Vec]]:
         """Order (least total degree of a nonzero coefficient) and the
         componentwise-minimal support points found within the budget.
 
@@ -201,12 +204,12 @@ class GenSeries:
                               for q in pts)]
         return grade(first), sorted(minimal)
 
-    def order(self, budget: int = DEFAULT_BUDGET) -> Fraction:
+    def order(self, budget: int = DEFAULT_BUDGET) -> Coord:
         return self.ord_and_min(budget)[0]
 
     def equal_to_bound(self, other: "GenSeries", bound: Sequence) -> bool:
         self._check(other)
-        b = tuple(Q(a) for a in bound)
+        b = vec(bound)
         pts = {v for v in self.universe.box_points(b)}
         pts |= {v for v in other.universe.box_points(b)}
         return all(self.coeff(v) == other.coeff(v) for v in pts)
@@ -219,7 +222,7 @@ class GenSeries:
 
 
 def from_terms(arity: int, terms: dict) -> GenSeries:
-    tbl = {tuple(Q(a) for a in k): Q(c) for k, c in terms.items() if c}
+    tbl = {vec(k): Q(c) for k, c in terms.items() if c}
     uni = SupportUniverse.finite(arity, tbl.keys())
     return GenSeries(arity, uni, lambda v: tbl.get(v, Q(0)),
                      provenance="terms")
@@ -235,7 +238,7 @@ def monomial(arity: int, alpha: Sequence, c=1) -> GenSeries:
 
 def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
     """sum_nu ratio^nu * X^(nu*step); step must be a nonzero nonnegative vector."""
-    s = tuple(Q(a) for a in step)
+    s = vec(step)
     r = Q(ratio)
     uni = SupportUniverse.generated(arity, [s])
 
@@ -243,9 +246,10 @@ def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
         # v = nu * s for a unique nu >= 0
         for a, b in zip(v, s):
             if b:
-                nu = a / b
-                if nu.denominator == 1 and all(x == nu * y for x, y in zip(v, s)):
-                    return r ** nu.numerator
+                # exact for int and Fraction coordinates alike
+                nu, rest = divmod(a, b)
+                if not rest and all(x == nu * y for x, y in zip(v, s)):
+                    return r ** nu
                 return Q(0)
         return Q(1) if not any(v) else Q(0)
 
@@ -255,12 +259,22 @@ def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
 # -- composition with one-variable power series -----------------------------------
 
 
+def grade_window(d: Coord, g_ord: Coord, top: Optional[Coord] = None) -> range:
+    """The nu with ceil(d / top) <= nu <= floor(d / g_ord), the powers G^nu
+    that can reach grade d when every term of G has grade between g_ord > 0
+    and top (0 for the lower end when top is None).  Floor division keeps it
+    exact for int and Fraction grades alike, where true division of two ints
+    would round through a float."""
+    lo = 0 if top is None else -(-d // top)
+    return range(lo, d // g_ord + 1)
+
+
 def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
                budget: int = DEFAULT_BUDGET) -> GenSeries:
     """P o G = sum_nu a_nu G^nu for a one-variable power series P.
 
     Requires ord(G) > 0.  Every term of G^nu has grade between nu * ord(G)
-    and nu * maxdeg(G), so only the nu in the window
+    and nu * maxdeg(G), so only the nu in the window (grade_window)
 
         ceil(|alpha| / maxdeg(G)) <= nu <= floor(|alpha| / ord(G))
 
@@ -276,7 +290,7 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
         pc = lambda n: coeffs[n] if n < len(coeffs) else Q(0)
 
     stream = g.universe.graded_stream()
-    g_ord: Optional[Fraction] = None
+    g_ord: Optional[Coord] = None
     for n, v in enumerate(stream):
         if n >= budget:
             break
@@ -316,7 +330,7 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     # only store the same value and no lock is needed
     memo: dict[tuple[int, Vec], Fraction] = {(0, vzero(g.arity)): Q(1)}
 
-    def reaches(nu: int, d: Fraction) -> bool:
+    def reaches(nu: int, d: Coord) -> bool:
         if nu == 0:
             return d == 0
         return nu * g_ord <= d and (top is None or d <= nu * top)
@@ -360,9 +374,8 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
 
     def oracle(v: Vec) -> Fraction:
         d = grade(v)
-        lo = 0 if top is None else math.ceil(d / top)
         total = Q(0)
-        for nu in range(lo, math.floor(d / g_ord) + 1):
+        for nu in grade_window(d, g_ord, top):
             a = pc(nu)
             if a and reaches(nu, d):
                 total += a * power_coeff(nu, v)

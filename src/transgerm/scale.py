@@ -3,19 +3,21 @@
 A Scale wraps a validated tuple of infinitely increasing germs f_0 > ... > f_k
 in pairwise distinct archimedean classes.  Monomials are exponent vectors
 relative to the scale: the vector a denotes exp(-(a_0 f_0 + ... + a_k f_k)),
-so a lexicographically *larger* vector is a *smaller* monomial.
+so a lexicographically *larger* vector is a *smaller* monomial.  Exponents
+are exact coordinates in the sense of ``support``: an ``int`` when integral,
+a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import germ as G
 from .errors import NotAnAsymptoticScale, ScaleMismatch
 from .germ import GermTerm, Q
+from .support import Vec, vadd, vec, vsub
 
 
 @dataclass(frozen=True)
@@ -28,10 +30,10 @@ class Scale:
         return len(self.generators)
 
     def unit(self) -> "Monomial":
-        return Monomial(self, (Q(0),) * self.arity)
+        return Monomial(self, (0,) * self.arity)
 
     def monomial(self, coords: Sequence) -> "Monomial":
-        coords = tuple(Q(c) for c in coords)
+        coords = vec(coords)
         if len(coords) != self.arity:
             raise ScaleMismatch(
                 f"expected {self.arity} exponents, got {len(coords)}")
@@ -47,21 +49,19 @@ class Scale:
 @dataclass(frozen=True)
 class Monomial:
     scale: Scale
-    vector: tuple[Fraction, ...]
+    vector: Vec  # int or Fraction coordinates, as support.vec makes them
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same(self, other)
-        return Monomial(self.scale,
-                        tuple(a + b for a, b in zip(self.vector, other.vector)))
+        return Monomial(self.scale, vadd(self.vector, other.vector))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         _check_same(self, other)
-        return Monomial(self.scale,
-                        tuple(a - b for a, b in zip(self.vector, other.vector)))
+        return Monomial(self.scale, vsub(self.vector, other.vector))
 
     def __pow__(self, q) -> "Monomial":
         q = Q(q)
-        return Monomial(self.scale, tuple(a * q for a in self.vector))
+        return Monomial(self.scale, vec(a * q for a in self.vector))
 
     def inverse(self) -> "Monomial":
         return self ** -1
@@ -167,6 +167,6 @@ def project_class(s: Scale, j: int, m: Monomial) -> Monomial:
     if not 0 <= j < len(s.classes):
         raise IndexError(f"class index {j} out of range")
     lo, hi = s.classes[j]
-    coords = tuple(a if lo <= i < hi else Q(0)
+    coords = tuple(a if lo <= i < hi else 0
                    for i, a in enumerate(m.vector))
     return Monomial(s, coords)

@@ -31,7 +31,16 @@ from .errors import (
 )
 from .gps import DEFAULT_BUDGET, GenSeries
 from .scale import Monomial, Scale, make_scale, monomial_cmp
-from .support import MemoStream, Q, SupportUniverse, Vec, lex_positive, vadd, vzero
+from .support import (
+    MemoStream,
+    Q,
+    SupportUniverse,
+    Vec,
+    lex_positive,
+    vadd,
+    vec,
+    vzero,
+)
 from .germ import GermTerm
 
 
@@ -142,6 +151,7 @@ class LaurentSeries:
             provenance=f"{provenance}({self.provenance})")
 
     def shifted(self, delta: Vec) -> "LaurentSeries":
+        delta = vec(delta)
         uni = self._universe.shifted(delta) if self._universe is not None else None
         return LaurentSeries(
             self.scale, _map_factory(self, lambda v, c: (vadd(v, delta), c)),
@@ -344,7 +354,7 @@ def from_terms(scale: Scale, terms: dict, *,
                ) -> LaurentSeries:
     tbl = {}
     for k, c in terms.items():
-        v = tuple(Q(a) for a in (k.vector if isinstance(k, Monomial) else k))
+        v = vec(k.vector if isinstance(k, Monomial) else k)
         if len(v) != scale.arity:
             raise ArityMismatch(f"exponent vector {v} has wrong arity")
         c = Q(c)
@@ -695,8 +705,7 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
 
     uni = f._universe
     if exhausted:
-        k = 0 if witness <= 1 else 1
-        return OrderTypeBound(max(k, 1) if witness else 0,
+        return OrderTypeBound(1 if witness else 0,
                               OmegaPoly.finite(witness), witness)
     if uni is None:
         return OrderTypeBound(f.scale.arity, None, witness)

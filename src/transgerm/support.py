@@ -6,38 +6,60 @@ every generator is lexicographically positive.  Lex-positive generation is
 exactly what keeps the induced monomial set reverse-well-ordered, so the
 ascending-lex stream below enumerates candidate support points in strictly
 decreasing monomial order.
+
+A coordinate is an ``int`` when it is integral and a ``Fraction`` otherwise;
+``coord`` and ``vec`` normalise to that form, and every constructor of a
+vector calls them.  Natural supports of integral generators never leave the
+integers, so their arithmetic and hashing skip ``Fraction`` entirely.  The
+two forms compare, hash and print alike (``Fraction(2) == 2``,
+``hash(Fraction(2)) == hash(2)``, ``str(Fraction(2)) == "2"``), so a sum of
+fractional coordinates that lands on an integer is still a correct key.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import operator
 import threading
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 Q = Fraction
-Vec = tuple[Fraction, ...]
+Coord = Union[int, Fraction]
+Vec = tuple[Coord, ...]
+
+
+def coord(a) -> Coord:
+    """An exact exponent coordinate: an int when integral, else a Fraction."""
+    if type(a) is int:
+        return a
+    q = Q(a)
+    return q.numerator if q.denominator == 1 else q
+
+
+def vec(p: Iterable) -> Vec:
+    return tuple(map(coord, p))
 
 
 def vzero(arity: int) -> Vec:
-    return (Q(0),) * arity
+    return (0,) * arity
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vmin(u: Vec, v: Vec) -> Vec:
     return tuple(min(a, b) for a, b in zip(u, v))
 
 
-def grade(u: Vec) -> Fraction:
-    return sum(u, Q(0))
+def grade(u: Vec) -> Coord:
+    return sum(u)
 
 
 def lex_positive(u: Vec) -> bool:
@@ -72,13 +94,13 @@ class SupportUniverse:
             self.offset = vzero(arity)
             self.gens = frozenset()
             return
-        self.offset = offset if offset is not None else vzero(arity)
+        self.offset = vzero(arity) if offset is None else vec(offset)
         cleaned = set()
         for g in gens:
             if any(g):
                 if not lex_positive(g):
                     raise ValueError(f"universe generator {g} is not lex-positive")
-                cleaned.add(tuple(Q(a) for a in g))
+                cleaned.add(vec(g))
         self.gens = frozenset(cleaned)
         self._by_lead: dict[int, list[Vec]] = {}
         for g in sorted(self.gens):
@@ -91,8 +113,7 @@ class SupportUniverse:
 
     @staticmethod
     def finite(arity: int, points: Iterable[Vec]) -> "SupportUniverse":
-        return SupportUniverse(arity, explicit=frozenset(tuple(Q(a) for a in p)
-                                                         for p in points))
+        return SupportUniverse(arity, explicit=frozenset(map(vec, points)))
 
     @staticmethod
     def generated(arity: int, gens: Iterable[Vec],

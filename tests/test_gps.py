@@ -343,3 +343,32 @@ def test_compose_shared_across_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(results)
+
+
+@pytest.mark.parametrize("d, g_ord, top", [
+    (10**18 + 1, 1, 3),
+    (10**18 + 1, 3, None),
+    (10**18 + 2, 1, 3),
+    (3 * 10**17 + 1, 3, 7),
+    (Q(10**18 + 1, 2), Q(1, 2), 3),
+    (10**18 + 1, Q(3, 2), Q(7, 2)),
+])
+def test_grade_window_is_exact_at_large_grades(d, g_ord, top):
+    # against Fraction arithmetic; true division of two ints rounds through a
+    # float, which at these grades moves the window's ends
+    lo = 0 if top is None else math.ceil(Q(d) / top)
+    want = range(lo, math.floor(Q(d) / g_ord) + 1)
+    got = gps.grade_window(d, g_ord, top)
+    assert (got.start, got.stop) == (want.start, want.stop)
+    assert all(type(n) is int for n in (got.start, got.stop))
+    if type(d) is int and top == 3:
+        assert math.ceil(d / top) != got.start
+
+
+def test_grade_window_small_grades():
+    # every nu whose grades nu*g_ord .. nu*top cover d, by direct search
+    for d in [*range(13), *(Q(2 * n + 1, 2) for n in range(12))]:
+        for g_ord, top in [(1, 1), (1, 3), (Q(1, 2), 2), (2, Q(5, 2)), (1, None)]:
+            want = [nu for nu in range(30)
+                    if nu * g_ord <= d and (top is None or d <= nu * top)]
+            assert list(gps.grade_window(d, g_ord, top)) == want

@@ -12,6 +12,7 @@ from transgerm import gps
 from transgerm import series as S
 from transgerm.errors import (
     CutoffTooDeep,
+    DomainError,
     NotAScaleAfterShift,
     NotMarkedConvergent,
     ScaleMismatch,
@@ -291,6 +292,10 @@ def test_order_type_finite(sx):
     f = from_terms(sx, {(0,): 1, (1,): 2, (3,): -1})
     ot = order_type(f)
     assert str(ot.exact) == "3"
+    assert ot.bound_exponent == 1
+    for terms, bound in [({}, 0), ({(2,): 5}, 1), ({(0,): 1, (1,): 1}, 1)]:
+        ot = order_type(from_terms(sx, terms))
+        assert (ot.bound_exponent, str(ot.exact)) == (bound, str(len(terms)))
 
 
 def test_order_type_bound_not_exceeded_random(sxl):
@@ -407,6 +412,38 @@ def test_sum_numeric_requires_tag(sx):
     bare = S.LaurentSeries(sx, lambda: f.iter_terms())
     with pytest.raises(NotMarkedConvergent):
         sum_numeric(bare, 5.0, cut(sx, 3))
+
+
+def test_assert_convergent_tags_an_untagged_series(sx):
+    # sum_k 2^-k exp(-k x): make_laurent tags no infinite body, so the
+    # summation first refuses, then answers once convergence is asserted
+    pulls = []
+
+    class Counting(gps.GenSeries):
+        def coeff(self, alpha):
+            pulls.append(alpha)
+            return super().coeff(alpha)
+
+    half = gps.geometric_in(1, (1,), Q(1, 2))
+    body = Counting(1, half.universe, half.coeff)
+    f = make_laurent(sx, sx.unit(), body)
+    c = cut(sx, 20)
+    with pytest.raises(NotMarkedConvergent):
+        sum_numeric(f, 3.0, c)
+    g = f.assert_convergent(2.0)
+    assert f.convergence is None and g.convergence.threshold == 2.0
+    val, tail = sum_numeric(g, 3.0, c)
+    r = math.exp(-3.0) / 2
+    assert val == pytest.approx((1 - r ** 21) / (1 - r), rel=1e-14)
+    assert tail == pytest.approx(r ** 21, rel=1e-12)
+    with pytest.raises(DomainError):
+        sum_numeric(g, 1.5, c)
+    # g reads f's memo: neither series pulls the source stream again
+    assert g._memo is f._memo
+    assert len(pulls) == 22
+    assert [v for v, _ in f.terms_to_cutoff(c)] == [(k,) for k in range(21)]
+    assert sum_numeric(g, 3.0, c) == (val, tail)
+    assert len(pulls) == 22
 
 
 def test_sum_numeric_homomorphism(sx):

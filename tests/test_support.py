@@ -4,15 +4,24 @@ import random
 import sys
 import threading
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transgerm import gps
+from transgerm import gps, support
 from transgerm.errors import OrderNotPositive
-from transgerm.germ import g_x
-from transgerm.scale import make_scale
-from transgerm.series import make_laurent
-from transgerm.support import SupportUniverse, vadd
+from transgerm.germ import g_logk, g_x
+from transgerm.scale import make_scale, project_class
+from transgerm.series import from_terms, invert, make_laurent
+from transgerm.support import (
+    SupportUniverse,
+    grade,
+    lex_positive,
+    vadd,
+    vzero,
+)
 
 
 def brute_members(u, nmax):
@@ -177,3 +186,113 @@ def test_shared_memo_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(got == want for got in results)
+
+
+# -- exponent coordinates: int when integral, Fraction otherwise ---------------
+
+
+def exact_form(v):
+    return all(type(a) is int or (type(a) is Q and a.denominator != 1)
+               for a in v)
+
+
+H, TWO = Q(1, 2), Q(2)  # a fractional coordinate, an integral one as a Fraction
+
+
+def test_constructors_store_integral_coordinates_as_ints():
+    mixed = [(TWO, H), (Q(3), Q(0)), (H, Q(1))]
+    vecs = [vzero(3), (grade((2, 1)),)]
+    u = SupportUniverse.generated(2, mixed, offset=(Q(-1), TWO))
+    vecs += [u.offset, *u.gens, *SupportUniverse.finite(2, mixed).explicit]
+    vecs += gps.ExponentSet.of(2, mixed).generators
+    g = gps.from_terms(2, {p: 1 for p in mixed})
+    vecs += g.universe.explicit
+    vecs += gps.geometric_in(2, (TWO, H)).universe.gens
+    body = gps.geometric_in(2, (Q(1), Q(0))) * gps.geometric_in(2, (0, TWO))
+    vecs += [v for v, _ in body.enumerate((Q(3), Q(4)))]
+    assert body.equal_to_bound(body, [Q(2), H])
+    vecs += body._memo
+    sx = make_scale([g_x(), g_logk(1)])
+    m = sx.monomial([TWO, H])
+    vecs += [v for v, _ in from_terms(sx, {m: 1, (Q(0), TWO): 3}).iter_terms()]
+    vecs += [sx.unit().vector, m.vector, (m ** 2).vector, (m ** H).vector,
+             (m ** Q(4)).vector, project_class(sx, 0, m).vector]
+    assert (m ** 2).vector == (4, 1) and (m ** H).vector == (1, Q(1, 4))
+    # the streams of an integral series never leave the ints
+    f = make_laurent(sx, sx.monomial([Q(1), Q(0)]), body)
+    vecs += [v for v, _ in itertools.islice(f.iter_terms(), 40)]
+    fin = from_terms(sx, {(Q(0), Q(0)): 1, (Q(0), Q(1)): H, (Q(1), Q(0)): 3})
+    vecs += [v for v, _ in itertools.islice(invert(fin).iter_terms(), 40)]
+    assert len(vecs) > 100
+    assert [v for v in vecs if not exact_form(v)] == []
+    assert type(gps.from_terms(1, {(TWO,): 1}).order()) is int
+
+
+def test_printed_exponents_are_unchanged():
+    sx = make_scale([g_x(), g_logk(1)])
+    assert str(sx.monomial([TWO, H])) == "m[2,1/2]"
+    assert str(sx.monomial([Q(-3), 0]) ** 2) == "m[-6,0]"
+    assert str(sx.unit()) == "m[0,0]"
+    s1 = make_scale([g_x()])
+    for shift, want in [(Q(0), ["0", "1", "2", "3"]),
+                        (H, ["1/2", "3/2", "5/2", "7/2"])]:
+        f = make_laurent(s1, s1.monomial([shift]),
+                         gps.geometric_in(1, (Q(1),), H))
+        terms = f.terms_to_cutoff(s1.monomial([shift + 3]))
+        assert [str(a) for v, _ in terms for a in v] == want
+        assert [str(c) for _, c in terms] == ["1", "1/2", "1/4", "1/8"]
+
+
+def test_coefficient_memo_is_shared_across_coordinate_types():
+    asked = []
+
+    def oracle(v):
+        asked.append(v)
+        return Q(5)
+
+    g = gps.GenSeries(2, SupportUniverse.generated(2, [(1, 0), (0, 1)]),
+                      oracle)
+    assert g.coeff((TWO, 0)) == g.coeff((2, 0)) == g.coeff([2, Q(0)]) == 5
+    assert asked == [(2, 0)] and exact_form(asked[0])
+    assert list(g._memo) == [(2, 0)] and exact_form(next(iter(g._memo)))
+
+
+_COORD = st.tuples(st.sampled_from([Q(-1), Q(0), H, Q(1), Q(3, 2), TWO, Q(3)]),
+                   st.booleans()).map(
+    lambda t: int(t[0]) if t[1] and t[0].denominator == 1 else t[0])
+
+
+@st.composite
+def mixed_universes(draw):
+    arity = draw(st.integers(1, 2))
+    vecs = st.tuples(*[_COORD] * arity)
+    gens = draw(st.lists(vecs.filter(lex_positive), min_size=1, max_size=3))
+    return arity, gens, draw(vecs)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(mixed_universes())
+def test_mixed_coordinates_match_an_all_fraction_copy(case):
+    # the same universe with every coordinate kept a Fraction: same stream
+    # order and same membership, whichever form a query point takes
+    arity, gens, offset = case
+
+    def pair():
+        with mock.patch.object(support, "coord", Q):
+            ref = SupportUniverse.generated(arity, gens, offset=offset)
+        return SupportUniverse.generated(arity, gens, offset=offset), ref
+
+    u, ref = pair()
+    assert all(type(a) is Q for v in (ref.offset, *ref.gens) for a in v)
+    want = list(itertools.islice(ref.lex_stream(), 30))
+    assert list(itertools.islice(u.lex_stream(), 30)) == want
+    assert want == sorted(set(want))
+    steps = [tuple(Q(d) if i == j else Q(0) for i in range(arity))
+             for j in range(arity) for d in (-1, H, 1)]
+    targets = sorted({vadd(p, s) for p in want[:12] for s in steps} | set(want))
+    as_fraction = [tuple(map(Q, t)) for t in targets]
+    as_int = [support.vec(t) for t in targets]
+    u, ref = pair()
+    members = [ref.contains(t) for t in as_int]
+    assert [u.contains(t) for t in as_fraction] == members
+    assert all(members[targets.index(p)] for p in want)
