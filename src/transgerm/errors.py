@@ -50,7 +50,8 @@ class NotDecreasing(TransgermError):
 
 
 class NotIncreasing(TransgermError):
-    """Right-composition germ is not infinitely increasing."""
+    """A germ that must be infinitely increasing is not: the right argument
+    of a composition, or the argument of a compositional inverse."""
 
     code = "not-increasing"
 

@@ -10,6 +10,12 @@ tends to infinity).  This fragment is closed under addition, multiplication,
 rational powers of single terms, exp of purely infinite elements, and
 differentiation; dominance between two transmonomials is decided exactly by
 recursing on their logarithms.
+
+Every operation answers exactly or raises a typed ``TransgermError``.  In
+particular composition (``compose_exact``) and compositional inversion
+(``inverse``) return a normal form or refuse, e.g. with ``NotInFragment``
+(no finite normal form) or ``NotIncreasing`` (the germ is not infinitely
+increasing); there is no approximate fallback.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DepthLimitExceeded,
@@ -764,126 +770,30 @@ def derivative(f: GermTerm) -> GermTerm:
 # composition
 
 
-@dataclass(frozen=True)
-class InverseNode:
-    """Opaque compositional inverse of an infinitely increasing germ."""
+def inverse(g: GermTerm) -> GermTerm:
+    """Exact compositional inverse of an infinitely increasing germ.
 
-    germ: GermTerm
-
-    @property
-    def level(self) -> int:
-        return -level(self.germ)
-
-    def eval(self, y: float) -> float:
-        return _invert_numeric(lambda t: eval_germ(self.germ, t), y)
-
-    def __str__(self) -> str:
-        return f"inverse({self.germ})"
-
-
-@dataclass(frozen=True)
-class ComposeNode:
-    """Opaque composition f o g kept with exact level arithmetic."""
-
-    outer: Union[GermTerm, "ComposeNode", InverseNode]
-    inner: Union[GermTerm, "ComposeNode", InverseNode]
-
-    @property
-    def level(self) -> int:
-        return node_level(self.outer) + node_level(self.inner)
-
-    def eval(self, x: float) -> float:
-        return node_eval(self.outer, node_eval(self.inner, x))
-
-    def __str__(self) -> str:
-        return f"({self.outer}) o ({self.inner})"
-
-
-GermLike = Union[GermTerm, ComposeNode, InverseNode]
-
-
-def node_level(g: GermLike) -> int:
-    if isinstance(g, GermTerm):
-        return level(g)
-    return g.level
-
-
-def node_eval(g: GermLike, x: float) -> float:
-    if isinstance(g, GermTerm):
-        return eval_germ(g, x)
-    return g.eval(x)
-
-
-def node_increasing(g: GermLike) -> bool:
-    if isinstance(g, GermTerm):
-        return is_infinitely_increasing(g)
-    if isinstance(g, InverseNode):
-        return True
-    return node_increasing(g.outer) and node_increasing(g.inner)
-
-
-def _invert_numeric(fn: Callable[[float], float], y: float,
-                    iters: int = 200) -> float:
-    lo = 1.0
-    n = 0
-    while True:
-        try:
-            if fn(lo) < y:
-                break
-        except (DomainError, OverflowError, ValueError):
-            pass
-        lo /= 2.0
-        n += 1
-        if n > iters:
-            raise DomainError(f"could not bracket inverse at {y}")
-    hi = max(2.0, 2.0 * lo)
-    n = 0
-    while fn(hi) < y:
-        hi *= 2.0
-        n += 1
-        if n > iters:
-            raise DomainError(f"could not bracket inverse at {y}")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def inverse(g: GermLike) -> GermLike:
-    """Compositional inverse; exact for log/exp iterates, opaque otherwise."""
-    if isinstance(g, InverseNode):
-        return g.germ
-    if isinstance(g, GermTerm):
-        if not is_infinitely_increasing(g):
-            raise NotIncreasing(f"{g} is not infinitely increasing")
-        # exact cases: powers of x, log iterates
-        if len(g.terms) == 1:
-            c, m = g.terms[0]
-            if m.expart is None and len(m.powers) == 1:
-                k, r = m.powers[0]
-                if k == 0:
-                    rc = exact_root(1 / c, 1 / r)
-                    if rc is not None:
-                        return GermTerm(((rc, Transmono(((0, 1 / r),)),),))
-                elif r == 1 and c == 1:
-                    inv = g_x()
-                    try:
-                        for _ in range(k):
-                            inv = g_exp(inv)
-                        return inv
-                    except DepthLimitExceeded:
-                        pass
-        return InverseNode(g)
-    return InverseNode_of_node(g)
-
-
-def InverseNode_of_node(g) -> GermLike:
-    if isinstance(g, ComposeNode):
-        return ComposeNode(inverse(g.inner), inverse(g.outer))
-    raise NotIncreasing("cannot invert this node")
+    The inverse has a normal form for c*x^r with an exact rational root of c
+    (the inverse is c^(-1/r) * x^(1/r)) and for a unit log iterate (an exp
+    iterate, DepthLimitExceeded past the exp depth bound).  Anything else
+    raises NotInFragment; a germ that is not infinitely increasing raises
+    NotIncreasing."""
+    if not is_infinitely_increasing(g):
+        raise NotIncreasing(f"{g} is not infinitely increasing")
+    if len(g.terms) == 1:
+        c, m = g.terms[0]
+        if m.expart is None and len(m.powers) == 1:
+            k, r = m.powers[0]
+            if k == 0:
+                rc = exact_root(1 / c, 1 / r)
+                if rc is not None:
+                    return GermTerm(((rc, Transmono(((0, 1 / r),)),),))
+            elif r == 1 and c == 1:
+                inv = g_x()
+                for _ in range(k):
+                    inv = g_exp(inv)
+                return inv
+    raise NotInFragment(f"the inverse of {g} has no normal form in the fragment")
 
 
 def _log_iterate_of(g: GermTerm, k: int, logs: dict[int, GermTerm]) -> GermTerm:
@@ -906,31 +816,20 @@ def _subst_mono(m: Transmono, g: GermTerm, logs: dict[int, GermTerm],
 
 def compose_exact(f: GermTerm, g: GermTerm, logs: Optional[dict[int, GermTerm]] = None,
                   max_depth: int = DEFAULT_EXP_DEPTH) -> GermTerm:
-    """Substitute x -> g in f, raising NotInFragment when the result has no
-    finite normal form."""
+    """f o g, the substitution x -> g in f, in normal form.
+
+    Raises NotIncreasing when g is not infinitely increasing, and NotInFragment,
+    DepthLimitExceeded or NonHardyExpression when f o g has no normal form in
+    the fragment.  ``logs`` caches g's log iterates while recursing into exp
+    parts; a top-level call leaves it None."""
     if logs is None:
+        if not is_infinitely_increasing(g):
+            raise NotIncreasing(f"right-composition germ {g} is not infinitely increasing")
         logs = {0: g}
     acc = ZERO
     for c, m in f.terms:
         acc = g_add(acc, g_scale(_subst_mono(m, g, logs, max_depth), c))
     return acc
-
-
-def compose(f: GermLike, g: GermLike,
-            max_depth: int = DEFAULT_EXP_DEPTH) -> GermLike:
-    """f o g: normal form when it exists in the fragment, opaque node else.
-
-    Opaque nodes carry exact level arithmetic and numeric evaluation;
-    inverse nodes evaluate by monotone bisection.
-    """
-    if not node_increasing(g):
-        raise NotIncreasing("right-composition germ must be infinitely increasing")
-    if isinstance(f, GermTerm) and isinstance(g, GermTerm):
-        try:
-            return compose_exact(f, g, max_depth=max_depth)
-        except (NotInFragment, DepthLimitExceeded, NonHardyExpression):
-            return ComposeNode(f, g)
-    return ComposeNode(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import ArityMismatch, OrderNotPositive, ZeroWithinBound
+from .errors import ArityMismatch, OrderNotPositive, WitnessViolated, ZeroWithinBound
 from .support import (
     Coord,
     MemoStream,
@@ -45,7 +45,8 @@ class ExponentSet:
             if len(v) != arity:
                 raise ArityMismatch(f"generator {v} has arity {len(v)}, expected {arity}")
             if not is_nonnegative(v):
-                raise ValueError(f"exponent-set generator {v} has a negative coordinate")
+                raise WitnessViolated(
+                    f"exponent-set generator {v} has a negative coordinate")
             out.add(v)
         return ExponentSet(arity, frozenset(out))
 
@@ -223,6 +224,7 @@ class GenSeries:
 
 def from_terms(arity: int, terms: dict) -> GenSeries:
     tbl = {vec(k): Q(c) for k, c in terms.items() if c}
+    ExponentSet.of(arity, tbl)  # refuses a wrong arity or a negative coordinate
     uni = SupportUniverse.finite(arity, tbl.keys())
     return GenSeries(arity, uni, lambda v: tbl.get(v, Q(0)),
                      provenance="terms")
@@ -237,8 +239,12 @@ def monomial(arity: int, alpha: Sequence, c=1) -> GenSeries:
 
 
 def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
-    """sum_nu ratio^nu * X^(nu*step); step must be a nonzero nonnegative vector."""
-    s = vec(step)
+    """sum_nu ratio^nu * X^(nu*step); step must be a nonzero nonnegative
+    vector, else WitnessViolated (the sum diverges or leaves natural
+    support)."""
+    (s,) = ExponentSet.of(arity, [step]).generators
+    if not any(s):
+        raise WitnessViolated("geometric step is zero: the sum diverges")
     r = Q(ratio)
     uni = SupportUniverse.generated(arity, [s])
 

@@ -26,6 +26,7 @@ from .errors import (
     NotMarkedConvergent,
     DomainError,
     ScaleMismatch,
+    TransgermError,
     WitnessViolated,
     ZeroWithinBound,
 )
@@ -180,10 +181,15 @@ class LaurentSeries:
     # -- convergence -----------------------------------------------------------------
 
     def assert_convergent(self, threshold: Optional[float] = None) -> "LaurentSeries":
-        out = LaurentSeries(self.scale, lambda: self.iter_terms(),
-                            universe=self._universe,
-                            convergence=Convergence("asserted", threshold),
-                            provenance=self.provenance)
+        return self._view(self.scale, Convergence("asserted", threshold),
+                          self.provenance)
+
+    def _view(self, scale: Scale, convergence: Optional[Convergence],
+              provenance: str) -> "LaurentSeries":
+        """The same terms under another scale or tag, sharing this memo, so
+        each term is pulled once however many views read it."""
+        out = LaurentSeries(scale, self.iter_terms, universe=self._universe,
+                            convergence=convergence, provenance=provenance)
         out._memo = self._memo
         return out
 
@@ -235,22 +241,19 @@ def _merge_factory(children: Sequence[LaurentSeries]):
 
 
 def _product_factory(a: LaurentSeries, b: LaurentSeries):
+    """Heap merge of the pairs (i, j), term i of a times term j of b.  Each
+    pair is reached once, as in _geometric_of: popping (i, j) pushes (i+1, j),
+    and popping (0, j) also pushes (0, j+1).  Both streams ascend, so every
+    pair is pushed while its parent, of a smaller vector, is popped."""
     def factory():
-        ta0, tb0 = a._term(0), b._term(0)
-        if ta0 is None or tb0 is None:
-            return
-        heap = [(vadd(ta0[0], tb0[0]), 0, 0)]
-        pushed = {(0, 0)}
+        heap = []
 
         def push(i: int, j: int):
-            if (i, j) in pushed:
-                return
             ta, tb = a._term(i), b._term(j)
-            if ta is None or tb is None:
-                return
-            pushed.add((i, j))
-            heapq.heappush(heap, (vadd(ta[0], tb[0]), i, j))
+            if ta is not None and tb is not None:
+                heapq.heappush(heap, (vadd(ta[0], tb[0]), i, j))
 
+        push(0, 0)
         while heap:
             v = heap[0][0]
             total = Q(0)
@@ -258,7 +261,8 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
                 _, i, j = heapq.heappop(heap)
                 total += a._term(i)[1] * b._term(j)[1]
                 push(i + 1, j)
-                push(i, j + 1)
+                if i == 0:
+                    push(0, j + 1)
             yield (v, total)
 
     return factory
@@ -587,36 +591,23 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
 # right composition
 
 
-def compose_right(f: LaurentSeries, g, budget: int = DEFAULT_BUDGET
-                  ) -> LaurentSeries:
-    """Rewrite every generator f_i to f_i o g; exponent vectors carry over."""
-    if isinstance(g, GermTerm) and not G.is_infinitely_increasing(g):
-        raise NotAScaleAfterShift("composition germ must be infinitely increasing")
-    composed = []
-    for gen in f.scale.generators:
-        res = G.compose(gen, g)
-        if not isinstance(res, GermTerm):
-            raise NotAScaleAfterShift(
-                f"{gen} o {g} has no normal form; cannot validate the shifted scale")
-        composed.append(res)
+def compose_right(f: LaurentSeries, g: GermTerm) -> LaurentSeries:
+    """Rewrite every generator f_i to f_i o g; exponent vectors carry over,
+    so the result reads f's own memo.  Raises NotAScaleAfterShift, caused by
+    the refusal, when a composition or the composed scale is refused."""
     try:
+        composed = [G.compose_exact(gen, g) for gen in f.scale.generators]
         new_scale = make_scale(composed)
-    except Exception as exc:
+    except TransgermError as exc:
         raise NotAScaleAfterShift(str(exc)) from exc
     if list(new_scale.generators) != composed:
         raise NotAScaleAfterShift(
             "basis extraction rewrote the composed generators; exponent "
             "vectors would not transfer")
-
-    def factory():
-        for v, c in f.iter_terms():
-            yield (v, c)
-
-    out = LaurentSeries(new_scale, factory, universe=f._universe,
-                        convergence=None if f.convergence is None
-                        else replace(f.convergence, threshold=None),
-                        provenance=f"({f.provenance} o {g})")
-    return out
+    return f._view(new_scale,
+                   None if f.convergence is None
+                   else replace(f.convergence, threshold=None),
+                   f"({f.provenance} o {g})")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ from fractions import Fraction as Q
 import pytest
 
 from transgerm import gps
-from transgerm.errors import ArityMismatch, OrderNotPositive, ZeroWithinBound
+from transgerm.errors import (
+    ArityMismatch,
+    OrderNotPositive,
+    WitnessViolated,
+    ZeroWithinBound,
+)
 from transgerm.gps import (
     ExponentSet,
     GenSeries,
@@ -50,6 +55,35 @@ def test_is_natural_block_counts():
     # brute force: i*(1/2,0) + j*(0,3) <= (4.5,4.5)
     expect = {(Q(i, 2), Q(3 * j)) for i in range(10) for j in range(2)}
     assert set(pts) == expect
+
+
+@pytest.mark.parametrize("arity, step, ratio", [
+    (1, (0,), 2),     # sum 2^nu diverges
+    (1, (-1,), 1),    # negative step
+    (2, (1, -1), 1),  # lex-positive, but not natural support
+])
+def test_geometric_in_refuses_bad_step(arity, step, ratio):
+    with pytest.raises(WitnessViolated):
+        geometric_in(arity, step, ratio)
+
+
+def test_geometric_in_refuses_wrong_arity():
+    with pytest.raises(ArityMismatch):
+        geometric_in(2, (1,))
+
+
+def test_exponent_set_refuses_negative_coordinate():
+    with pytest.raises(WitnessViolated):
+        ExponentSet.of(2, [(1, 0), (2, -1)])
+
+
+def test_from_terms_refuses_points_outside_natural_support():
+    # X^-1 + X would square to 1 + X^2 without its X^-2 and with 1 for 2,
+    # since products convolve over nonnegative points only
+    with pytest.raises(WitnessViolated):
+        from_terms(1, {(-1,): 1, (1,): 1})
+    with pytest.raises(ArityMismatch):
+        monomial(2, (1,))
 
 
 def test_mul_difference_of_squares():

@@ -14,6 +14,8 @@ from transgerm.errors import (
     CutoffTooDeep,
     DomainError,
     NotAScaleAfterShift,
+    NotIncreasing,
+    NotInFragment,
     NotMarkedConvergent,
     ScaleMismatch,
     WitnessViolated,
@@ -381,6 +383,69 @@ def test_compose_right_rejects_bad_shift(sxl, X):
     f = from_terms(sxl, {(0, 1): 1})
     with pytest.raises(NotAScaleAfterShift):
         compose_right(f, g_add(X, g_exp(g_neg(g_pow(X, 2)))))
+
+
+def test_compose_right_refusal_keeps_its_cause(sl, X):
+    # log o 2x = log x + log 2 leaves the fragment; 1/x is not increasing;
+    # either refusal is kept as the cause
+    f = geometric(sl, cut(sl, 1))
+    for g, cause in ((g_scale(X, 2), NotInFragment),
+                     (g_pow(X, -1), NotIncreasing)):
+        with pytest.raises(NotAScaleAfterShift) as info:
+            compose_right(f, g)
+        assert isinstance(info.value.__cause__, cause)
+
+
+def test_compose_right_shares_the_memo(sx, X):
+    pulls = []
+
+    def body():
+        for k in itertools.count():
+            pulls.append(k)
+            yield ((k,), Q(k + 1))
+
+    f = S.LaurentSeries(sx, body)
+    want = f.terms_to_cutoff(cut(sx, 6))
+    g = compose_right(f, X)
+    assert g._memo is f._memo
+    assert g.terms_to_cutoff(cut(sx, 6)) == want
+    assert g.terms_to_cutoff(cut(sx, 9)) == f.terms_to_cutoff(cut(sx, 9))
+    assert pulls == list(range(11))
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """Product of two finite term dicts, by the definition."""
+    out = {}
+    for u, x in a.items():
+        for w, y in b.items():
+            v = tuple(p + q for p, q in zip(u, w))
+            out[v] = out.get(v, 0) + x * y
+    return out
+
+
+def test_product_matches_dict_convolution(sxl):
+    # finite factors on half-integer exponents and infinite geometric ones;
+    # a geometric factor's oracle is its prefix up to a step index past the
+    # cutoff, since no factor has a first coordinate below -2
+    rng = random.Random(1806)
+    half = [Q(k, 2) for k in range(-4, 7)]
+    cutoff = (3, 0)
+
+    def factor():
+        if rng.random() < 0.35:
+            step = (Q(rng.randint(1, 3), 2), rng.choice(half))
+            r = Q(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 3))
+            terms = {(k * step[0], k * step[1]): r ** k for k in range(12)}
+            return geometric(sxl, cut(sxl, *step), r), terms
+        terms = {(rng.choice(half), rng.choice(half)): Q(rng.randint(-3, 3))
+                 for _ in range(rng.randint(1, 6))}
+        return from_terms(sxl, terms), terms
+
+    for _ in range(80):
+        (fa, ta), (fb, tb) = factor(), factor()
+        want = sorted((v, c) for v, c in _convolve(ta, tb).items()
+                      if c and v <= cutoff)
+        assert (fa * fb).terms_to_cutoff(cut(sxl, *cutoff)) == want
 
 
 def test_sum_numeric_powers(sl):
