@@ -487,10 +487,6 @@ def is_infinitely_increasing(f: GermTerm) -> bool:
     return c > 0 and mono_cmp(m, UNIT_MONO) > 0
 
 
-def is_small(f: GermTerm) -> bool:
-    return f.is_zero() or mono_cmp(leading_mono(f), UNIT_MONO) < 0
-
-
 @dataclass(frozen=True)
 class ComparisonResult:
     """Dominance verdict: relation is '<<', '~' or '>>' for f against g."""
@@ -775,9 +771,11 @@ def inverse(g: GermTerm) -> GermTerm:
 
     The inverse has a normal form for c*x^r with an exact rational root of c
     (the inverse is c^(-1/r) * x^(1/r)) and for a unit log iterate (an exp
-    iterate, DepthLimitExceeded past the exp depth bound).  Anything else
-    raises NotInFragment; a germ that is not infinitely increasing raises
-    NotIncreasing."""
+    iterate, DepthLimitExceeded past the exp depth bound).  Anything else,
+    a non-germ argument included, raises NotInFragment; a germ that is not
+    infinitely increasing raises NotIncreasing."""
+    if not isinstance(g, GermTerm):
+        raise NotInFragment(f"{g!r} is not a germ")
     if not is_infinitely_increasing(g):
         raise NotIncreasing(f"{g} is not infinitely increasing")
     if len(g.terms) == 1:
@@ -820,9 +818,13 @@ def compose_exact(f: GermTerm, g: GermTerm, logs: Optional[dict[int, GermTerm]] 
 
     Raises NotIncreasing when g is not infinitely increasing, and NotInFragment,
     DepthLimitExceeded or NonHardyExpression when f o g has no normal form in
-    the fragment.  ``logs`` caches g's log iterates while recursing into exp
-    parts; a top-level call leaves it None."""
+    the fragment; NotInFragment also refuses an f or g that is not a germ.
+    ``logs`` caches g's log iterates while recursing into exp parts; a
+    top-level call leaves it None."""
     if logs is None:
+        for a in (f, g):
+            if not isinstance(a, GermTerm):
+                raise NotInFragment(f"{a!r} is not a germ")
         if not is_infinitely_increasing(g):
             raise NotIncreasing(f"right-composition germ {g} is not infinitely increasing")
         logs = {0: g}

@@ -345,18 +345,14 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
         """(g_u, (nu-1, w-u)) for the nonzero terms u <= w of G whose
         cofactor w-u lies in the window of nu-1."""
         d = grade(w)
-        i = 0
-        while True:
-            item = groups.get(i)
-            if item is None or item[0] > d:
+        for du, terms in groups:
+            if du > d:
                 return
-            du, terms = item
             if reaches(nu - 1, d - du):
                 for u, c in terms:
                     x = vsub(w, u)
                     if is_nonnegative(x):
                         yield c, (nu - 1, x)
-            i += 1
 
     def power_coeff(nu: int, w: Vec) -> Fraction:
         stack = [(nu, w)]

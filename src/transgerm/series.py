@@ -80,9 +80,6 @@ class LaurentSeries:
 
     # -- enumeration ------------------------------------------------------------
 
-    def _term(self, i: int) -> Optional[Term]:
-        return self._memo.get(i)
-
     def iter_terms(self) -> Iterator[Term]:
         return iter(self._memo)
 
@@ -201,15 +198,6 @@ class LaurentSeries:
 # stream factories
 
 
-def _explicit_factory(terms: Sequence[Term]):
-    terms = sorted(terms)
-
-    def factory():
-        return iter(terms)
-
-    return factory
-
-
 def _map_factory(src: LaurentSeries, fn):
     def factory():
         for v, c in src.iter_terms():
@@ -244,23 +232,32 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
     """Heap merge of the pairs (i, j), term i of a times term j of b.  Each
     pair is reached once, as in _geometric_of: popping (i, j) pushes (i+1, j),
     and popping (0, j) also pushes (0, j+1).  Both streams ascend, so every
-    pair is pushed while its parent, of a smaller vector, is popped."""
+    pair is pushed while its parent, of a smaller vector, is popped.  An
+    entry (v, i, j, a_i*b_j) carries its product, so a pop reads no memo.
+    Square rule: when a and b share one memo (f*f, or f times a view of f),
+    only the pairs i <= j are visited and an off-diagonal product counts twice."""
+    get_a, get_b = a._memo.get, b._memo.get
+    square = a._memo is b._memo
+
     def factory():
         heap = []
 
         def push(i: int, j: int):
-            ta, tb = a._term(i), b._term(j)
+            ta, tb = get_a(i), get_b(j)
             if ta is not None and tb is not None:
-                heapq.heappush(heap, (vadd(ta[0], tb[0]), i, j))
+                c = ta[1] * tb[1]
+                heapq.heappush(heap, (vadd(ta[0], tb[0]), i, j,
+                                      c + c if square and i != j else c))
 
         push(0, 0)
         while heap:
             v = heap[0][0]
             total = Q(0)
             while heap and heap[0][0] == v:
-                _, i, j = heapq.heappop(heap)
-                total += a._term(i)[1] * b._term(j)[1]
-                push(i + 1, j)
+                _, i, j, c = heapq.heappop(heap)
+                total += c
+                if not square or i < j:
+                    push(i + 1, j)
                 if i == 0:
                     push(0, j + 1)
             yield (v, total)
@@ -365,7 +362,8 @@ def from_terms(scale: Scale, terms: dict, *,
         if c:
             tbl[v] = tbl.get(v, Q(0)) + c
     uni = SupportUniverse.finite(scale.arity, tbl.keys())
-    return LaurentSeries(scale, _explicit_factory(sorted(tbl.items())),
+    items = sorted(tbl.items())
+    return LaurentSeries(scale, lambda: iter(items),
                          universe=uni, convergence=convergence,
                          provenance="terms")
 
@@ -456,13 +454,15 @@ def _geometric_of(e: LaurentSeries, budget: int) -> LaurentSeries:
     (van der Hoeven, "Relax, but don't be too lazy", 2002).  The heap holds
     pairs (i, j) standing for term i of e times term j of c, each reached
     once: (first, k) when c's term k is emitted, (i+1, j) when (i, j) pops.
-    Every such u is lex-positive, so c_(v-u) is emitted before v."""
+    Every such u is lex-positive, so c_(v-u) is emitted before v.  As in
+    _product_factory, an entry carries its product e_i*c_j."""
+    get_e = e._memo.get
     try:
         ev, _ = e.leading_term(budget)
     except ZeroWithinBound:
         # only a stream that ends within the budget proves e = 0; a longer
         # one may still have a nonzero term past it
-        if e._term(budget) is None:
+        if get_e(budget) is None:
             return one(e.scale)
         raise
     if not Monomial(e.scale, ev).is_small():
@@ -474,25 +474,24 @@ def _geometric_of(e: LaurentSeries, budget: int) -> LaurentSeries:
         # keeping the zero term at the origin would make c_v depend on c_v.
         # Zero terms above it stay pairs, so the skeleton stays complete.
         first = 0
-        while e._term(first)[0] <= origin:
+        while get_e(first)[0] <= origin:
             first += 1
         out: list[Term] = []
-        heap = [(origin, -1, -1)]  # the constant 1
+        heap = [(origin, -1, -1, Q(1))]  # the constant 1
 
         def push(i: int, j: int):
-            t = e._term(i)
+            t = get_e(i)
             if t is not None:
-                heapq.heappush(heap, (vadd(t[0], out[j][0]), i, j))
+                w, c = out[j]
+                heapq.heappush(heap, (vadd(t[0], w), i, j, t[1] * c))
 
         while heap:
             v = heap[0][0]
             total = Q(0)
             while heap and heap[0][0] == v:
-                _, i, j = heapq.heappop(heap)
-                if i < 0:
-                    total += 1
-                else:
-                    total += e._term(i)[1] * out[j][1]
+                _, i, j, c = heapq.heappop(heap)
+                total += c
+                if i >= 0:
                     push(i + 1, j)
             out.append((v, total))
             push(first, len(out) - 1)

@@ -328,7 +328,11 @@ class SupportUniverse:
 
 
 class MemoStream:
-    """Thread-safe materialized prefix over a restartable stream factory."""
+    """Thread-safe materialized prefix over a restartable stream factory.
+
+    Read rule: stored items never change and the list only grows, so an
+    index below its length is read without the lock; only a pull takes it,
+    re-checking the length under it, so each item is pulled once."""
 
     def __init__(self, factory):
         self._factory = factory
@@ -338,12 +342,13 @@ class MemoStream:
         self._lock = threading.Lock()
 
     def get(self, i: int):
+        items = self._items
+        if i < len(items):
+            return items[i]
         with self._lock:
-            while len(self._items) <= i and not self._done:
+            while len(items) <= i and not self._done:
                 self._pull()
-        if i < len(self._items):
-            return self._items[i]
-        return None
+        return items[i] if i < len(items) else None
 
     def _pull(self):
         if self._iter is None:
@@ -354,10 +359,8 @@ class MemoStream:
             self._done = True
 
     def __iter__(self):
+        items = self._items
         i = 0
-        while True:
-            item = self.get(i)
-            if item is None:
-                return
-            yield item
+        while i < len(items) or self.get(i) is not None:
+            yield items[i]
             i += 1

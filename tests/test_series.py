@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from transgerm import germ as G
 from transgerm import gps
 from transgerm import series as S
 from transgerm.errors import (
@@ -194,12 +195,14 @@ def test_invert_remainder_past_budget_is_typed(sx):
         ((Q(0),), Q(1)), ((Q(100),), Q(-1)), ((Q(200),), Q(1))]
 
 
-def test_invert_shared_across_threads(sxl):
-    def build():
-        return invert(from_terms(sxl, {(0, 0): 2, (1, 0): -3, (1, -2): 1,
-                                       (2, 1): Q(1, 2)}))
+def _invert_sxl(sxl):
+    return invert(from_terms(sxl, {(0, 0): 2, (1, 0): -3, (1, -2): 1,
+                                   (2, 1): Q(1, 2)}))
 
-    c = cut(sxl, 10, 0)
+
+def _check_shared_across_threads(build, c):
+    """Truncates one series built by ``build`` from 2*nproc+2 threads at a
+    short switch interval; each must get the single-threaded answer."""
     want = build().terms_to_cutoff(c)
     shared = build()
     nthreads = 2 * (os.cpu_count() or 1) + 2
@@ -221,6 +224,19 @@ def test_invert_shared_across_threads(sxl):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(got == want for got in results)
+
+
+def test_invert_shared_across_threads(sxl):
+    _check_shared_across_threads(lambda: _invert_sxl(sxl), cut(sxl, 10, 0))
+
+
+def test_square_shared_across_threads(sxl):
+    def build():
+        g = _invert_sxl(sxl)
+        g = g * g
+        return g * g.assert_convergent()
+
+    _check_shared_across_threads(build, cut(sxl, 8, 0))
 
 
 def test_invert_roundtrip_random(sxl):
@@ -396,6 +412,18 @@ def test_compose_right_refusal_keeps_its_cause(sl, X):
         assert isinstance(info.value.__cause__, cause)
 
 
+@pytest.mark.parametrize("bad", [3, "x", None])
+def test_non_germ_argument_is_refused(sx, X, bad):
+    for call in (lambda: G.compose_exact(X, bad),
+                 lambda: G.compose_exact(bad, X),
+                 lambda: G.inverse(bad)):
+        with pytest.raises(NotInFragment):
+            call()
+    with pytest.raises(NotAScaleAfterShift) as info:
+        compose_right(one(sx), bad)
+    assert isinstance(info.value.__cause__, NotInFragment)
+
+
 def test_compose_right_shares_the_memo(sx, X):
     pulls = []
 
@@ -446,6 +474,70 @@ def test_product_matches_dict_convolution(sxl):
         want = sorted((v, c) for v, c in _convolve(ta, tb).items()
                       if c and v <= cutoff)
         assert (fa * fb).terms_to_cutoff(cut(sxl, *cutoff)) == want
+
+
+def _own_memo(f):
+    """A series equal to f that reads its terms through a memo of its own."""
+    return S.LaurentSeries(f.scale, f.iter_terms, universe=f._universe)
+
+
+def _square_operands(sx, sxl):
+    # finite, geometric and inverted series at arity 1 and 2; the first two
+    # of each arity have zero coefficients on skeleton points (odd minus even
+    # powers cancel on the even ones)
+    yield S.LaurentSeries(sx, lambda: iter([
+        ((0,), Q(1)), ((1,), Q(0)), ((2,), Q(-3, 2)), ((3,), Q(0)),
+        ((5,), Q(2))]))
+    yield make_laurent(sx, sx.unit(),
+                       gps.geometric_in(1, (1,), Q(-2, 3))
+                       - gps.geometric_in(1, (2,), Q(4, 9)))
+    yield geometric(sx, cut(sx, 1), Q(3, 2))
+    yield invert(from_terms(sx, {(0,): 2, (1,): -1, (3,): Q(1, 2)}))
+    yield S.LaurentSeries(sxl, lambda: iter([
+        ((0, -1), Q(2)), ((0, 0), Q(0)), ((0, 2), Q(-1)), ((1, -3), Q(0)),
+        ((1, 0), Q(5, 3)), ((2, 1), Q(0))]))
+    yield make_laurent(sxl, sxl.monomial([0, -1]),
+                       gps.geometric_in(2, (1, 1), Q(5, 2))
+                       - gps.geometric_in(2, (2, 2), Q(25, 4)))
+    yield geometric(sxl, cut(sxl, 1, -2), Q(-1, 2))
+    yield _invert_sxl(sxl)
+
+
+def test_square_matches_product_with_own_memo(sx, sxl):
+    # the whole skeleton, zeros included, of f*f and f times a view of f
+    # (both visit pairs i <= j) against f times an equal series (all pairs)
+    for f in _square_operands(sx, sxl):
+        want = list(itertools.islice((f * _own_memo(f)).iter_terms(), 60))
+        for sq in (f * f, f * f.assert_convergent()):
+            assert list(itertools.islice(sq.iter_terms(), 60)) == want
+
+
+@pytest.mark.parametrize("r", [Q(1), Q(-2), Q(3, 2)])
+def test_repeated_square_is_binomial(sx, r):
+    f = make_laurent(sx, sx.unit(), gps.from_terms(1, {(0,): 1, (1,): r}))
+    for k in range(1, 7):
+        f = f * f
+        n = 2 ** k
+        assert f.terms_to_cutoff(cut(sx, n)) == [
+            ((i,), math.comb(n, i) * r ** i) for i in range(n + 1)]
+
+
+def test_square_pulls_each_operand_term_once(sx):
+    pulls = []
+
+    def body():
+        for k in itertools.count():
+            pulls.append(k)
+            yield ((k,), Q(k + 1))
+
+    # sum (k+1) x^k = (1-x)^-2, whose square has coefficients C(n+3, 3)
+    f = S.LaurentSeries(sx, body)
+    want = [((n,), math.comb(n + 3, 3)) for n in range(13)]
+    assert (f * f).terms_to_cutoff(cut(sx, 12)) == want
+    assert pulls == list(range(len(pulls)))
+    pulled = len(pulls)
+    assert (f * f.assert_convergent()).terms_to_cutoff(cut(sx, 12)) == want
+    assert len(pulls) == pulled
 
 
 def test_sum_numeric_powers(sl):
