@@ -138,27 +138,6 @@ class GermTerm(_Structural):
             return self.terms[0][0]
         return None
 
-    # -- ring operators -------------------------------------------------------
-
-    def __add__(self, other: "GermTerm") -> "GermTerm":
-        return g_add(self, other)
-
-    def __sub__(self, other: "GermTerm") -> "GermTerm":
-        return g_add(self, g_neg(other))
-
-    def __neg__(self) -> "GermTerm":
-        return g_neg(self)
-
-    def __mul__(self, other) -> "GermTerm":
-        if isinstance(other, GermTerm):
-            return g_mul(self, other)
-        return g_scale(self, Q(other))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, q) -> "GermTerm":
-        return g_pow(self, Q(q))
-
     def __str__(self) -> str:
         return germ_str(self)
 
@@ -495,15 +474,6 @@ class ComparisonResult:
     same_archimedean_class: bool
     comparable: bool
 
-    def __str__(self) -> str:
-        names = {"<<": "precedes", "~": "asymp-equal", ">>": "dominates"}
-        out = names[self.relation]
-        if self.same_archimedean_class:
-            out += " same-archimedean"
-        if self.comparable:
-            out += " comparable"
-        return out
-
 
 def _log_class_mono(m: Transmono) -> Optional[Transmono]:
     """Leading transmonomial of log|m|, or None for the unit monomial."""
@@ -601,9 +571,6 @@ class AdmissibilityResult:
     ok: bool
     certificate: list[GeneratorCertificate]
     reasons: list[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_admissible(germs: Sequence[GermTerm]) -> AdmissibilityResult:

@@ -1,16 +1,17 @@
 """Generalized power series with natural support.
 
-A GenSeries is a lazy object: a support skeleton (finite generator data whose
-additive closure bounds the true support), a coefficient oracle returning
-exact rationals, and memoization.  All arithmetic is exact; equality is
-decidable only up to a bound and the API says so.
+A GenSeries is a lazy object: a SupportUniverse that bounds the true
+support, a coefficient oracle returning exact rationals, and memoization.
+The constructors refuse a point with a negative coordinate, and a universe
+finitely generated by nonnegative points is natural, so every support is
+natural by construction.  All arithmetic is exact; equality is decidable
+only up to a bound and the API says so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import ArityMismatch, OrderNotPositive, WitnessViolated, ZeroWithinBound
 from .support import (
@@ -27,49 +28,6 @@ from .support import (
 )
 
 DEFAULT_BUDGET = 10_000
-
-
-@dataclass(frozen=True)
-class ExponentSet:
-    """Finite generator set A of nonnegative exponent vectors; the semantic
-    support is contained in the additive closure B(A)."""
-
-    arity: int
-    generators: frozenset
-
-    @staticmethod
-    def of(arity: int, gens: Iterable[Sequence]) -> "ExponentSet":
-        out = set()
-        for g in gens:
-            v = vec(g)
-            if len(v) != arity:
-                raise ArityMismatch(f"generator {v} has arity {len(v)}, expected {arity}")
-            if not is_nonnegative(v):
-                raise WitnessViolated(
-                    f"exponent-set generator {v} has a negative coordinate")
-            out.add(v)
-        return ExponentSet(arity, frozenset(out))
-
-    def universe(self) -> SupportUniverse:
-        gens = [g for g in self.generators if any(g)]
-        return SupportUniverse.generated(self.arity, gens)
-
-
-@dataclass(frozen=True)
-class NaturalityCertificate:
-    natural: bool
-    minima: tuple  # per coordinate: least positive generator value, or None
-
-
-def is_natural(a: ExponentSet) -> NaturalityCertificate:
-    """Finite generator sets always have natural additive closure; the
-    certificate records the per-coordinate least positive generator entry
-    (the gap that makes every bounded window finite)."""
-    minima = []
-    for i in range(a.arity):
-        vals = [g[i] for g in a.generators if g[i] > 0]
-        minima.append(min(vals) if vals else None)
-    return NaturalityCertificate(True, tuple(minima))
 
 
 class GenSeries:
@@ -114,13 +72,6 @@ class GenSeries:
                 out.append((v, c))
         return out
 
-    def skeleton(self) -> ExponentSet:
-        u = self.universe
-        gens = set(u.gens) if u.explicit is None else set(u.explicit)
-        if u.explicit is None and any(u.offset):
-            gens.add(u.offset)
-        return ExponentSet(self.arity, frozenset(g for g in gens if any(g)))
-
     # -- ring ops -------------------------------------------------------------
 
     def _check(self, other: "GenSeries") -> None:
@@ -140,11 +91,6 @@ class GenSeries:
     def __neg__(self) -> "GenSeries":
         return GenSeries(self.arity, self.universe, lambda v: -self.coeff(v),
                          provenance=f"(-{self.provenance})")
-
-    def scale(self, q) -> "GenSeries":
-        q = Q(q)
-        return GenSeries(self.arity, self.universe, lambda v: q * self.coeff(v),
-                         provenance=f"({q}*{self.provenance})")
 
     def __mul__(self, other: "GenSeries") -> "GenSeries":
         self._check(other)
@@ -222,9 +168,19 @@ class GenSeries:
 # -- constructors ---------------------------------------------------------------
 
 
+def _natural_point(arity: int, p: Sequence) -> Vec:
+    """p as a vector; ArityMismatch for a wrong arity, WitnessViolated for a
+    negative coordinate (it would leave natural support)."""
+    v = vec(p)
+    if len(v) != arity:
+        raise ArityMismatch(f"point {v} has arity {len(v)}, expected {arity}")
+    if not is_nonnegative(v):
+        raise WitnessViolated(f"point {v} has a negative coordinate")
+    return v
+
+
 def from_terms(arity: int, terms: dict) -> GenSeries:
-    tbl = {vec(k): Q(c) for k, c in terms.items() if c}
-    ExponentSet.of(arity, tbl)  # refuses a wrong arity or a negative coordinate
+    tbl = {_natural_point(arity, k): Q(c) for k, c in terms.items() if c}
     uni = SupportUniverse.finite(arity, tbl.keys())
     return GenSeries(arity, uni, lambda v: tbl.get(v, Q(0)),
                      provenance="terms")
@@ -242,7 +198,7 @@ def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
     """sum_nu ratio^nu * X^(nu*step); step must be a nonzero nonnegative
     vector, else WitnessViolated (the sum diverges or leaves natural
     support)."""
-    (s,) = ExponentSet.of(arity, [step]).generators
+    s = _natural_point(arity, step)
     if not any(s):
         raise WitnessViolated("geometric step is zero: the sum diverges")
     r = Q(ratio)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from . import germ as G
 from .errors import NotAnAsymptoticScale, ScaleMismatch
 from .germ import GermTerm, Q
-from .support import Vec, vadd, vec, vsub
+from .support import Vec, vadd, vec
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,9 @@ class Monomial:
         _check_same(self, other)
         return Monomial(self.scale, vadd(self.vector, other.vector))
 
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        _check_same(self, other)
-        return Monomial(self.scale, vsub(self.vector, other.vector))
-
     def __pow__(self, q) -> "Monomial":
         q = Q(q)
         return Monomial(self.scale, vec(a * q for a in self.vector))
-
-    def inverse(self) -> "Monomial":
-        return self ** -1
-
-    def is_unit(self) -> bool:
-        return all(a == 0 for a in self.vector)
 
     def is_small(self) -> bool:
         for a in self.vector:
@@ -155,11 +145,6 @@ def make_scale(germs: Sequence[GermTerm]) -> Scale:
             "; ".join(res.reasons), offending_pair=pair,
             certificate=res.certificate)
     return Scale(tuple(gens), _comparability_classes(gens))
-
-
-def comparability_partition(s: Scale) -> list[tuple[int, int]]:
-    """Contiguous index ranges of pairwise comparable generators."""
-    return list(s.classes)
 
 
 def project_class(s: Scale, j: int, m: Monomial) -> Monomial:

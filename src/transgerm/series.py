@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -50,19 +50,19 @@ Term = tuple[Vec, Fraction]
 
 @dataclass(frozen=True)
 class Convergence:
-    """Capability tag: how we know numeric summation is meaningful."""
+    """Capability tag: numeric summation is meaningful for x at or above
+    ``threshold`` (for every x when it is None).  A series without a tag
+    refuses ``sum_numeric``."""
 
-    kind: str  # finite | geometric | closed-form | asserted
     threshold: Optional[float] = None
 
 
 def _combine_convergence(*tags: Optional[Convergence]) -> Optional[Convergence]:
+    """None if any operand is untagged, else the largest threshold."""
     if any(t is None for t in tags):
         return None
     thr = max((t.threshold for t in tags if t.threshold is not None), default=None)
-    if all(t.kind == "finite" for t in tags):
-        return Convergence("finite", thr)
-    return Convergence("closed-form", thr)
+    return Convergence(thr)
 
 
 class LaurentSeries:
@@ -141,13 +141,6 @@ class LaurentSeries:
             universe=self._universe, convergence=self.convergence,
             provenance=f"({q}*{self.provenance})")
 
-    def map_coeff(self, fn: Callable[[Vec, Fraction], Fraction],
-                  provenance: str = "map") -> "LaurentSeries":
-        return LaurentSeries(
-            self.scale, _map_factory(self, lambda v, c: (v, fn(v, c))),
-            universe=self._universe, convergence=self.convergence,
-            provenance=f"{provenance}({self.provenance})")
-
     def shifted(self, delta: Vec) -> "LaurentSeries":
         delta = vec(delta)
         uni = self._universe.shifted(delta) if self._universe is not None else None
@@ -172,13 +165,16 @@ class LaurentSeries:
 
     def subseries(self, keep: Callable[[Vec], bool]) -> "LaurentSeries":
         """Restrict coefficients to a decidable exponent predicate."""
-        return self.map_coeff(lambda v, c: c if keep(v) else Q(0),
-                              provenance="sub")
+        return LaurentSeries(
+            self.scale,
+            _map_factory(self, lambda v, c: (v, c if keep(v) else Q(0))),
+            universe=self._universe, convergence=self.convergence,
+            provenance=f"sub({self.provenance})")
 
     # -- convergence -----------------------------------------------------------------
 
     def assert_convergent(self, threshold: Optional[float] = None) -> "LaurentSeries":
-        return self._view(self.scale, Convergence("asserted", threshold),
+        return self._view(self.scale, Convergence(threshold),
                           self.provenance)
 
     def _view(self, scale: Scale, convergence: Optional[Convergence],
@@ -351,11 +347,15 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
 
 
 def from_terms(scale: Scale, terms: dict, *,
-               convergence: Optional[Convergence] = Convergence("finite")
+               convergence: Optional[Convergence] = Convergence()
                ) -> LaurentSeries:
     tbl = {}
     for k, c in terms.items():
-        v = vec(k.vector if isinstance(k, Monomial) else k)
+        if isinstance(k, Monomial):
+            if k.scale != scale:
+                raise ScaleMismatch(f"monomial {k} is over a different scale")
+            k = k.vector
+        v = vec(k)
         if len(v) != scale.arity:
             raise ArityMismatch(f"exponent vector {v} has wrong arity")
         c = Q(c)
@@ -387,7 +387,7 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
     delta = shift.vector
     uni = body.universe.shifted(delta)
     if convergence is None and body.universe.explicit is not None:
-        convergence = Convergence("finite")
+        convergence = Convergence()
 
     def factory():
         for v in body.universe.lex_stream():
@@ -414,10 +414,11 @@ def lift_germ(scale: Scale, f: GermTerm) -> LaurentSeries:
 
 def geometric(scale: Scale, step: Monomial, ratio=1) -> LaurentSeries:
     """sum_nu ratio^nu step^nu for a small step monomial."""
+    e = monomial_series(scale, step, ratio)  # refuses another scale's step
     if not step.is_small():
         raise WitnessViolated(f"geometric step {step} is not small")
-    out = _geometric_of(monomial_series(scale, step, ratio), DEFAULT_BUDGET)
-    out.convergence = Convergence("geometric")
+    out = _geometric_of(e, DEFAULT_BUDGET)
+    out.convergence = Convergence()
     out.provenance = f"geom({step})"
     return out
 
@@ -512,10 +513,7 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     a, lm, e = factor_leading(f, budget)
     geo = _geometric_of(e, budget)
     out = geo.shifted(tuple(-x for x in lm.vector)).scaled(1 / a)
-    conv = None
-    if f.convergence is not None:
-        conv = Convergence("geometric", f.convergence.threshold)
-    out.convergence = conv
+    out.convergence = f.convergence
     out.provenance = f"inv({f.provenance})"
     return out
 
@@ -604,8 +602,7 @@ def compose_right(f: LaurentSeries, g: GermTerm) -> LaurentSeries:
             "basis extraction rewrote the composed generators; exponent "
             "vectors would not transfer")
     return f._view(new_scale,
-                   None if f.convergence is None
-                   else replace(f.convergence, threshold=None),
+                   None if f.convergence is None else Convergence(),
                    f"({f.provenance} o {g})")
 
 
@@ -646,9 +643,6 @@ class OmegaPoly:
     def __le__(self, other: "OmegaPoly") -> bool:
         return self.coeffs <= other.coeffs
 
-    def __lt__(self, other: "OmegaPoly") -> bool:
-        return self.coeffs < other.coeffs
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -667,11 +661,6 @@ class OrderTypeBound:
     bound_exponent: int  # reverse-order type <= omega^bound_exponent
     exact: Optional[OmegaPoly]
     witnessed_terms: int
-
-    def __str__(self) -> str:
-        if self.exact is not None:
-            return str(self.exact)
-        return f"<= omega^{self.bound_exponent} (witnessed {self.witnessed_terms} terms)"
 
 
 def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:

@@ -25,6 +25,8 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
+from .errors import WitnessViolated
+
 Q = Fraction
 Coord = Union[int, Fraction]
 Vec = tuple[Coord, ...]
@@ -99,7 +101,8 @@ class SupportUniverse:
         for g in gens:
             if any(g):
                 if not lex_positive(g):
-                    raise ValueError(f"universe generator {g} is not lex-positive")
+                    raise WitnessViolated(
+                        f"universe generator {g} is not lex-positive")
                 cleaned.add(vec(g))
         self.gens = frozenset(cleaned)
         self._by_lead: dict[int, list[Vec]] = {}
@@ -157,7 +160,8 @@ class SupportUniverse:
         gens = set(self.gens)
         if any(self.offset):
             if not lex_positive(self.offset):
-                raise ValueError("closure of a universe with non-lex-positive offset")
+                raise WitnessViolated(
+                    "closure of a universe with non-lex-positive offset")
             gens.add(self.offset)
         return SupportUniverse(self.arity, gens=gens)
 
@@ -283,7 +287,8 @@ class SupportUniverse:
             return
         for g in self.gens:
             if not is_nonnegative(g):
-                raise ValueError("graded enumeration needs nonnegative generators")
+                raise WitnessViolated(
+                    "graded enumeration needs nonnegative generators")
         heap = [(grade(self.offset), self.offset)]
         seen = {self.offset}
         gens = sorted(self.gens)
@@ -304,7 +309,8 @@ class SupportUniverse:
             return sorted(pts, key=lambda p: (grade(p), p))
         for g in self.gens:
             if not is_nonnegative(g):
-                raise ValueError("box enumeration needs nonnegative generators")
+                raise WitnessViolated(
+                    "box enumeration needs nonnegative generators")
         if not leq_componentwise(self.offset, bound):
             return []
         out = []

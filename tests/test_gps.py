@@ -16,13 +16,11 @@ from transgerm.errors import (
     ZeroWithinBound,
 )
 from transgerm.gps import (
-    ExponentSet,
     GenSeries,
     compose_ps,
     constant,
     from_terms,
     geometric_in,
-    is_natural,
     monomial,
 )
 from transgerm.support import SupportUniverse
@@ -32,25 +30,9 @@ def geom(n):
     return Q(1)
 
 
-def test_is_natural_basic():
-    a = ExponentSet.of(2, [(1, 0), (0, 1)])
-    cert = is_natural(a)
-    assert cert.natural
-    assert cert.minima == (Q(1), Q(1))
-
-
-def test_is_natural_zero():
-    a = ExponentSet.of(1, [(0,)])
-    cert = is_natural(a)
-    assert cert.natural
-    assert cert.minima == (None,)
-
-
-def test_is_natural_block_counts():
+def test_natural_universe_block_counts():
     # B({(1/2,0),(0,3)}) meets [0,5)^2 in finitely many points, about b/(1/2)
-    a = ExponentSet.of(2, [(Q(1, 2), 0), (0, 3)])
-    assert is_natural(a).natural
-    uni = a.universe()
+    uni = SupportUniverse.generated(2, [(Q(1, 2), 0), (0, 3)])
     pts = uni.box_points((Q(9, 2), Q(9, 2)))
     # brute force: i*(1/2,0) + j*(0,3) <= (4.5,4.5)
     expect = {(Q(i, 2), Q(3 * j)) for i in range(10) for j in range(2)}
@@ -74,7 +56,7 @@ def test_geometric_in_refuses_wrong_arity():
 
 def test_exponent_set_refuses_negative_coordinate():
     with pytest.raises(WitnessViolated):
-        ExponentSet.of(2, [(1, 0), (2, -1)])
+        from_terms(2, {(1, 0): 1, (2, -1): 1})
 
 
 def test_from_terms_refuses_points_outside_natural_support():
@@ -248,13 +230,6 @@ def test_ord_multiplicative():
         g = from_terms(2, {(rng.randint(0, 2) + 1, rng.randint(0, 2)): 1 + rng.randint(0, 3)})
         h = from_terms(2, {(rng.randint(0, 2), rng.randint(0, 2) + 1): 1 + rng.randint(0, 3)})
         assert (g * h).order() == g.order() + h.order()
-
-
-def test_naturality_closure_under_ops():
-    g = from_terms(2, {(1, 0): 1, (Q(1, 2), 1): 2})
-    h = geometric_in(2, (0, 1))
-    for out in (g + h, g * h, g.partial_deriv(0)):
-        assert is_natural(out.skeleton()).natural
 
 
 def test_arity_mismatch():

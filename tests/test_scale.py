@@ -9,7 +9,6 @@ from transgerm.errors import NotAnAsymptoticScale, ScaleMismatch
 from transgerm.germ import g_add, g_exp, g_neg, g_pow, g_scale
 from transgerm.scale import (
     Monomial,
-    comparability_partition,
     make_scale,
     monomial_cmp,
     project_class,
@@ -115,17 +114,17 @@ def test_monomial_numeric_consistency(sxl, sx):
 
 
 def test_partition_two_classes(sxl):
-    assert comparability_partition(sxl) == [(0, 1), (1, 2)]
+    assert list(sxl.classes) == [(0, 1), (1, 2)]
 
 
 def test_partition_groups_comparable_powers(X, LOG):
     s = make_scale([X, g_pow(X, Q(1, 2)), LOG])
-    assert comparability_partition(s) == [(0, 2), (2, 3)]
+    assert list(s.classes) == [(0, 2), (2, 3)]
 
 
 def test_partition_singleton(X):
     s = make_scale([g_scale(X, 2), X])
-    assert comparability_partition(s) == [(0, 1)]
+    assert list(s.classes) == [(0, 1)]
 
 
 def test_project_class(sxl):

@@ -544,7 +544,7 @@ def test_sum_numeric_powers(sl):
     # sum_{nu>=1} x^-nu at x=10, cutoff x^-8: near 1/9
     body = gps.geometric_in(1, (1,))
     f = make_laurent(sl, sl.monomial([1]), body,
-                     convergence=S.Convergence("geometric"))
+                     convergence=S.Convergence())
     val, tail = sum_numeric(f, 10.0, cut(sl, 8))
     assert abs(val - 1 / 9) < 1e-7
     assert 0 < tail < 1e-8
@@ -569,6 +569,36 @@ def test_sum_numeric_requires_tag(sx):
     bare = S.LaurentSeries(sx, lambda: f.iter_terms())
     with pytest.raises(NotMarkedConvergent):
         sum_numeric(bare, 5.0, cut(sx, 3))
+
+
+def test_convergence_threshold_rule(sx, X):
+    # + and * carry the largest threshold, an untagged operand untags the
+    # result, invert keeps the threshold and compose_right drops it
+    f = from_terms(sx, {(0,): 1, (1,): 2}).assert_convergent(2.0)
+    g = from_terms(sx, {(0,): 3, (2,): -1}).assert_convergent(3.0)
+    bare = make_laurent(sx, sx.unit(), gps.geometric_in(1, (1,)))
+    assert bare.convergence is None
+    for h in (f + g, g + f, f * g, g * f):
+        assert h.convergence.threshold == 3.0
+    assert (f + one(sx)).convergence.threshold == 2.0
+    assert (one(sx) * one(sx)).convergence.threshold is None
+    for h in (f + bare, bare + g, f * bare, bare * g):
+        assert h.convergence is None
+    c = cut(sx, 6)
+    with pytest.raises(DomainError):
+        sum_numeric(f * g, 2.5, c)
+    e = math.exp(-3.0)
+    assert sum_numeric(f * g, 3.0, c) == pytest.approx(
+        ((1 + 2 * e) * (3 - e * e), 0.0), rel=1e-14)
+    inv = invert(f * g)
+    assert inv.convergence.threshold == 3.0
+    with pytest.raises(DomainError):
+        sum_numeric(inv, 2.5, c)
+    assert invert(f + bare).convergence is None
+    composed = compose_right(inv, X)
+    assert composed.convergence is not None
+    assert composed.convergence.threshold is None
+    assert compose_right(f * bare, X).convergence is None
 
 
 def test_assert_convergent_tags_an_untagged_series(sx):
@@ -629,6 +659,18 @@ def test_lift_germ(sxl, X, LOG):
         ((Q(0), Q(1)), Q(1)), ((Q(1), Q(0)), Q(1))]
     with pytest.raises(ScaleMismatch):
         lift_germ(sxl, g_exp(g_neg(g_pow(X, 2))))
+
+
+def test_monomial_over_another_scale_is_refused(sx, sl):
+    # m[1] over (log x) is 1/log x; over (x) the same vector is exp(-x)
+    m = sl.monomial([1])
+    for build in (lambda: from_terms(sx, {m: 1}),
+                  lambda: S.monomial_series(sx, m),
+                  lambda: geometric(sx, m),
+                  lambda: geometric(sx, sl.monomial([-1]))):
+        with pytest.raises(ScaleMismatch):
+            build()
+    assert S.monomial_series(sl, m).terms_to_cutoff(cut(sl, 2)) == [((1,), 1)]
 
 
 def test_scale_mismatch_ops(sx, sl):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transgerm import gps, support
-from transgerm.errors import OrderNotPositive
+from transgerm.errors import OrderNotPositive, WitnessViolated
 from transgerm.germ import g_logk, g_x
 from transgerm.scale import make_scale, project_class
 from transgerm.series import from_terms, invert, make_laurent
@@ -103,6 +103,22 @@ def test_universe_algebra_is_a_superset():
     assert not shifted.contains(vadd((Q(0), Q(0)), delta))
     sums = {vadd(p, q) for p in pts_a for q in pts_a}
     assert all(closure.contains(p) for p in pts_a | sums)
+
+
+def test_universes_outside_natural_support_are_typed():
+    # each refusal of a public constructor's universe is a WitnessViolated
+    with pytest.raises(WitnessViolated):
+        SupportUniverse.generated(1, [(-1,)])  # not lex-positive
+    below = gps.GenSeries(1, SupportUniverse.generated(1, [], offset=(-1,)),
+                          lambda v: Q(1))
+    with pytest.raises(WitnessViolated):
+        gps.compose_ps([0, 1], below)  # closure of a negative offset
+    skew = gps.GenSeries(2, SupportUniverse.generated(2, [(1, -1)]),
+                         lambda v: Q(1))
+    with pytest.raises(WitnessViolated):
+        skew.enumerate((3, 3))  # box enumeration
+    with pytest.raises(WitnessViolated):
+        skew.order()  # graded enumeration
 
 
 def test_explicit_non_chain_in_a_sum():
@@ -204,7 +220,6 @@ def test_constructors_store_integral_coordinates_as_ints():
     vecs = [vzero(3), (grade((2, 1)),)]
     u = SupportUniverse.generated(2, mixed, offset=(Q(-1), TWO))
     vecs += [u.offset, *u.gens, *SupportUniverse.finite(2, mixed).explicit]
-    vecs += gps.ExponentSet.of(2, mixed).generators
     g = gps.from_terms(2, {p: 1 for p in mixed})
     vecs += g.universe.explicit
     vecs += gps.geometric_in(2, (TWO, H)).universe.gens
