@@ -77,7 +77,7 @@ class ScaleMismatch(TransgermError):
 
 
 class ArityMismatch(TransgermError):
-    """Series operands have different arity."""
+    """Operands have different arity, or an index lies outside one."""
 
     code = "arity-mismatch"
 

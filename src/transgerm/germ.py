@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -52,7 +53,8 @@ class _Structural:
     The hash is computed on first use and kept on the instance, so nested
     germs are not rehashed on every dict or cache lookup.  Equality returns at
     once on identity and on a hash mismatch.  The cached hash is left out of
-    pickled state: ``hash(None)`` differs between processes.
+    pickled state: ``hash(None)`` differs between processes.  ``Transmono``
+    is interned, so it replaces this equality with identity.
     """
 
     _hash: Optional[int] = None
@@ -77,19 +79,48 @@ class _Structural:
         return state
 
 
-@dataclass(frozen=True, eq=False)
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Transmono(_Structural):
     """One transmonomial in normal form.
 
     ``powers`` maps iterate index to exponent: index 0 is x, index k >= 1 is
     the k-th log iterate.  Entries are sorted by index with nonzero exact
-    exponents.  ``expart`` is the purely infinite argument of the exp factor,
-    or None; it never contains a bare unit-power log iterate (those are
-    folded into ``powers``, e.g. exp(2*log(x)) is stored as x^2).
+    ``Fraction`` exponents.  ``expart`` is the purely infinite argument of the
+    exp factor, or None; it never contains a bare unit-power log iterate
+    (those are folded into ``powers``, e.g. exp(2*log(x)) is stored as x^2).
+
+    Instances are interned (hash-consed), copies and unpickled ones too: one
+    live instance per ``(powers, expart)``, so equality is identity.
     """
 
     powers: tuple[tuple[int, Fraction], ...] = ()
     expart: Optional["GermTerm"] = None
+
+    def __new__(cls, powers: tuple = (), expart: Optional["GermTerm"] = None):
+        key = (powers, expart)
+        self = _interned.get(key)
+        if self is None:
+            with _intern_lock:  # re-check: one instance per monomial
+                self = _interned.get(key)
+                if self is None:
+                    self = object.__new__(cls)
+                    # an int exponent would make 1/r a float in inverse()
+                    object.__setattr__(self, "powers", tuple(
+                        (k, r if type(r) is Fraction else Q(r))
+                        for k, r in powers))
+                    object.__setattr__(self, "expart", expart)
+                    _interned[self._key()] = self
+        return self
+
+    __eq__ = object.__eq__  # interned: equal monomials are one object
+    __hash__ = _Structural.__hash__
+
+    def __reduce__(self):
+        return Transmono, (self.powers, self.expart)
 
     def _key(self) -> tuple:
         return self.powers, self.expart
@@ -181,10 +212,9 @@ _cmp_lock = threading.Lock()
 
 def mono_log(t: Transmono) -> GermTerm:
     """log of a transmonomial: a purely infinite germ (or zero for the unit)."""
-    acc = t.expart if t.expart is not None else ZERO
-    for k, r in t.powers:
-        acc = g_add(acc, GermTerm(((r, _mono_logk(k + 1)),)))
-    return acc
+    # the log iterates of the powers already decrease with their index
+    logs = GermTerm(tuple((r, _mono_logk(k + 1)) for k, r in t.powers))
+    return logs if t.expart is None else g_add(t.expart, logs)
 
 
 def _cmp_pure(a: Transmono, b: Transmono) -> int:
@@ -211,7 +241,7 @@ def _cmp_pure(a: Transmono, b: Transmono) -> int:
 
 def mono_cmp(a: Transmono, b: Transmono) -> int:
     """Trichotomous dominance order on transmonomials: 1 if a > b."""
-    if a == b:
+    if a is b:
         return 0
     if a.expart is None and b.expart is None:
         return _cmp_pure(a, b)
@@ -219,11 +249,19 @@ def mono_cmp(a: Transmono, b: Transmono) -> int:
     hit = _cmp_cache.get(key)
     if hit is not None:
         return hit
-    d = g_add(mono_log(a), g_neg(mono_log(b)))
-    if d.is_zero():  # log is injective on canonical transmonomials
-        res = 0
-    else:
-        res = 1 if d.terms[0][0] > 0 else -1
+    # sign of log a - log b: walk both logs to their first differing term
+    ta, tb = mono_log(a).terms, mono_log(b).terms
+    n = min(len(ta), len(tb))
+    i = 0
+    while i < n and ta[i] == tb[i]:
+        i += 1
+    c = mono_cmp(ta[i][1], tb[i][1]) if i < n else len(ta) - len(tb)
+    if c > 0:
+        res = 1 if ta[i][0] > 0 else -1
+    elif c < 0:
+        res = -1 if tb[i][0] > 0 else 1
+    else:  # log is injective on canonical transmonomials
+        res = 0 if i == n else (1 if ta[i][0] > tb[i][0] else -1)
     with _cmp_lock:
         _cmp_cache[key] = res
         _cmp_cache[(b, a)] = -res
@@ -233,11 +271,11 @@ def mono_cmp(a: Transmono, b: Transmono) -> int:
 def mono_mul(a: Transmono, b: Transmono) -> Transmono:
     da = dict(a.powers)
     for k, r in b.powers:
-        nr = da.get(k, 0) + r
+        nr = da[k] + r if k in da else r  # reuses r: a cheaper intern lookup
         if nr:
             da[k] = nr
         else:
-            da.pop(k, None)
+            del da[k]
     if a.expart is None:
         ex = b.expart
     elif b.expart is None:

@@ -110,7 +110,7 @@ class GenSeries:
         """Exponent-weighted derivative: the alpha coefficient becomes
         alpha_i * a_alpha; the skeleton is unchanged."""
         if not 0 <= i < self.arity:
-            raise IndexError(f"variable index {i} out of range")
+            raise ArityMismatch(f"variable index {i} out of range")
         return GenSeries(self.arity, self.universe,
                          lambda v: v[i] * self.coeff(v),
                          provenance=f"d{i}({self.provenance})")

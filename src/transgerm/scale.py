@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import germ as G
-from .errors import NotAnAsymptoticScale, ScaleMismatch
+from .errors import ArityMismatch, NotAnAsymptoticScale, ScaleMismatch
 from .germ import GermTerm, Q
 from .support import Vec, vadd, vec
 
@@ -150,7 +150,7 @@ def make_scale(germs: Sequence[GermTerm]) -> Scale:
 def project_class(s: Scale, j: int, m: Monomial) -> Monomial:
     """Zero out every exponent outside comparability class j."""
     if not 0 <= j < len(s.classes):
-        raise IndexError(f"class index {j} out of range")
+        raise ArityMismatch(f"class index {j} out of range")
     lo, hi = s.classes[j]
     coords = tuple(a if lo <= i < hi else 0
                    for i, a in enumerate(m.vector))

@@ -143,6 +143,9 @@ class LaurentSeries:
 
     def shifted(self, delta: Vec) -> "LaurentSeries":
         delta = vec(delta)
+        if len(delta) != self.scale.arity:
+            raise ArityMismatch(
+                f"shift {delta} has arity {len(delta)}, expected {self.scale.arity}")
         uni = self._universe.shifted(delta) if self._universe is not None else None
         return LaurentSeries(
             self.scale, _map_factory(self, lambda v, c: (vadd(v, delta), c)),
@@ -549,7 +552,9 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
     naturality for supports like {(nu, 1/nu)})."""
     from .scale import project_class
 
-    lo, hi = scale.classes[witness_class]
+    if not 0 <= witness_class < len(scale.classes):
+        raise WitnessViolated(
+            f"witness class {witness_class} is not a class of the scale")
 
     seen: list[Monomial] = []
     mins: list[Optional[Fraction]] = [None] * scale.arity

@@ -1,10 +1,13 @@
 import copy
+import gc
 import math
 import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
+import weakref
 from fractions import Fraction as Q
 
 import mpmath
@@ -21,6 +24,7 @@ from transgerm.errors import (
     Unclassifiable,
 )
 from transgerm.germ import (
+    GermTerm,
     Transmono,
     compare,
     compose_exact,
@@ -434,7 +438,8 @@ def test_structural_hash_and_eq(X, LOG, LOG2):
              (g_pow(f1, 3), g_mul(g_mul(f2, f2), f2)),
              (germ.leading_mono(f1), germ.leading_mono(f2))]
     for a, b in pairs:
-        assert a is not b and a == b
+        # GermTerm equality is structural; Transmono is interned
+        assert a is b if isinstance(a, Transmono) else a is not b and a == b
         h = hash(a)
         assert hash(b) == h and {a: 1}[b] == 1 and {b: 2}[a] == 2
         for c in (copy.copy(a), pickle.loads(pickle.dumps(a))):
@@ -481,6 +486,126 @@ def test_mono_cmp_cache_shared_across_threads(germ_pool):
     assert all(got == want for got in results)
     assert all(germ._cmp_cache[(monos[i], monos[j])] == want[(i, j)]
                for i, j in pairs if (monos[i], monos[j]) in germ._cmp_cache)
+
+
+def _pool_monos(germ_pool):
+    """Every monomial of the pool's germs and, recursively, of their exp
+    parts, each once."""
+    monos = []
+
+    def visit(f):
+        for _, m in f.terms:
+            if m not in monos:
+                monos.append(m)
+            if m.expart is not None:
+                visit(m.expart)
+
+    for f in germ_pool:
+        visit(f)
+    return monos
+
+
+def test_mono_cmp_matches_log_difference(germ_pool):
+    # the order test of Richardson, Salvy, Shackell and van der Hoeven:
+    # a > b iff log a - log b is eventually positive, read from the leading
+    # coefficient of the difference built in full
+    def by_difference(a, b):
+        d = g_add(germ.mono_log(a), g_neg(germ.mono_log(b)))
+        return 0 if d.is_zero() else (1 if d.terms[0][0] > 0 else -1)
+
+    monos = _pool_monos(germ_pool)
+    assert sum(m.expart is not None for m in monos) >= 4
+    cmp = {}
+    for a in monos:
+        for b in monos:
+            germ._cmp_cache.clear()  # each pair walks, none is a cache hit
+            cmp[a, b] = mono_cmp(a, b)
+            assert cmp[a, b] == by_difference(a, b), (a, b)
+    for a in monos:
+        assert cmp[a, a] == 0
+        for b in monos:
+            assert cmp[a, b] == -cmp[b, a]
+            for c in monos:
+                if cmp[a, b] >= 0 and cmp[b, c] >= 0:
+                    assert cmp[a, c] == (0 if cmp[a, b] == cmp[b, c] == 0
+                                         else 1)
+
+
+def test_transmono_is_interned(X, LOG):
+    sqrt = g_pow(X, Q(1, 2))
+    e1 = g_exp(g_add(X, sqrt))
+    e2 = g_exp(g_scale(g_add(g_scale(sqrt, 2), g_scale(X, 2)), Q(1, 2)))
+    m = germ.leading_mono(g_mul(e1, LOG))
+    routes = [germ.leading_mono(g_mul(LOG, e2)),
+              germ.mono_mul(germ.leading_mono(LOG), germ.leading_mono(e2)),
+              Transmono(((1, Q(1)),), e1.terms[0][1].expart),
+              Transmono(powers=((1, 1),), expart=GermTerm(e2.terms[0][1].expart.terms))]
+    assert all(r is m for r in routes)
+    assert germ.leading_mono(X) is Transmono(((0, Q(1)),))
+    assert germ.mono_mul(m, germ.mono_inv(m)) is germ.UNIT_MONO is Transmono()
+    for c in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert c is m
+    assert m == m and m != germ.leading_mono(X) and m != e1
+
+    # monomials that no other test builds, alive only in a pickle
+    def fresh():
+        out = []
+        for p in range(1, 41):
+            inner = Transmono(((0, Q(p, 97)),))
+            ex = GermTerm(((Q(p), inner),))
+            out.append(Transmono(((1, Q(-p, 89)),), ex))
+        return out
+
+    blob = pickle.dumps(fresh())
+    dead = [weakref.ref(t) for t in pickle.loads(blob)]
+    gc.collect()
+    assert all(r() is None for r in dead)  # the table holds them weakly
+    nthreads = 8
+    start = threading.Barrier(nthreads, timeout=60)
+    results = [None] * nthreads
+
+    def work(k):
+        start.wait()
+        results[k] = pickle.loads(blob)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    first = results[0]
+    assert len(first) == 40 and len({id(m) for m in first}) == 40
+    assert all(got[i] is first[i] for got in results for i in range(40))
+    assert all(first[i].expart.terms[0][1] is Transmono(((0, Q(i + 1, 97)),))
+               for i in range(40))
+
+
+def test_int_exponent_does_not_leak_into_interned_monomial():
+    # the first x^1 built in a fresh process has an int exponent; the table
+    # must still hand g_x() a Fraction exponent, or inverse's 1/r is a float
+    code = (
+        "from fractions import Fraction as Q\n"
+        "from transgerm.germ import Transmono, g_scale, g_x, inverse\n"
+        "m = Transmono(((0, 1),))\n"
+        "f = inverse(g_scale(g_x(), 8))\n"
+        "print(repr([(type(c).__name__, c, [(k, type(r).__name__, r)\n"
+        "             for k, r in t.powers], t.expart) for c, t in f.terms]))\n"
+        "print(repr(type(m.powers[0][1]).__name__))\n")
+    src = os.path.dirname(os.path.dirname(germ.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "[('Fraction', Fraction(1, 8), [(0, 'Fraction', Fraction(1, 1))], None)]",
+        "'Fraction'"]
 
 
 def test_pow_exact_roots(X):

@@ -12,6 +12,7 @@ from transgerm import germ as G
 from transgerm import gps
 from transgerm import series as S
 from transgerm.errors import (
+    ArityMismatch,
     CutoffTooDeep,
     DomainError,
     NotAScaleAfterShift,
@@ -23,7 +24,7 @@ from transgerm.errors import (
     ZeroWithinBound,
 )
 from transgerm.germ import g_add, g_exp, g_logk, g_neg, g_pow, g_scale, g_x
-from transgerm.scale import Monomial, make_scale, monomial_cmp
+from transgerm.scale import Monomial, make_scale, monomial_cmp, project_class
 from transgerm.series import (
     OmegaPoly,
     compose_right,
@@ -363,6 +364,27 @@ def test_sum_family_witness_violated(sx):
     with pytest.raises(WitnessViolated):
         s = sum_family(sx, fam, 0, lm)
         s.terms_to_cutoff(cut(sx, 10))
+
+
+@pytest.mark.parametrize("entry", ["shifted", "sum_family", "project_class",
+                                   "partial_deriv"])
+def test_wrong_arity_or_index_is_typed(sx, entry):
+    # each public entry point that takes a vector or an index refuses one that
+    # does not fit the scale with a typed error, not an IndexError or a
+    # silently truncated answer
+    calls = {
+        "shifted": (ArityMismatch, lambda: from_terms(
+            sx, {(0,): 1, (2,): 3}).shifted((1, 5))),
+        "sum_family": (WitnessViolated, lambda: sum_family(
+            sx, lambda nu: from_terms(sx, {(nu,): 1}), 1, lambda nu: cut(sx, nu))),
+        "project_class": (ArityMismatch,
+                          lambda: project_class(sx, 3, cut(sx, 1))),
+        "partial_deriv": (ArityMismatch,
+                          lambda: gps.from_terms(1, {(2,): 1}).partial_deriv(4)),
+    }
+    error, call = calls[entry]
+    with pytest.raises(error):
+        call()
 
 
 def test_compose_right_log(sx, LOG):
