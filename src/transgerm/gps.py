@@ -22,6 +22,7 @@ from .support import (
     Vec,
     grade,
     is_nonnegative,
+    qadd,
     vec,
     vsub,
     vzero,
@@ -96,12 +97,14 @@ class GenSeries:
         self._check(other)
 
         def conv(v: Vec) -> Fraction:
-            total = Q(0)
+            n, d = 0, 1
             for beta in self.universe.box_points(v):
-                cb = self.coeff(beta)
-                if cb:
-                    total += cb * other.coeff(vsub(v, beta))
-            return total
+                x = self.coeff(beta)
+                if x:
+                    y = other.coeff(vsub(v, beta))
+                    n, d = qadd(n, d, x.numerator * y.numerator,
+                                x.denominator * y.denominator)
+            return Q(n, d)
 
         return GenSeries(self.arity, self.universe.sum(other.universe), conv,
                          provenance=f"({self.provenance}*{other.provenance})")
@@ -244,7 +247,8 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     is 0 otherwise.  The coefficients [G^nu]_w come from one memo, filled on
     an explicit stack by [G^nu]_w = sum_u g_u [G^(nu-1)]_(w-u) over the
     nonzero terms u <= w of G, which are pulled once, by point grade, in
-    (grade, lex) order; entries (nu, w) outside the window are never made."""
+    (grade, lex) order; entries (nu, w) outside the window are never made.
+    Each sum is kept as ints with qadd and reduced once (support.py)."""
     if callable(p):
         pc = p
     else:
@@ -269,8 +273,9 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
 
     def by_grade():
         # one item per grade of g's skeleton points, holding g's nonzero
-        # terms there: a reader that needs the grades up to d stops at the
-        # first item above d even when no nonzero term follows
+        # terms there as (u, numerator, denominator): a reader that needs
+        # the grades up to d stops at the first item above d even when no
+        # nonzero term follows
         d, terms = None, []
         for v in g.universe.graded_stream():
             dv = grade(v)
@@ -280,7 +285,7 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
                 d, terms = dv, []
             c = g.coeff(v)
             if c:
-                terms.append((v, c))
+                terms.append((v, c.numerator, c.denominator))
         if d is not None:
             yield d, tuple(terms)
 
@@ -298,17 +303,17 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
         return nu * g_ord <= d and (top is None or d <= nu * top)
 
     def factors(nu: int, w: Vec):
-        """(g_u, (nu-1, w-u)) for the nonzero terms u <= w of G whose
-        cofactor w-u lies in the window of nu-1."""
+        """(numerator, denominator of g_u, (nu-1, w-u)) for the nonzero
+        terms u <= w of G whose cofactor w-u lies in the window of nu-1."""
         d = grade(w)
         for du, terms in groups:
             if du > d:
                 return
             if reaches(nu - 1, d - du):
-                for u, c in terms:
+                for u, a, b in terms:
                     x = vsub(w, u)
                     if is_nonnegative(x):
-                        yield c, (nu - 1, x)
+                        yield a, b, (nu - 1, x)
 
     def power_coeff(nu: int, w: Vec) -> Fraction:
         stack = [(nu, w)]
@@ -317,27 +322,29 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
             if key in memo:
                 stack.pop()
                 continue
-            total, missing = Q(0), False
-            for c, sub in factors(*key):
+            n, d, missing = 0, 1, False
+            for a, b, sub in factors(*key):
                 hit = memo.get(sub)
                 if hit is None:
                     stack.append(sub)
                     missing = True
-                else:
-                    total += c * hit
+                elif not missing:
+                    n, d = qadd(n, d, a * hit.numerator, b * hit.denominator)
             if not missing:
-                memo[key] = total
+                memo[key] = Q(n, d)
                 stack.pop()
         return memo[(nu, w)]
 
     def oracle(v: Vec) -> Fraction:
-        d = grade(v)
-        total = Q(0)
-        for nu in grade_window(d, g_ord, top):
+        dv = grade(v)
+        n, d = 0, 1
+        for nu in grade_window(dv, g_ord, top):
             a = pc(nu)
-            if a and reaches(nu, d):
-                total += a * power_coeff(nu, v)
-        return total
+            if a and reaches(nu, dv):
+                c = power_coeff(nu, v)
+                n, d = qadd(n, d, a.numerator * c.numerator,
+                            a.denominator * c.denominator)
+        return Q(n, d)
 
     return GenSeries(g.arity, g.universe.closure(), oracle,
                      provenance=f"(P o {g.provenance})")

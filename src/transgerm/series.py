@@ -38,6 +38,7 @@ from .support import (
     SupportUniverse,
     Vec,
     lex_positive,
+    qadd,
     vadd,
     vec,
     vzero,
@@ -215,14 +216,14 @@ def _merge_factory(children: Sequence[LaurentSeries]):
                 heapq.heappush(heads, (t[0], idx, t[1]))
         while heads:
             v = heads[0][0]
-            total = Q(0)
+            n, d = 0, 1
             while heads and heads[0][0] == v:
                 _, idx, c = heapq.heappop(heads)
-                total += c
+                n, d = qadd(n, d, c.numerator, c.denominator)
                 t = next(iters[idx], None)
                 if t is not None:
                     heapq.heappush(heads, (t[0], idx, t[1]))
-            yield (v, total)
+            yield (v, Q(n, d))
 
     return factory
 
@@ -232,9 +233,11 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
     pair is reached once, as in _geometric_of: popping (i, j) pushes (i+1, j),
     and popping (0, j) also pushes (0, j+1).  Both streams ascend, so every
     pair is pushed while its parent, of a smaller vector, is popped.  An
-    entry (v, i, j, a_i*b_j) carries its product, so a pop reads no memo.
-    Square rule: when a and b share one memo (f*f, or f times a view of f),
-    only the pairs i <= j are visited and an off-diagonal product counts twice."""
+    entry (v, i, j, n, d) carries the product a_i*b_j as the unreduced ints
+    n/d, so a pop reads no memo; the pops of one vector are summed with qadd
+    and the term is reduced once, when it is yielded.  Square rule: when a
+    and b share one memo (f*f, or f times a view of f), only the pairs
+    i <= j are visited and an off-diagonal product counts twice."""
     get_a, get_b = a._memo.get, b._memo.get
     square = a._memo is b._memo
 
@@ -244,22 +247,24 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
         def push(i: int, j: int):
             ta, tb = get_a(i), get_b(j)
             if ta is not None and tb is not None:
-                c = ta[1] * tb[1]
+                x, y = ta[1], tb[1]
+                n = x.numerator * y.numerator
                 heapq.heappush(heap, (vadd(ta[0], tb[0]), i, j,
-                                      c + c if square and i != j else c))
+                                      n + n if square and i != j else n,
+                                      x.denominator * y.denominator))
 
         push(0, 0)
         while heap:
             v = heap[0][0]
-            total = Q(0)
+            n, d = 0, 1
             while heap and heap[0][0] == v:
-                _, i, j, c = heapq.heappop(heap)
-                total += c
+                _, i, j, p, q = heapq.heappop(heap)
+                n, d = qadd(n, d, p, q)
                 if not square or i < j:
                     push(i + 1, j)
                 if i == 0:
                     push(0, j + 1)
-            yield (v, total)
+            yield (v, Q(n, d))
 
     return factory
 
@@ -330,17 +335,17 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
             if not heads:
                 return
             v = heads[0][0]
-            total = Q(0)
+            n, d = 0, 1
             while heads and heads[0][0] == v:
                 _, idx, c = heapq.heappop(heads)
                 if c and v < hints[idx]:
                     raise WitnessViolated(
                         f"member {idx} has support above its declared leading monomial")
-                total += c
+                n, d = qadd(n, d, c.numerator, c.denominator)
                 t = next(iters[idx], None)
                 if t is not None:
                     heapq.heappush(heads, (t[0], idx, t[1]))
-            yield (v, total)
+            yield (v, Q(n, d))
 
     return factory
 
@@ -459,7 +464,10 @@ def _geometric_of(e: LaurentSeries, budget: int) -> LaurentSeries:
     pairs (i, j) standing for term i of e times term j of c, each reached
     once: (first, k) when c's term k is emitted, (i+1, j) when (i, j) pops.
     Every such u is lex-positive, so c_(v-u) is emitted before v.  As in
-    _product_factory, an entry carries its product e_i*c_j."""
+    _product_factory, an entry (v, i, j, n, d) carries the product e_i*c_j
+    as the unreduced ints n/d, the pops of one vector are summed with qadd,
+    and c_v is reduced once, when it is emitted; ``out`` keeps c's terms as
+    (vector, numerator, denominator) of that reduced value."""
     get_e = e._memo.get
     try:
         ev, _ = e.leading_term(budget)
@@ -480,24 +488,27 @@ def _geometric_of(e: LaurentSeries, budget: int) -> LaurentSeries:
         first = 0
         while get_e(first)[0] <= origin:
             first += 1
-        out: list[Term] = []
-        heap = [(origin, -1, -1, Q(1))]  # the constant 1
+        out: list[tuple[Vec, int, int]] = []
+        heap = [(origin, -1, -1, 1, 1)]  # the constant 1
 
         def push(i: int, j: int):
             t = get_e(i)
             if t is not None:
-                w, c = out[j]
-                heapq.heappush(heap, (vadd(t[0], w), i, j, t[1] * c))
+                w, n, d = out[j]
+                c = t[1]
+                heapq.heappush(heap, (vadd(t[0], w), i, j,
+                                      c.numerator * n, c.denominator * d))
 
         while heap:
             v = heap[0][0]
-            total = Q(0)
+            n, d = 0, 1
             while heap and heap[0][0] == v:
-                _, i, j, c = heapq.heappop(heap)
-                total += c
+                _, i, j, p, q = heapq.heappop(heap)
+                n, d = qadd(n, d, p, q)
                 if i >= 0:
                     push(i + 1, j)
-            out.append((v, total))
+            total = Q(n, d)
+            out.append((v, total.numerator, total.denominator))
             push(first, len(out) - 1)
             yield (v, total)
 

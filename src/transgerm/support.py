@@ -14,22 +14,40 @@ integers, so their arithmetic and hashing skip ``Fraction`` entirely.  The
 two forms compare, hash and print alike (``Fraction(2) == 2``,
 ``hash(Fraction(2)) == hash(2)``, ``str(Fraction(2)) == "2"``), so a sum of
 fractional coordinates that lands on an integer is still a correct key.
+
+Coefficients are exact: every coefficient a kernel stores or yields is a
+``Fraction`` (``Q``).  Inside, a kernel that sums products of coefficients
+(the series products, merges and family sums, the gps convolution and power
+table) keeps each sum as a pair of ints, a numerator over a running
+denominator, and adds terms with ``qadd``; it builds ``Q(n, d)``, which
+reduces by one gcd, once per coefficient it emits.  The pair is not reduced
+on the way, but its denominator stays the lcm of the denominators added.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import math
 import operator
 import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import WitnessViolated
+from .errors import ArityMismatch, WitnessViolated
 
 Q = Fraction
 Coord = Union[int, Fraction]
 Vec = tuple[Coord, ...]
+
+
+def qadd(n: int, d: int, a: int, b: int) -> tuple[int, int]:
+    """n/d + a/b as an unreduced (numerator, denominator) pair of ints, over
+    d itself when b == d and over lcm(d, b) otherwise (denominators > 0)."""
+    if b == d:
+        return n + a, d
+    g = math.gcd(d, b)
+    return n * (b // g) + a * (d // g), d // g * b
 
 
 def coord(a) -> Coord:
@@ -303,7 +321,10 @@ class SupportUniverse:
 
     def box_points(self, bound: Vec) -> list[Vec]:
         """All universe points componentwise <= bound, sorted (grade, lex).
-        Requires nonnegative generators."""
+        Requires nonnegative generators and a bound of the universe's arity."""
+        if len(bound) != self.arity:
+            raise ArityMismatch(
+                f"bound {bound} has arity {len(bound)}, expected {self.arity}")
         if self.explicit is not None:
             pts = [p for p in self.explicit if leq_componentwise(p, bound)]
             return sorted(pts, key=lambda p: (grade(p), p))
@@ -338,13 +359,18 @@ class MemoStream:
 
     Read rule: stored items never change and the list only grows, so an
     index below its length is read without the lock; only a pull takes it,
-    re-checking the length under it, so each item is pulled once."""
+    re-checking the length under it, so each item is pulled once.
+
+    An exception out of the factory's iterator ends that iterator, so it is
+    kept and raised again by every later pull: a stream that failed never
+    looks finished, and the items stored before the failure stay readable."""
 
     def __init__(self, factory):
         self._factory = factory
         self._items: list = []
         self._iter = None
         self._done = False
+        self._error: Optional[tuple[BaseException, object]] = None
         self._lock = threading.Lock()
 
     def get(self, i: int):
@@ -357,12 +383,18 @@ class MemoStream:
         return items[i] if i < len(items) else None
 
     def _pull(self):
-        if self._iter is None:
-            self._iter = self._factory()
+        if self._error is not None:
+            # with the first traceback, so that it does not grow per raise
+            raise self._error[0].with_traceback(self._error[1])
         try:
+            if self._iter is None:
+                self._iter = self._factory()
             self._items.append(next(self._iter))
         except StopIteration:
             self._done = True
+        except BaseException as exc:
+            self._error = (exc, exc.__traceback__)
+            raise
 
     def __iter__(self):
         items = self._items

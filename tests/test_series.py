@@ -366,8 +366,24 @@ def test_sum_family_witness_violated(sx):
         s.terms_to_cutoff(cut(sx, 10))
 
 
+def test_failed_stream_keeps_raising(sx):
+    # member 3 also holds 7*m^2, above its declared leading monomial m^3; a
+    # second query on the same series used to answer the terms above that
+    # point as if the stream had ended there
+    fam = lambda nu: (from_terms(sx, {(nu,): 1, (2,): 7} if nu == 3 else
+                                 {(nu,): 1}) if nu <= 5 else None)
+    lm = lambda nu: cut(sx, nu) if nu <= 5 else None
+    s = sum_family(sx, fam, 0, lm)
+    for _ in range(3):
+        with pytest.raises(WitnessViolated):
+            s.terms_to_cutoff(cut(sx, 10))
+    # the terms stored before the failure stay readable
+    assert s.terms_to_cutoff(cut(sx, 0)) == [((0,), 1)]
+
+
 @pytest.mark.parametrize("entry", ["shifted", "sum_family", "project_class",
-                                   "partial_deriv"])
+                                   "partial_deriv", "enumerate",
+                                   "enumerate_finite", "equal_to_bound"])
 def test_wrong_arity_or_index_is_typed(sx, entry):
     # each public entry point that takes a vector or an index refuses one that
     # does not fit the scale with a typed error, not an IndexError or a
@@ -381,6 +397,14 @@ def test_wrong_arity_or_index_is_typed(sx, entry):
                           lambda: project_class(sx, 3, cut(sx, 1))),
         "partial_deriv": (ArityMismatch,
                           lambda: gps.from_terms(1, {(2,): 1}).partial_deriv(4)),
+        # an infinite skeleton: the short bound used to hang box_points
+        "enumerate": (ArityMismatch,
+                      lambda: gps.geometric_in(2, (0, 1)).enumerate((3,))),
+        # a finite one: the short bound used to answer silently
+        "enumerate_finite": (ArityMismatch, lambda: gps.from_terms(
+            2, {(1, 0): 1, (0, 1): 2}).enumerate((3,))),
+        "equal_to_bound": (ArityMismatch, lambda: gps.from_terms(
+            2, {(1, 0): 1}).equal_to_bound(gps.from_terms(2, {(0, 1): 2}), (3,))),
     }
     error, call = calls[entry]
     with pytest.raises(error):
