@@ -95,6 +95,14 @@ class Transmono(_Structural):
 
     Instances are interned (hash-consed), copies and unpickled ones too: one
     live instance per ``(powers, expart)``, so equality is identity.
+
+    Being one immutable object per monomial, an instance also keeps the facts
+    that depend on it alone, each computed on first use: ``_log`` (``log m``,
+    from ``mono_log``) and ``_dlog`` (``(log m)'``, from ``mono_dlog``).  They
+    are written without a lock, as ``_hash`` is: two threads racing on the
+    first use compute equal values, so either write is correct.  They are not
+    part of ``_key()`` or of the pickled state, so equality, hashing and
+    pickling see only ``(powers, expart)``.
     """
 
     powers: tuple[tuple[int, Fraction], ...] = ()
@@ -211,10 +219,16 @@ _cmp_lock = threading.Lock()
 
 
 def mono_log(t: Transmono) -> GermTerm:
-    """log of a transmonomial: a purely infinite germ (or zero for the unit)."""
-    # the log iterates of the powers already decrease with their index
-    logs = GermTerm(tuple((r, _mono_logk(k + 1)) for k, r in t.powers))
-    return logs if t.expart is None else g_add(t.expart, logs)
+    """log of a transmonomial: a purely infinite germ (or zero for the unit).
+    Computed once per monomial and kept on it as ``_log``."""
+    lg = t.__dict__.get("_log")
+    if lg is None:
+        # the log iterates of the powers already decrease with their index
+        lg = GermTerm(tuple((r, _mono_logk(k + 1)) for k, r in t.powers))
+        if t.expart is not None:
+            lg = g_add(t.expart, lg)
+        object.__setattr__(t, "_log", lg)
+    return lg
 
 
 def _cmp_pure(a: Transmono, b: Transmono) -> int:
@@ -354,8 +368,22 @@ def g_scale(f: GermTerm, q: Fraction) -> GermTerm:
 
 
 def g_mul(f: GermTerm, g: GermTerm) -> GermTerm:
-    return _sum_terms((cf * cg, mono_mul(mf, mg))
-                      for cf, mf in f.terms for cg, mg in g.terms)
+    if len(f.terms) > len(g.terms):
+        f, g = g, f
+    if len(f.terms) != 1:
+        return _sum_terms((cf * cg, mono_mul(mf, mg))
+                          for cf, mf in f.terms for cg, mg in g.terms)
+    c, m = f.terms[0]
+    return _mul_term(c, m, g)
+
+
+def _mul_term(c: Fraction, m: Transmono, g: GermTerm) -> GermTerm:
+    """c*m*g for a nonzero c.  The dominance order is a group order, so
+    multiplying every term of g by m keeps them strictly decreasing and
+    distinct: the product is in normal form with no sort."""
+    if c == 1 and m is UNIT_MONO:
+        return g
+    return GermTerm(tuple((c * cg, mono_mul(m, mg)) for cg, mg in g.terms))
 
 
 def _iroot(n: int, r: int) -> Optional[int]:
@@ -751,18 +779,25 @@ def _dlog_factor(k: int) -> GermTerm:
 
 
 def mono_dlog(m: Transmono) -> GermTerm:
-    """(log m)' as a germ."""
-    acc = ZERO
-    for k, r in m.powers:
-        acc = g_add(acc, g_scale(_dlog_factor(k), r))
-    if m.expart is not None:
-        acc = g_add(acc, derivative(m.expart))
+    """(log m)' as a germ.  Computed once per monomial and kept on it as
+    ``_dlog``; the exp part's derivative reaches its own monomials' memos."""
+    acc = m.__dict__.get("_dlog")
+    if acc is None:
+        acc = ZERO
+        for k, r in m.powers:
+            acc = g_add(acc, g_scale(_dlog_factor(k), r))
+        if m.expart is not None:
+            acc = g_add(acc, derivative(m.expart))
+        object.__setattr__(m, "_dlog", acc)
     return acc
 
 
 def derivative(f: GermTerm) -> GermTerm:
     """Exact d/dx; the fragment is closed under differentiation."""
     # (c m)' = c m (log m)'
+    if len(f.terms) == 1:
+        c, m = f.terms[0]
+        return _mul_term(c, m, mono_dlog(m))
     return _sum_terms((c * cd, mono_mul(m, md))
                       for c, m in f.terms for cd, md in mono_dlog(m).terms)
 

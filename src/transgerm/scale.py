@@ -51,6 +51,12 @@ class Monomial:
     scale: Scale
     vector: Vec  # int or Fraction coordinates, as support.vec makes them
 
+    def __post_init__(self) -> None:
+        if len(self.vector) != len(self.scale.generators):
+            raise ArityMismatch(
+                f"monomial {self.vector} has arity {len(self.vector)}, "
+                f"expected {len(self.scale.generators)}")
+
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same(self, other)
         return Monomial(self.scale, vadd(self.vector, other.vector))

@@ -366,9 +366,12 @@ def from_terms(scale: Scale, terms: dict, *,
         v = vec(k)
         if len(v) != scale.arity:
             raise ArityMismatch(f"exponent vector {v} has wrong arity")
-        c = Q(c)
+        if type(c) is not Fraction:
+            c = Q(c)
         if c:
-            tbl[v] = tbl.get(v, Q(0)) + c
+            # truncate's keys are distinct: add only on a repeated key
+            old = tbl.get(v)
+            tbl[v] = c if old is None else old + c
     uni = SupportUniverse.finite(scale.arity, tbl.keys())
     items = sorted(tbl.items())
     return LaurentSeries(scale, lambda: iter(items),

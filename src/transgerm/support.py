@@ -144,6 +144,7 @@ class SupportUniverse:
     # -- algebra ---------------------------------------------------------------
 
     def shifted(self, delta: Vec) -> "SupportUniverse":
+        self._check_arity(delta, "shift")
         if self.explicit is not None:
             return SupportUniverse.finite(
                 self.arity, (vadd(p, delta) for p in self.explicit))
@@ -233,13 +234,24 @@ class SupportUniverse:
         O(1)); a cold query visits each point v - (sum of generators) at most
         once, which for a point reached along one generator chain is linear
         in its depth.  The search keeps an explicit stack, so depth is not
-        limited by the interpreter's recursion limit."""
+        limited by the interpreter's recursion limit.  A point of the wrong
+        arity raises ArityMismatch; the check runs only when v is not a
+        known point."""
         if self.explicit is not None:
-            return v in self.explicit
+            if v in self.explicit:
+                return True
+            self._check_arity(v, "point")
+            return False
         hit = self._known.get(v)
         return self._member(v) if hit is None else hit
 
+    def _check_arity(self, v: Vec, what: str) -> None:
+        if len(v) != self.arity:
+            raise ArityMismatch(
+                f"{what} {v} has arity {len(v)}, expected {self.arity}")
+
     def _member(self, v: Vec) -> bool:
+        self._check_arity(v, "point")
         # depth-first search: a point is a member iff one of its predecessors
         # is; each stack entry is the one above it plus a generator, so a
         # member found at the top makes every point on the stack a member
@@ -322,9 +334,7 @@ class SupportUniverse:
     def box_points(self, bound: Vec) -> list[Vec]:
         """All universe points componentwise <= bound, sorted (grade, lex).
         Requires nonnegative generators and a bound of the universe's arity."""
-        if len(bound) != self.arity:
-            raise ArityMismatch(
-                f"bound {bound} has arity {len(bound)}, expected {self.arity}")
+        self._check_arity(bound, "bound")
         if self.explicit is not None:
             pts = [p for p in self.explicit if leq_componentwise(p, bound)]
             return sorted(pts, key=lambda p: (grade(p), p))

@@ -13,6 +13,8 @@ from fractions import Fraction as Q
 import mpmath
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transgerm import germ
 from transgerm.errors import (
@@ -371,6 +373,16 @@ def _random_germ(rng, depth, large):
     return acc
 
 
+def _forget_memos(f):
+    """Drop the memoized log and log-derivative of every monomial of f and,
+    recursively, of its exp parts, as if each were built for the first time."""
+    for _, m in f.terms:
+        m.__dict__.pop("_log", None)
+        m.__dict__.pop("_dlog", None)
+        if m.expart is not None:
+            _forget_memos(m.expart)
+
+
 def test_derivative_matches_sympy_diff():
     rng = random.Random(1806)
     checked = 0
@@ -379,8 +391,12 @@ def test_derivative_matches_sympy_diff():
             f = _random_germ(rng, 2, False)
             if f.is_zero():
                 continue
+            _forget_memos(f)
+            cold = derivative(f)
+            # a warm memo gives the same answer
+            assert derivative(f) == cold
             want = sympy.lambdify(_SX, sympy.diff(_sym(f), _SX), "mpmath")
-            got = sympy.lambdify(_SX, _sym(derivative(f)), "mpmath")
+            got = sympy.lambdify(_SX, _sym(cold), "mpmath")
             for x0 in (3, 7):
                 w, g = want(mpmath.mpf(x0)), got(mpmath.mpf(x0))
                 # exp of an argument near L = log|w| keeps 30 - log10(L) digits
@@ -529,6 +545,98 @@ def test_mono_cmp_matches_log_difference(germ_pool):
                 if cmp[a, b] >= 0 and cmp[b, c] >= 0:
                     assert cmp[a, c] == (0 if cmp[a, b] == cmp[b, c] == 0
                                          else 1)
+
+
+def test_mono_log_and_dlog_are_memoized(germ_pool):
+    monos = _pool_monos(germ_pool)
+    assert sum(m.expart is not None for m in monos) >= 4
+    for m in monos:
+        for fn, attr in ((germ.mono_log, "_log"), (germ.mono_dlog, "_dlog")):
+            first = fn(m)
+            assert fn(m) is first and m.__dict__[attr] is first
+            del m.__dict__[attr]  # a fresh memo computes an equal value
+            assert fn(m) == first
+        # the memo is no part of copying, pickling, equality or hashing
+        h = hash(m)
+        for c in (copy.copy(m), copy.deepcopy(m),
+                  pickle.loads(pickle.dumps(m))):
+            assert c is m and hash(c) == h
+            assert germ.mono_log(c) is m.__dict__["_log"]
+        assert m._key() == (m.powers, m.expart)
+        assert Transmono(m.powers, m.expart) is m
+
+
+def test_derivative_memo_shared_across_threads(germ_pool):
+    for f in germ_pool:
+        _forget_memos(f)
+    want = [derivative(f) for f in germ_pool]
+    for f in germ_pool:
+        _forget_memos(f)
+    nthreads = 2 * (os.cpu_count() or 1) + 2
+    start = threading.Barrier(nthreads, timeout=60)
+    results = [None] * nthreads
+
+    def work(k):
+        order = list(range(len(germ_pool)))
+        random.Random(k).shuffle(order)
+        start.wait()
+        got = {i: derivative(germ_pool[i]) for i in order}
+        results[k] = [got[i] for i in range(len(germ_pool))]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == want for got in results)
+
+
+def _mp_germ(f, x):
+    """f at x in mpmath, read from the normal form's structure."""
+    total = mpmath.mpf(0)
+    for c, m in f.terms:
+        v = mpmath.mpf(c.numerator) / c.denominator
+        for k, r in m.powers:
+            base = x
+            for _ in range(k):
+                base = mpmath.log(base)
+            v *= base ** (mpmath.mpf(r.numerator) / r.denominator)
+        if m.expart is not None:
+            v *= mpmath.exp(_mp_germ(m.expart, x))
+        total += v
+    return total
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_g_mul_by_one_term_is_normal(seed, left):
+    rng = random.Random(seed)
+    f = _random_germ(rng, 2, False)
+    t = germ.ZERO
+    while len(t.terms) != 1:
+        t = _random_germ(rng, 1, False)
+    p = g_mul(t, f) if left else g_mul(f, t)
+    # normal form: strictly decreasing monomials, no zero coefficient
+    assert all(c for c, _ in p.terms)
+    assert all(mono_cmp(a, b) > 0
+               for (_, a), (_, b) in zip(p.terms, p.terms[1:]))
+    # the product of every pair of terms, collected and sorted in full
+    assert p == germ._sum_terms((cf * ct, germ.mono_mul(mf, mt))
+                                for cf, mf in f.terms for ct, mt in t.terms)
+    with mpmath.workdps(50):
+        for x0 in (3, 7):
+            x = mpmath.mpf(x0)
+            want = _mp_germ(t, x) * _mp_germ(f, x)
+            # exp of an argument near L = log|want| keeps 50 - log10(L) digits
+            tol = mpmath.mpf(10) ** -45 * (1 + mpmath.log(1 + abs(want)))
+            assert abs(_mp_germ(p, x) - want) <= tol * max(abs(want), 1)
 
 
 def test_transmono_is_interned(X, LOG):

@@ -42,6 +42,7 @@ from transgerm.series import (
     sum_numeric,
     truncate,
 )
+from transgerm.support import SupportUniverse
 
 
 @pytest.fixture
@@ -383,12 +384,26 @@ def test_failed_stream_keeps_raising(sx):
 
 @pytest.mark.parametrize("entry", ["shifted", "sum_family", "project_class",
                                    "partial_deriv", "enumerate",
-                                   "enumerate_finite", "equal_to_bound"])
-def test_wrong_arity_or_index_is_typed(sx, entry):
+                                   "enumerate_finite", "equal_to_bound",
+                                   "monomial_short", "monomial_long",
+                                   "cutoff_short", "contains",
+                                   "contains_explicit", "universe_shifted"])
+def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
     # each public entry point that takes a vector or an index refuses one that
     # does not fit the scale with a typed error, not an IndexError or a
     # silently truncated answer
+    uni = SupportUniverse.generated(2, [(1, 0)])
     calls = {
+        # a short monomial used to be zipped away by every consumer
+        "monomial_short": (ArityMismatch, lambda: Monomial(sxl, (1,))),
+        "monomial_long": (ArityMismatch, lambda: Monomial(sx, (1, 0))),
+        "cutoff_short": (ArityMismatch, lambda: S.one(sxl).terms_to_cutoff(
+            Monomial(sxl, (1,)))),
+        # a miss used to raise a bare StopIteration from the lead search
+        "contains": (ArityMismatch, lambda: uni.contains((1,))),
+        "contains_explicit": (ArityMismatch, lambda: SupportUniverse.finite(
+            2, [(1, 0)]).contains((1,))),
+        "universe_shifted": (ArityMismatch, lambda: uni.shifted((1,))),
         "shifted": (ArityMismatch, lambda: from_terms(
             sx, {(0,): 1, (2,): 3}).shifted((1, 5))),
         "sum_family": (WitnessViolated, lambda: sum_family(
