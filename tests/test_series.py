@@ -386,8 +386,8 @@ def test_failed_stream_keeps_raising(sx):
                                    "partial_deriv", "enumerate",
                                    "enumerate_finite", "equal_to_bound",
                                    "monomial_short", "monomial_long",
-                                   "cutoff_short", "contains",
-                                   "contains_explicit", "universe_shifted"])
+                                   "contains", "contains_explicit",
+                                   "universe_shifted"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
     # each public entry point that takes a vector or an index refuses one that
     # does not fit the scale with a typed error, not an IndexError or a
@@ -397,8 +397,6 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
         # a short monomial used to be zipped away by every consumer
         "monomial_short": (ArityMismatch, lambda: Monomial(sxl, (1,))),
         "monomial_long": (ArityMismatch, lambda: Monomial(sx, (1, 0))),
-        "cutoff_short": (ArityMismatch, lambda: S.one(sxl).terms_to_cutoff(
-            Monomial(sxl, (1,)))),
         # a miss used to raise a bare StopIteration from the lead search
         "contains": (ArityMismatch, lambda: uni.contains((1,))),
         "contains_explicit": (ArityMismatch, lambda: SupportUniverse.finite(
