@@ -33,11 +33,7 @@ class Scale:
         return Monomial(self, (0,) * self.arity)
 
     def monomial(self, coords: Sequence) -> "Monomial":
-        coords = vec(coords)
-        if len(coords) != self.arity:
-            raise ScaleMismatch(
-                f"expected {self.arity} exponents, got {len(coords)}")
-        return Monomial(self, coords)
+        return Monomial(self, vec(coords))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -52,10 +48,10 @@ class Monomial:
     vector: Vec  # int or Fraction coordinates, as support.vec makes them
 
     def __post_init__(self) -> None:
-        if len(self.vector) != len(self.scale.generators):
+        if len(self.vector) != self.scale.arity:
             raise ArityMismatch(
                 f"monomial {self.vector} has arity {len(self.vector)}, "
-                f"expected {len(self.scale.generators)}")
+                f"expected {self.scale.arity}")
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same(self, other)

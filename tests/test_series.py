@@ -386,6 +386,7 @@ def test_failed_stream_keeps_raising(sx):
                                    "partial_deriv", "enumerate",
                                    "enumerate_finite", "equal_to_bound",
                                    "monomial_short", "monomial_long",
+                                   "scale_monomial",
                                    "contains", "contains_explicit",
                                    "universe_shifted"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
@@ -397,6 +398,7 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
         # a short monomial used to be zipped away by every consumer
         "monomial_short": (ArityMismatch, lambda: Monomial(sxl, (1,))),
         "monomial_long": (ArityMismatch, lambda: Monomial(sx, (1, 0))),
+        "scale_monomial": (ArityMismatch, lambda: sx.monomial([1, 0])),
         # a miss used to raise a bare StopIteration from the lead search
         "contains": (ArityMismatch, lambda: uni.contains((1,))),
         "contains_explicit": (ArityMismatch, lambda: SupportUniverse.finite(

@@ -15,11 +15,6 @@ coefficient by running, at the parent and at the change,
 
 and comparing the lines.  ``--rounds`` defaults to each workload's cycle
 (specs.CYCLE), the rounds after which every seeded value has recurred.
-``--workload W`` (repeatable) digests only the named workloads, e.g.
-
-    python tools/answer_digest.py --seed 1101 --workload germ-algebra
-
-for a change to the germ layer, without running the series workloads.
 """
 
 from __future__ import annotations
@@ -66,13 +61,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--rounds", type=int)
-    ap.add_argument("--workload", action="append", choices=specs.WORKLOADS,
-                    help="digest only this workload (repeatable; "
-                         "default: all of them)")
     args = ap.parse_args(argv)
     tg = worker.load_transgerm()
     signal.signal(signal.SIGALRM, worker._on_alarm)  # the per-query cap
-    for workload in args.workload or specs.WORKLOADS:
+    for workload in specs.WORKLOADS:
         rounds = args.rounds or specs.CYCLE[workload]
         hexdigest, count = digest(specs, worker, tg, workload, args.seed,
                                   rounds)
