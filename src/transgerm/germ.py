@@ -103,6 +103,12 @@ class Transmono(_Structural):
     first use compute equal values, so either write is correct.  They are not
     part of ``_key()`` or of the pickled state, so equality, hashing and
     pickling see only ``(powers, expart)``.
+
+    Facts about a pair of monomials live in two module memos keyed on the
+    ordered pair: ``_cmp_cache`` (``mono_cmp``) and ``_mul_memo``
+    (``mono_mul``).  Their entries hold monomials strongly, so each memo is
+    cleared whenever it has no room for two more entries under
+    ``_PAIR_MEMO_MAX``; a monomial no one else holds is then freed.
     """
 
     powers: tuple[tuple[int, Fraction], ...] = ()
@@ -214,8 +220,24 @@ def _mono_logk(k: int) -> Transmono:
 # ---------------------------------------------------------------------------
 # transmonomial order
 
+# Pair memos keyed on ordered pairs of interned monomials: a key hashes
+# through the cached ``_hash`` and compares by identity.  Each entry keeps its
+# monomials alive, which the weak intern table cannot free, so both memos are
+# bounded: a memo that has no room for an entry pair is cleared first.  The
+# bound is read at call time.
+_PAIR_MEMO_MAX = 1 << 16
 _cmp_cache: dict[tuple[Transmono, Transmono], int] = {}
-_cmp_lock = threading.Lock()
+_mul_memo: dict[tuple[Transmono, Transmono], Transmono] = {}
+_pair_lock = threading.Lock()
+
+
+def _remember(memo: dict, a: Transmono, b: Transmono, ab, ba) -> None:
+    """Store ``memo[a, b] = ab`` and ``memo[b, a] = ba`` under the bound."""
+    with _pair_lock:
+        if len(memo) + 2 > _PAIR_MEMO_MAX:
+            memo.clear()
+        memo[a, b] = ab
+        memo[b, a] = ba
 
 
 def mono_log(t: Transmono) -> GermTerm:
@@ -276,13 +298,17 @@ def mono_cmp(a: Transmono, b: Transmono) -> int:
         res = -1 if tb[i][0] > 0 else 1
     else:  # log is injective on canonical transmonomials
         res = 0 if i == n else (1 if ta[i][0] > tb[i][0] else -1)
-    with _cmp_lock:
-        _cmp_cache[key] = res
-        _cmp_cache[(b, a)] = -res
+    _remember(_cmp_cache, a, b, res, -res)
     return res
 
 
 def mono_mul(a: Transmono, b: Transmono) -> Transmono:
+    """The product a*b, memoized in ``_mul_memo`` under both orders (the
+    product is one interned object), bounded and cleared as ``_cmp_cache``
+    is.  A hit skips the exponent sums, the sort and the intern lookup."""
+    hit = _mul_memo.get((a, b))
+    if hit is not None:
+        return hit
     da = dict(a.powers)
     for k, r in b.powers:
         nr = da[k] + r if k in da else r  # reuses r: a cheaper intern lookup
@@ -297,7 +323,9 @@ def mono_mul(a: Transmono, b: Transmono) -> Transmono:
     else:
         s = g_add(a.expart, b.expart)
         ex = None if s.is_zero() else s
-    return Transmono(tuple(sorted(da.items())), ex)
+    ab = Transmono(tuple(sorted(da.items())), ex)
+    _remember(_mul_memo, a, b, ab, ab)
+    return ab
 
 
 def mono_pow(a: Transmono, q: Fraction) -> Transmono:

@@ -111,12 +111,17 @@ class SupportUniverse:
         self.arity = arity
         self.explicit = explicit
         if explicit is not None:
+            if explicit and set(map(len, explicit)) != {arity}:
+                bad = next(p for p in explicit if len(p) != arity)
+                self._check_arity(bad, "point")
             self.offset = vzero(arity)
             self.gens = frozenset()
             return
         self.offset = vzero(arity) if offset is None else vec(offset)
+        self._check_arity(self.offset, "offset")
         cleaned = set()
         for g in gens:
+            self._check_arity(g, "generator")
             if any(g):
                 if not lex_positive(g):
                     raise WitnessViolated(
@@ -152,6 +157,7 @@ class SupportUniverse:
                                gens=self.gens)
 
     def union(self, other: "SupportUniverse") -> "SupportUniverse":
+        self._check_arity(other.offset, "universe")
         if self.explicit is not None and other.explicit is not None:
             return SupportUniverse(self.arity,
                                    explicit=self.explicit | other.explicit)
@@ -164,6 +170,7 @@ class SupportUniverse:
         return SupportUniverse(self.arity, offset=off, gens=gens)
 
     def sum(self, other: "SupportUniverse") -> "SupportUniverse":
+        self._check_arity(other.offset, "universe")
         if self.explicit is not None and other.explicit is not None:
             pts = {vadd(p, q) for p in self.explicit for q in other.explicit}
             return SupportUniverse(self.arity, explicit=frozenset(pts))

@@ -566,6 +566,58 @@ def test_mono_log_and_dlog_are_memoized(germ_pool):
         assert Transmono(m.powers, m.expart) is m
 
 
+def test_mono_mul_memo_keeps_identity(germ_pool):
+    monos = _pool_monos(germ_pool)
+    for a in monos:
+        for b in monos:
+            germ._mul_memo.clear()
+            cold = germ.mono_mul(a, b)
+            # a warm call in either order hands back the one interned product
+            assert germ.mono_mul(a, b) is cold and germ.mono_mul(b, a) is cold
+            germ._mul_memo.clear()
+            assert germ.mono_mul(b, a) is cold
+
+
+def test_pair_memos_stay_under_bound(germ_pool, monkeypatch):
+    monos = _pool_monos(germ_pool)
+    pairs = [(a, b) for a in monos for b in monos]
+    want_cmp = {p: mono_cmp(*p) for p in pairs}
+    want_mul = {p: germ.mono_mul(*p) for p in pairs}
+    bound = 8
+    monkeypatch.setattr(germ, "_PAIR_MEMO_MAX", bound)
+    germ._cmp_cache.clear()
+    germ._mul_memo.clear()
+    cleared = {"cmp": 0, "mul": 0}
+    for a, b in pairs:
+        sizes = len(germ._cmp_cache), len(germ._mul_memo)
+        assert mono_cmp(a, b) == want_cmp[a, b]
+        assert germ.mono_mul(a, b) is want_mul[a, b]
+        assert len(germ._cmp_cache) <= bound and len(germ._mul_memo) <= bound
+        cleared["cmp"] += len(germ._cmp_cache) < sizes[0]
+        cleared["mul"] += len(germ._mul_memo) < sizes[1]
+    # far more distinct pairs than the bound went through both memos
+    assert cleared["cmp"] >= 3 and cleared["mul"] >= 3
+
+
+def test_pair_memos_free_monomials_once_cleared():
+    def mono(k, r, s):  # exponents no other test uses
+        inner = Transmono(((0, Q(s, 103)),))
+        return Transmono(((k, Q(r, 101)),), GermTerm(((Q(1), inner),)))
+
+    p = germ.mono_mul(mono(0, 1, 3), mono(1, -2, 5))
+    assert mono_cmp(p, mono(0, 1, 3)) != 0
+    dead = weakref.ref(p)
+    del p
+    gc.collect()
+    assert dead() is not None  # both memos hold the product
+    germ._mul_memo.clear()
+    gc.collect()
+    assert dead() is not None  # so does the comparison cache
+    germ._cmp_cache.clear()
+    gc.collect()
+    assert dead() is None  # the intern table holds it weakly
+
+
 def test_derivative_memo_shared_across_threads(germ_pool):
     for f in germ_pool:
         _forget_memos(f)

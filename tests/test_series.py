@@ -388,7 +388,9 @@ def test_failed_stream_keeps_raising(sx):
                                    "monomial_short", "monomial_long",
                                    "scale_monomial",
                                    "contains", "contains_explicit",
-                                   "universe_shifted"])
+                                   "universe_shifted", "generated_short",
+                                   "finite_short", "generated_offset",
+                                   "universe_union", "universe_sum"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
     # each public entry point that takes a vector or an index refuses one that
     # does not fit the scale with a typed error, not an IndexError or a
@@ -404,6 +406,17 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
         "contains_explicit": (ArityMismatch, lambda: SupportUniverse.finite(
             2, [(1, 0)]).contains((1,))),
         "universe_shifted": (ArityMismatch, lambda: uni.shifted((1,))),
+        # the constructors and combinators used to keep the foreign vector
+        "generated_short": (ArityMismatch,
+                            lambda: SupportUniverse.generated(2, [(1,)])),
+        "finite_short": (ArityMismatch,
+                         lambda: SupportUniverse.finite(2, [(1,)])),
+        "generated_offset": (ArityMismatch, lambda: SupportUniverse.generated(
+            2, [(1, 0)], offset=(0,))),
+        "universe_union": (ArityMismatch, lambda: SupportUniverse.generated(
+            2, [(0, 1)]).union(SupportUniverse.generated(3, [(0, 0, 1)]))),
+        "universe_sum": (ArityMismatch, lambda: SupportUniverse.generated(
+            2, [(0, 1)]).sum(SupportUniverse.generated(3, [(0, 0, 1)]))),
         "shifted": (ArityMismatch, lambda: from_terms(
             sx, {(0,): 1, (2,): 3}).shifted((1, 5))),
         "sum_family": (WitnessViolated, lambda: sum_family(
