@@ -220,11 +220,9 @@ def _mono_logk(k: int) -> Transmono:
 # ---------------------------------------------------------------------------
 # transmonomial order
 
-# Pair memos keyed on ordered pairs of interned monomials: a key hashes
-# through the cached ``_hash`` and compares by identity.  Each entry keeps its
-# monomials alive, which the weak intern table cannot free, so both memos are
-# bounded: a memo that has no room for an entry pair is cleared first.  The
-# bound is read at call time.
+# pair memos (see Transmono): keys are ordered pairs of interned monomials,
+# which hash through the cached ``_hash`` and compare by identity; the bound
+# is read at call time
 _PAIR_MEMO_MAX = 1 << 16
 _cmp_cache: dict[tuple[Transmono, Transmono], int] = {}
 _mul_memo: dict[tuple[Transmono, Transmono], Transmono] = {}
@@ -303,9 +301,11 @@ def mono_cmp(a: Transmono, b: Transmono) -> int:
 
 
 def mono_mul(a: Transmono, b: Transmono) -> Transmono:
-    """The product a*b, memoized in ``_mul_memo`` under both orders (the
-    product is one interned object), bounded and cleared as ``_cmp_cache``
-    is.  A hit skips the exponent sums, the sort and the intern lookup."""
+    """The product a*b, memoized in ``_mul_memo`` under (a, b) and (b, a):
+    the product is one interned object.  A hit skips the exponent sums, the
+    sort and the intern lookup.  The memo holds at most ``_PAIR_MEMO_MAX``
+    entries; one with no room for two more is cleared, as ``_cmp_cache``
+    is."""
     hit = _mul_memo.get((a, b))
     if hit is not None:
         return hit
