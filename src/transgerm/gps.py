@@ -10,6 +10,7 @@ only up to a bound and the API says so.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -32,7 +33,12 @@ DEFAULT_BUDGET = 10_000
 
 
 class GenSeries:
-    """K[[X_0^*, ..., X_k^*]] element with rational coefficients."""
+    """K[[X_0^*, ..., X_k^*]] element with rational coefficients.
+
+    ``coeff`` is the one public read: it normalises its point, checks the
+    arity and answers 0 off the universe.  ``_at`` reads a point that this
+    series' universe itself produced, with none of those checks.  So the
+    oracle is only ever asked at points of the universe."""
 
     def __init__(self, arity: int, universe: SupportUniverse,
                  oracle: Callable[[Vec], Fraction], provenance: str = ""):
@@ -56,10 +62,19 @@ class GenSeries:
         v = vec(alpha)
         if len(v) != self.arity:
             raise ArityMismatch(f"point {v} has arity {len(v)}, expected {self.arity}")
+        if self.universe.contains(v):
+            return self._at(v)
+        hit = memo[v] = Q(0)
+        return hit
+
+    def _at(self, v: Vec) -> Fraction:
+        """The coefficient at v, a point of this series' universe as that
+        universe produced it (one of its streams or box_points): no
+        normalisation, arity or membership check."""
+        memo = self._memo
         hit = memo.get(v)
         if hit is None:
-            hit = memo[v] = (self._oracle(v) if self.universe.contains(v)
-                             else Q(0))
+            hit = memo[v] = self._oracle(v)
         return hit
 
     def enumerate(self, bound: Sequence) -> list[tuple[Vec, Fraction]]:
@@ -68,7 +83,7 @@ class GenSeries:
         b = vec(bound)
         out = []
         for v in self.universe.box_points(b):
-            c = self.coeff(v)
+            c = self._at(v)
             if c:
                 out.append((v, c))
         return out
@@ -97,9 +112,11 @@ class GenSeries:
         self._check(other)
 
         def conv(v: Vec) -> Fraction:
+            # beta is a box point of self's universe; v - beta need not be
+            # a point of other's, so only that read is checked
             n, d = 0, 1
             for beta in self.universe.box_points(v):
-                x = self.coeff(beta)
+                x = self._at(beta)
                 if x:
                     y = other.coeff(vsub(v, beta))
                     n, d = qadd(n, d, x.numerator * y.numerator,
@@ -136,14 +153,14 @@ class GenSeries:
             if n >= budget:
                 break
             if first is None:
-                if self.coeff(v):
+                if self._at(v):
                     first = v
                     if cap is None:
                         cap = grade(v) * 4 + 4
                 continue
             if grade(v) > cap:
                 break
-            if self.coeff(v):
+            if self._at(v):
                 found.append(v)
         if first is None:
             raise ZeroWithinBound(
@@ -206,17 +223,13 @@ def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
         raise WitnessViolated("geometric step is zero: the sum diverges")
     r = Q(ratio)
     uni = SupportUniverse.generated(arity, [s])
+    lead = next(i for i, a in enumerate(s) if a)
+    s_lead = s[lead]
 
     def oracle(v: Vec) -> Fraction:
-        # v = nu * s for a unique nu >= 0
-        for a, b in zip(v, s):
-            if b:
-                # exact for int and Fraction coordinates alike
-                nu, rest = divmod(a, b)
-                if not rest and all(x == nu * y for x, y in zip(v, s)):
-                    return r ** nu
-                return Q(0)
-        return Q(1) if not any(v) else Q(0)
+        # only points of uni reach the oracle, and each is nu * s; floor
+        # division gives the int nu for int and Fraction coordinates alike
+        return r ** (v[lead] // s_lead)
 
     return GenSeries(arity, uni, oracle, provenance="geometric")
 
@@ -248,7 +261,8 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     an explicit stack by [G^nu]_w = sum_u g_u [G^(nu-1)]_(w-u) over the
     nonzero terms u <= w of G, which are pulled once, by point grade, in
     (grade, lex) order; entries (nu, w) outside the window are never made.
-    Each sum is kept as ints with qadd and reduced once (support.py)."""
+    Each sum is kept as ints with qadd and stored as a reduced int pair, so
+    the oracle builds one Fraction per coefficient (support.py)."""
     if callable(p):
         pc = p
     else:
@@ -260,7 +274,7 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     for n, v in enumerate(stream):
         if n >= budget:
             break
-        c = g.coeff(v)
+        c = g._at(v)
         if c:
             if grade(v) == 0:
                 raise OrderNotPositive("composition requires ord > 0, "
@@ -283,7 +297,7 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
                 if d is not None:
                     yield d, tuple(terms)
                 d, terms = dv, []
-            c = g.coeff(v)
+            c = g._at(v)
             if c:
                 terms.append((v, c.numerator, c.denominator))
         if d is not None:
@@ -293,9 +307,10 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     top = None  # maxdeg(G), known only when G's skeleton is finite
     if not g.universe.gens:
         top = max(d for d, terms in groups if terms)
-    # (nu, w) -> [G^nu]_w; every entry is a fact, so concurrent writers can
-    # only store the same value and no lock is needed
-    memo: dict[tuple[int, Vec], Fraction] = {(0, vzero(g.arity)): Q(1)}
+    # (nu, w) -> [G^nu]_w as a reduced (numerator, denominator) pair of
+    # ints; every entry is a fact, so concurrent writers can only store the
+    # same value and no lock is needed
+    memo: dict[tuple[int, Vec], tuple[int, int]] = {(0, vzero(g.arity)): (1, 1)}
 
     def reaches(nu: int, d: Coord) -> bool:
         if nu == 0:
@@ -315,7 +330,7 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
                     if is_nonnegative(x):
                         yield a, b, (nu - 1, x)
 
-    def power_coeff(nu: int, w: Vec) -> Fraction:
+    def power_coeff(nu: int, w: Vec) -> tuple[int, int]:
         stack = [(nu, w)]
         while stack:
             key = stack[-1]
@@ -329,9 +344,10 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
                     stack.append(sub)
                     missing = True
                 elif not missing:
-                    n, d = qadd(n, d, a * hit.numerator, b * hit.denominator)
+                    n, d = qadd(n, d, a * hit[0], b * hit[1])
             if not missing:
-                memo[key] = Q(n, d)
+                k = math.gcd(n, d)
+                memo[key] = (n // k, d // k)
                 stack.pop()
         return memo[(nu, w)]
 
@@ -341,9 +357,8 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
         for nu in grade_window(dv, g_ord, top):
             a = pc(nu)
             if a and reaches(nu, dv):
-                c = power_coeff(nu, v)
-                n, d = qadd(n, d, a.numerator * c.numerator,
-                            a.denominator * c.denominator)
+                cn, cd = power_coeff(nu, v)
+                n, d = qadd(n, d, a.numerator * cn, a.denominator * cd)
         return Q(n, d)
 
     return GenSeries(g.arity, g.universe.closure(), oracle,

@@ -401,8 +401,12 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
         convergence = Convergence()
 
     def factory():
-        for v in body.universe.lex_stream():
-            yield (vadd(v, delta), body.coeff(v))
+        # the points come from the body's own stream, so they are read
+        # without coeff's checks; the unit shift moves none of them
+        at, pts = body._at, body.universe.lex_stream()
+        if any(delta):
+            return ((vadd(v, delta), at(v)) for v in pts)
+        return ((v, at(v)) for v in pts)
 
     return LaurentSeries(scale, factory, universe=uni, convergence=convergence,
                          provenance=f"laurent({body.provenance})")

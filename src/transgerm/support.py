@@ -15,6 +15,12 @@ two forms compare, hash and print alike (``Fraction(2) == 2``,
 ``hash(Fraction(2)) == hash(2)``, ``str(Fraction(2)) == "2"``), so a sum of
 fractional coordinates that lands on an integer is still a correct key.
 
+Read rule: a point that a universe's own ``lex_stream``, ``graded_stream``
+or ``box_points`` produced is a member of it as given, so a coefficient
+read there (``GenSeries._at``) skips normalisation, the arity check and the
+membership test; any other point is read through ``GenSeries.coeff``, which
+does all three.  Such a point may hold an integral ``Fraction`` coordinate.
+
 Coefficients are exact: every coefficient a kernel stores or yields is a
 ``Fraction`` (``Q``).  Inside, a kernel that sums products of coefficients
 (the series products, merges and family sums, the gps convolution and power
@@ -115,7 +121,7 @@ class SupportUniverse:
                 bad = next(p for p in explicit if len(p) != arity)
                 self._check_arity(bad, "point")
             self.offset = vzero(arity)
-            self.gens = frozenset()
+            self.gens = ()
             return
         self.offset = vzero(arity) if offset is None else vec(offset)
         self._check_arity(self.offset, "offset")
@@ -127,9 +133,12 @@ class SupportUniverse:
                     raise WitnessViolated(
                         f"universe generator {g} is not lex-positive")
                 cleaned.add(vec(g))
-        self.gens = frozenset(cleaned)
+        # sorted once, for every stream; the sign check that box_points and
+        # graded_stream need is answered once too, and raised on each call
+        self.gens = tuple(sorted(cleaned))
+        self._nonnegative = all(map(is_nonnegative, self.gens))
         self._by_lead: dict[int, list[Vec]] = {}
-        for g in sorted(self.gens):
+        for g in self.gens:
             self._by_lead.setdefault(_lead(g), []).append(g)
         # membership answers; every entry is a fact, so concurrent writers
         # can only store the same value and no lock is needed
@@ -304,7 +313,7 @@ class SupportUniverse:
         # point drops them
         heap = [self.offset]
         prev = None
-        gens = sorted(self.gens)
+        gens = self.gens
         known = self._known
         while heap:
             v = heapq.heappop(heap)
@@ -322,13 +331,10 @@ class SupportUniverse:
         if self.explicit is not None:
             yield from sorted(self.explicit, key=lambda p: (grade(p), p))
             return
-        for g in self.gens:
-            if not is_nonnegative(g):
-                raise WitnessViolated(
-                    "graded enumeration needs nonnegative generators")
+        self._need_nonnegative("graded")
         heap = [(grade(self.offset), self.offset)]
         seen = {self.offset}
-        gens = sorted(self.gens)
+        gens = self.gens
         while heap:
             _, v = heapq.heappop(heap)
             yield v
@@ -345,16 +351,13 @@ class SupportUniverse:
         if self.explicit is not None:
             pts = [p for p in self.explicit if leq_componentwise(p, bound)]
             return sorted(pts, key=lambda p: (grade(p), p))
-        for g in self.gens:
-            if not is_nonnegative(g):
-                raise WitnessViolated(
-                    "box enumeration needs nonnegative generators")
+        self._need_nonnegative("box")
         if not leq_componentwise(self.offset, bound):
             return []
         out = []
         stack = [self.offset]
         seen = {self.offset}
-        gens = sorted(self.gens)
+        gens = self.gens
         while stack:
             v = stack.pop()
             out.append(v)
@@ -365,10 +368,15 @@ class SupportUniverse:
                     stack.append(w)
         return sorted(out, key=lambda p: (grade(p), p))
 
+    def _need_nonnegative(self, what: str) -> None:
+        if not self._nonnegative:
+            raise WitnessViolated(
+                f"{what} enumeration needs nonnegative generators")
+
     def __repr__(self) -> str:
         if self.explicit is not None:
             return f"SupportUniverse(explicit={len(self.explicit)} pts)"
-        return f"SupportUniverse(offset={self.offset}, gens={sorted(self.gens)})"
+        return f"SupportUniverse(offset={self.offset}, gens={list(self.gens)})"
 
 
 class MemoStream:

@@ -245,6 +245,59 @@ def test_enumeration_stable():
     assert [v for v, _ in first] == [(Q(0),), (Q(1, 2),), (Q(1),), (Q(3, 2),), (Q(2),)]
 
 
+def _bodies(step):
+    """Builders of one body of each kind on a step: each call is fresh."""
+    r = Q(-2, 3)
+    return {
+        "geometric": lambda: geometric_in(2, step, r),
+        "product": lambda: geometric_in(2, step, r) * geometric_in(2, (1, 0), 3),
+        "compose_ps": lambda: compose_ps(
+            [1, -1, Q(1, 2), 2], from_terms(2, {step: r, (1, 0): -1})),
+        "from_terms": lambda: from_terms(
+            2, {(0, 0): 1, step: 3, (1, 2): -2, (Q(5, 2), 1): Q(1, 7)}),
+        "add": lambda: geometric_in(2, step, r) + from_terms(
+            2, {(0, 0): -1, (1, 0): 5, step: 1}),
+    }
+
+
+_STREAMS = {
+    "lex": lambda u: itertools.islice(u.lex_stream(), 40),
+    "box": lambda u: u.box_points((3, Q(7, 2))),
+    "graded": lambda u: itertools.islice(u.graded_stream(), 40),
+}
+
+
+@pytest.mark.parametrize("step", [(1, 1), (0, Q(1, 2)), (2, 3)])
+def test_stream_reads_equal_checked_reads(step):
+    # a point that a universe's own stream produced is read without coeff's
+    # checks; its coefficient must equal coeff's on a second fresh copy,
+    # half-integral sums that reach the read as Fraction(1) included
+    for name, build in _bodies(step).items():
+        for stream in _STREAMS.values():
+            body = build()
+            pts = list(stream(body.universe))
+            got = [body._at(v) for v in pts]
+            checked = build()
+            assert got == [checked.coeff(v) for v in pts], name
+            assert any(got), name
+    if step == (0, Q(1, 2)):
+        pts = list(itertools.islice(geometric_in(2, step).universe.lex_stream(), 3))
+        assert pts[2] == (0, 1) and type(pts[2][1]) is Q
+
+
+@pytest.mark.parametrize("step, off_ray, on_ray", [
+    ((1, 1), [(1, 0), (2, 1), (0, 1)], (2, 2)),
+    ((0, Q(1, 2)), [(1, Q(1, 2)), (0, Q(1, 3))], (0, Q(3, 2))),
+    ((2, 3), [(1, Q(3, 2)), (2, 2), (4, 3)], (4, 6)),
+])
+def test_geometric_in_is_zero_off_its_ray(step, off_ray, on_ray):
+    # the oracle reads nu from one coordinate; coeff's membership test keeps
+    # every point off the ray away from it
+    g = geometric_in(2, step, 3)
+    assert [g.coeff(v) for v in off_ray] == [0] * len(off_ray)
+    assert g.coeff(on_ray) == (9 if step != (0, Q(1, 2)) else 27)
+
+
 def _brute_compose(p, g_terms, bound, ord_g):
     """sum_nu p[nu] G^nu on the box below `bound`, by dict convolution."""
     def inside(v):

@@ -390,7 +390,14 @@ def test_failed_stream_keeps_raising(sx):
                                    "contains", "contains_explicit",
                                    "universe_shifted", "generated_short",
                                    "finite_short", "generated_offset",
-                                   "universe_union", "universe_sum"])
+                                   "universe_union", "universe_sum",
+                                   "coeff_short", "coeff_long",
+                                   "coeff_explicit_short",
+                                   "coeff_explicit_long", "gps_from_terms",
+                                   "gps_monomial", "from_terms_short",
+                                   "from_terms_long", "make_laurent",
+                                   "box_points_short", "box_points_long",
+                                   "gps_add", "gps_mul", "compose_ps_coeff"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
     # each public entry point that takes a vector or an index refuses one that
     # does not fit the scale with a typed error, not an IndexError or a
@@ -433,6 +440,33 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
             2, {(1, 0): 1, (0, 1): 2}).enumerate((3,))),
         "equal_to_bound": (ArityMismatch, lambda: gps.from_terms(
             2, {(1, 0): 1}).equal_to_bound(gps.from_terms(2, {(0, 1): 2}), (3,))),
+        # coeff is the one checked read of a coefficient, whatever the point
+        "coeff_short": (ArityMismatch,
+                        lambda: gps.geometric_in(2, (0, 1)).coeff((1,))),
+        "coeff_long": (ArityMismatch,
+                       lambda: gps.geometric_in(2, (0, 1)).coeff((0, 1, 0))),
+        "coeff_explicit_short": (ArityMismatch, lambda: gps.from_terms(
+            2, {(1, 0): 1}).coeff((1,))),
+        "coeff_explicit_long": (ArityMismatch, lambda: gps.from_terms(
+            2, {(1, 0): 1}).coeff((1, 0, 0))),
+        "gps_from_terms": (ArityMismatch,
+                           lambda: gps.from_terms(2, {(1,): 1})),
+        "gps_monomial": (ArityMismatch, lambda: gps.monomial(2, (1,))),
+        "from_terms_short": (ArityMismatch,
+                             lambda: from_terms(sxl, {(1,): 1})),
+        "from_terms_long": (ArityMismatch,
+                            lambda: from_terms(sx, {(1, 0): 1})),
+        "make_laurent": (ArityMismatch, lambda: make_laurent(
+            sx, sx.unit(), gps.from_terms(2, {(1, 0): 1}))),
+        "box_points_short": (ArityMismatch, lambda: uni.box_points((3,))),
+        "box_points_long": (ArityMismatch,
+                            lambda: uni.box_points((3, 3, 3))),
+        "gps_add": (ArityMismatch, lambda: gps.geometric_in(1, (1,))
+                    + gps.geometric_in(2, (0, 1))),
+        "gps_mul": (ArityMismatch, lambda: gps.geometric_in(1, (1,))
+                    * gps.geometric_in(2, (0, 1))),
+        "compose_ps_coeff": (ArityMismatch, lambda: gps.compose_ps(
+            [0, 1], gps.from_terms(2, {(1, 0): 1})).coeff((1,))),
     }
     error, call = calls[entry]
     with pytest.raises(error):
@@ -678,15 +712,16 @@ def test_convergence_threshold_rule(sx, X):
 def test_assert_convergent_tags_an_untagged_series(sx):
     # sum_k 2^-k exp(-k x): make_laurent tags no infinite body, so the
     # summation first refuses, then answers once convergence is asserted
+    # make_laurent reads its body along the body's own stream, past coeff,
+    # so the pulls are counted in the body's oracle
     pulls = []
-
-    class Counting(gps.GenSeries):
-        def coeff(self, alpha):
-            pulls.append(alpha)
-            return super().coeff(alpha)
-
     half = gps.geometric_in(1, (1,), Q(1, 2))
-    body = Counting(1, half.universe, half.coeff)
+
+    def counting_oracle(v):
+        pulls.append(v)
+        return half.coeff(v)
+
+    body = gps.GenSeries(1, half.universe, counting_oracle)
     f = make_laurent(sx, sx.unit(), body)
     c = cut(sx, 20)
     with pytest.raises(NotMarkedConvergent):

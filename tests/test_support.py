@@ -121,6 +121,19 @@ def test_universes_outside_natural_support_are_typed():
         skew.order()  # graded enumeration
 
 
+def test_sign_check_raises_on_every_call():
+    # the generator signs are checked once per universe; the refusal must
+    # still come on each call, not only the first
+    skew = SupportUniverse.generated(2, [(1, -1)])
+    for _ in range(2):
+        with pytest.raises(WitnessViolated):
+            skew.box_points((3, 3))
+        with pytest.raises(WitnessViolated):
+            next(skew.graded_stream())
+    assert list(itertools.islice(skew.lex_stream(), 3)) == [
+        (0, 0), (1, -1), (2, -2)]
+
+
 def test_explicit_non_chain_in_a_sum():
     # {X0, X1} is no componentwise chain; as the offset of a generated
     # universe it gives nonnegative generators, so enumeration and compose_ps
