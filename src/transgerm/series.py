@@ -13,6 +13,7 @@ reports CutoffTooDeep.  Equality is only ever decided against a cutoff.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .support import (
     qadd,
     vadd,
     vec,
+    vsub,
     vzero,
 )
 from .germ import GermTerm
@@ -230,7 +232,7 @@ def _merge_factory(children: Sequence[LaurentSeries]):
 
 def _product_factory(a: LaurentSeries, b: LaurentSeries):
     """Heap merge of the pairs (i, j), term i of a times term j of b.  Each
-    pair is reached once, as in _geometric_of: popping (i, j) pushes (i+1, j),
+    pair is reached once, as in invert: popping (i, j) pushes (i+1, j),
     and popping (0, j) also pushes (0, j+1).  Both streams ascend, so every
     pair is pushed while its parent, of a smaller vector, is popped.  An
     entry (v, i, j, n, d) carries the product a_i*b_j as the unreduced ints
@@ -428,12 +430,12 @@ def lift_germ(scale: Scale, f: GermTerm) -> LaurentSeries:
 
 
 def geometric(scale: Scale, step: Monomial, ratio=1) -> LaurentSeries:
-    """sum_nu ratio^nu step^nu for a small step monomial."""
-    e = monomial_series(scale, step, ratio)  # refuses another scale's step
+    """sum_nu ratio^nu step^nu = 1/(1 - ratio*step) for a small step."""
+    # from_terms refuses another scale's step and tags the result convergent
+    f = from_terms(scale, {vzero(scale.arity): 1, step: -Q(ratio)})
     if not step.is_small():
         raise WitnessViolated(f"geometric step {step} is not small")
-    out = _geometric_of(e, DEFAULT_BUDGET)
-    out.convergence = Convergence()
+    out = invert(f)
     out.provenance = f"geom({step})"
     return out
 
@@ -462,49 +464,48 @@ def factor_leading(f: LaurentSeries, budget: int = DEFAULT_BUDGET
     return a, lm, e
 
 
-def _geometric_of(e: LaurentSeries, budget: int) -> LaurentSeries:
-    """sum_nu e^nu for a series whose leading monomial is small.
-
-    The sum c solves c = 1 + e*c, so c_v = [v = 0] + sum_u e_u c_(v-u) over
-    the terms u of e above the origin: a self-referential online product
-    (van der Hoeven, "Relax, but don't be too lazy", 2002).  The heap holds
-    pairs (i, j) standing for term i of e times term j of c, each reached
-    once: (first, k) when c's term k is emitted, (i+1, j) when (i, j) pops.
-    Every such u is lex-positive, so c_(v-u) is emitted before v.  As in
-    _product_factory, an entry (v, i, j, n, d) carries the product e_i*c_j
-    as the unreduced ints n/d, the pops of one vector are summed with qadd,
-    and c_v is reduced once, when it is emitted; ``out`` keeps c's terms as
-    (vector, numerator, denominator) of that reduced value."""
-    get_e = e._memo.get
-    try:
-        ev, _ = e.leading_term(budget)
-    except ZeroWithinBound:
-        # only a stream that ends within the budget proves e = 0; a longer
-        # one may still have a nonzero term past it
-        if get_e(budget) is None:
-            return one(e.scale)
-        raise
-    if not Monomial(e.scale, ev).is_small():
-        raise ZeroWithinBound(f"leading monomial of remainder {ev} is not small")
-    origin = vzero(e.scale.arity)
+def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
+    """Multiplicative inverse by online division over f's own memo (van der
+    Hoeven, "Relax, but don't be too lazy", 2002).  With a*lm the leading
+    term of f, a*c_v = [v = lm^-1] - sum_u f_u c_(v-u+lm) over f's terms u
+    after lm; each u - lm is lex-positive, so c_v needs only terms already
+    emitted.  Heap entries are as in _product_factory: pair (i, j) is the
+    remainder term -f_u/a at u - lm times c's term j, reached once, at (0, j)
+    when c_j is emitted and at (i+1, j) when (i, j) pops.  Zero terms after
+    lm stay pairs, so the skeleton stays complete."""
+    # f's first two nonzero terms within the budget; one alone proves
+    # f = a*lm only when f's stream also ends within the budget
+    scan = itertools.takewhile(lambda t: t[0] < budget,
+                               enumerate(f.iter_terms()))
+    hits = list(itertools.islice((n for n, (_, c) in scan if c), 2))
+    get = f._memo.get
+    if not hits or (len(hits) == 1 and get(budget) is not None):
+        raise ZeroWithinBound(
+            f"no nonzero coefficient within the first {budget} skeleton points")
+    lm, a = get(hits[0])
+    inv_lm, inv_a = tuple(-x for x in lm), 1 / a
+    if len(hits) == 1:
+        out = from_terms(f.scale, {inv_lm: inv_a}, convergence=f.convergence)
+        out.provenance = f"inv({f.provenance})"
+        return out
+    first = hits[0] + 1
 
     def factory():
-        # e's terms at or below the origin all precede ev, so they are zero;
-        # keeping the zero term at the origin would make c_v depend on c_v.
-        # Zero terms above it stay pairs, so the skeleton stays complete.
-        first = 0
-        while get_e(first)[0] <= origin:
-            first += 1
-        out: list[tuple[Vec, int, int]] = []
-        heap = [(origin, -1, -1, 1, 1)]  # the constant 1
+        rem: list[tuple[Vec, int, int]] = []  # u - lm and -f_u/a as n, d
+        out: list[tuple[Vec, int, int]] = []  # c's terms as v, n, d
+        heap = [(inv_lm, -1, -1, inv_a.numerator, inv_a.denominator)]
 
         def push(i: int, j: int):
-            t = get_e(i)
-            if t is not None:
-                w, n, d = out[j]
-                c = t[1]
-                heapq.heappush(heap, (vadd(t[0], w), i, j,
-                                      c.numerator * n, c.denominator * d))
+            if i == len(rem):
+                # each term of f is shifted and scaled once, when first read
+                t = get(first + i)
+                if t is None:
+                    return
+                e = -t[1] * inv_a
+                rem.append((vsub(t[0], lm), e.numerator, e.denominator))
+            u, n, d = rem[i]
+            w, p, q = out[j]
+            heapq.heappush(heap, (vadd(u, w), i, j, n * p, d * q))
 
         while heap:
             v = heap[0][0]
@@ -516,27 +517,17 @@ def _geometric_of(e: LaurentSeries, budget: int) -> LaurentSeries:
                     push(i + 1, j)
             total = Q(n, d)
             out.append((v, total.numerator, total.denominator))
-            push(first, len(out) - 1)
+            push(0, len(out) - 1)
             yield (v, total)
 
     uni = None
-    if e._universe is not None and e._universe.explicit is not None:
-        gens = {p for p in e._universe.explicit if any(p)}
-        if all(lex_positive(p) for p in gens):
-            uni = SupportUniverse.generated(e.scale.arity, gens)
-    return LaurentSeries(e.scale, factory,
-                         universe=uni, provenance=f"geomsum({e.provenance})")
-
-
-def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
-    """Multiplicative inverse via the geometric construction
-    1/f = (1/a) lm^-1 (1 + e + e^2 + ...)."""
-    a, lm, e = factor_leading(f, budget)
-    geo = _geometric_of(e, budget)
-    out = geo.shifted(tuple(-x for x in lm.vector)).scaled(1 / a)
-    out.convergence = f.convergence
-    out.provenance = f"inv({f.provenance})"
-    return out
+    if f._universe is not None and f._universe.explicit is not None:
+        gens = [g for g in (vsub(p, lm) for p in f._universe.explicit) if any(g)]
+        if all(map(lex_positive, gens)):
+            uni = SupportUniverse.generated(f.scale.arity, gens, offset=inv_lm)
+    return LaurentSeries(f.scale, factory, universe=uni,
+                         convergence=f.convergence,
+                         provenance=f"inv({f.provenance})")
 
 
 def equal_to_cutoff(f: LaurentSeries, g: LaurentSeries, cutoff: Monomial,
@@ -574,11 +565,22 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
         raise WitnessViolated(
             f"witness class {witness_class} is not a class of the scale")
 
+    def checked(get: Callable[[int], object], what: str):
+        def at(nu: int):
+            m = get(nu)
+            if m is not None and m.scale != scale:
+                raise ScaleMismatch(f"{what} {nu} is over a different scale")
+            return m
+        return at
+
+    lm = checked(leading_monomials, "leading monomial")
+    member = checked(family, "family member")
+
     seen: list[Monomial] = []
     mins: list[Optional[Fraction]] = [None] * scale.arity
     shrink_count = [0] * scale.arity
     for nu in range(probe):
-        m = leading_monomials(nu)
+        m = lm(nu)
         if m is None:
             break
         proj = project_class(scale, witness_class, m)
@@ -599,10 +601,10 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
                 f"positive gap (minimum keeps shrinking)")
 
     def hint(nu: int) -> Optional[Vec]:
-        m = leading_monomials(nu)
+        m = lm(nu)
         return None if m is None else m.vector
 
-    return LaurentSeries(scale, _family_factory(family, hint),
+    return LaurentSeries(scale, _family_factory(member, hint),
                          universe=joint_skeleton,
                          provenance="family-sum")
 
@@ -733,7 +735,8 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
 def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
                 budget: int = DEFAULT_BUDGET) -> tuple[float, float]:
     """Evaluate the truncation above the cutoff at x, with the magnitude of
-    the first omitted term as tail estimate."""
+    the first omitted nonzero term as tail estimate, 0.0 if the stream ends.
+    Raises CutoffTooDeep when the budget ends before both are found."""
     if f.convergence is None:
         raise NotMarkedConvergent(
             "series has no convergence tag; use assert_convergent or a "
@@ -745,15 +748,11 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
     total = []
     tail = 0.0
     for n, (v, c) in enumerate(f.iter_terms()):
-        if n >= budget:
-            if v <= cutoff.vector:
-                raise CutoffTooDeep(f"summation above {cutoff} exceeds budget")
+        if c and v > cutoff.vector:
+            tail = abs(float(c) * Monomial(f.scale, v).eval(x))
             break
-        if v > cutoff.vector:
-            if c:
-                tail = abs(float(c) * Monomial(f.scale, v).eval(x))
-                break
-            continue
+        if n >= budget:
+            raise CutoffTooDeep(f"summation above {cutoff} exceeds budget")
         if c:
             total.append(float(c) * Monomial(f.scale, v).eval(x))
     return math.fsum(total), tail

@@ -23,8 +23,8 @@ does all three.  Such a point may hold an integral ``Fraction`` coordinate.
 
 Coefficients are exact: every coefficient a kernel stores or yields is a
 ``Fraction`` (``Q``).  Inside, a kernel that sums products of coefficients
-(the series products, merges and family sums, the gps convolution and power
-table) keeps each sum as a pair of ints, a numerator over a running
+(the series products, merges, family sums and inverse, the gps convolution
+and power table) keeps each sum as a pair of ints, a numerator over a running
 denominator, and adds terms with ``qadd``; it builds ``Q(n, d)``, which
 reduces by one gcd, once per coefficient it emits.  The pair is not reduced
 on the way, but its denominator stays the lcm of the denominators added.

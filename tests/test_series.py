@@ -197,6 +197,41 @@ def test_invert_remainder_past_budget_is_typed(sx):
         ((Q(0),), Q(1)), ((Q(100),), Q(-1)), ((Q(200),), Q(1))]
 
 
+def test_invert_two_terms_closed_form(sx, sxl):
+    # 1/(a m^p + b m^(p+s)) = sum_k (-b)^k / a^(k+1) m^(k s - p) to depth 200,
+    # with the lead p at and away from the origin and an arity-2 step
+    a, b = Q(-3, 2), Q(2, 5)
+    for sc, p, s in ((sx, (0,), (1,)), (sx, (-3,), (1,)), (sx, (2,), (1,)),
+                     (sxl, (0, 0), (1, -2)), (sxl, (-1, 3), (1, -2))):
+        f = from_terms(sc, {p: a, tuple(x + y for x, y in zip(p, s)): b})
+        want = [(tuple(k * y - x for x, y in zip(p, s)), (-b) ** k / a ** (k + 1))
+                for k in range(201)]
+        assert invert(f).terms_to_cutoff(Monomial(sc, want[-1][0])) == want
+
+
+def test_invert_budget_edge(sx):
+    # 1 followed by k-1 zero skeleton points: within a budget of 50 the
+    # stream is seen to end, proving f = 1, only when k = 50
+    def f(k):
+        body = (gps.from_terms(1, {(i,): 1 for i in range(k)})
+                - gps.from_terms(1, {(i,): 1 for i in range(1, k)}))
+        return make_laurent(sx, sx.unit(), body)
+
+    assert list(invert(f(50), budget=50).iter_terms()) == [((0,), 1)]
+    with pytest.raises(ZeroWithinBound):
+        invert(f(51), budget=50)
+
+
+def test_invert_order_type(sx, sxl):
+    for f, want in ((from_terms(sx, {(0,): 1, (1,): -1}), (1, "omega")),
+                    (from_terms(sxl, {(0, 0): 1, (0, 1): -1, (1, 0): 1}),
+                     (2, "omega^2")),
+                    (from_terms(sxl, {(0, 0): 1, (1, -1): -1}), (2, None))):
+        ot = order_type(invert(f))
+        exact = None if ot.exact is None else str(ot.exact)
+        assert (ot.bound_exponent, exact) == want
+
+
 def _invert_sxl(sxl):
     return invert(from_terms(sxl, {(0, 0): 2, (1, 0): -3, (1, -2): 1,
                                    (2, 1): Q(1, 2)}))
@@ -665,6 +700,23 @@ def test_sum_numeric_finite_exact(sx):
     assert tail == 0.0
 
 
+def test_sum_numeric_budget_ends_before_tail(sx):
+    # (1 - X) sum X^k + X^100 at x = 2 above m[0]: the tail term X^100 lies
+    # past a budget of 50, which must not read as a tail of 0.0
+    one_minus = gps.constant(1, 1) - gps.monomial(1, (1,))
+    body = one_minus * gps.geometric_in(1, (1,)) + gps.monomial(1, (100,))
+    f = make_laurent(sx, sx.unit(), body, convergence=S.Convergence())
+    with pytest.raises(CutoffTooDeep):
+        sum_numeric(f, 2.0, cut(sx, 0), budget=50)
+    val, tail = sum_numeric(f, 2.0, cut(sx, 0))
+    assert val == 1.0 and tail == pytest.approx(math.exp(-200.0), rel=1e-12)
+    # a stream that ends within the budget keeps a tail of 0.0
+    g = from_terms(sx, {(0,): 3, (1,): -2})
+    assert sum_numeric(g, 2.0, cut(sx, 10), budget=2)[1] == 0.0
+    with pytest.raises(CutoffTooDeep):
+        sum_numeric(g, 2.0, cut(sx, 10), budget=1)
+
+
 def test_sum_numeric_geometric_closed_form(sx):
     f = invert(from_terms(sx, {(0,): 1, (1,): -1}))
     val, tail = sum_numeric(f, 5.0, cut(sx, 6))
@@ -771,12 +823,24 @@ def test_lift_germ(sxl, X, LOG):
 
 
 def test_monomial_over_another_scale_is_refused(sx, sl):
-    # m[1] over (log x) is 1/log x; over (x) the same vector is exp(-x)
+    # m[1] over (log x) is 1/log x; over (x) the same vector is exp(-x), so
+    # a family sum over (x) would read x^-nu from (log x) as exp(-nu x)
     m = sl.monomial([1])
+    terms_x = lambda nu: from_terms(sx, {(nu,): 1})
+    terms_l = lambda nu: from_terms(sl, {(nu,): 1})
     for build in (lambda: from_terms(sx, {m: 1}),
                   lambda: S.monomial_series(sx, m),
                   lambda: geometric(sx, m),
-                  lambda: geometric(sx, sl.monomial([-1]))):
+                  lambda: geometric(sx, sl.monomial([-1])),
+                  # leading monomials, in the probe and when a member opens
+                  lambda: sum_family(sx, terms_x, 0, lambda nu: cut(sl, nu)),
+                  lambda: sum_family(
+                      sx, terms_x, 0,
+                      lambda nu: cut(sx if nu < 2 else sl, nu),
+                      probe=2).terms_to_cutoff(cut(sx, 3)),
+                  # members, when they open
+                  lambda: sum_family(sx, terms_l, 0, lambda nu: cut(sx, nu))
+                  .terms_to_cutoff(cut(sx, 3))):
         with pytest.raises(ScaleMismatch):
             build()
     assert S.monomial_series(sl, m).terms_to_cutoff(cut(sl, 2)) == [((1,), 1)]
