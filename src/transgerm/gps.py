@@ -110,15 +110,20 @@ class GenSeries:
 
     def __mul__(self, other: "GenSeries") -> "GenSeries":
         self._check(other)
+        # walk the box of a finite factor when only one is finite: an
+        # infinite factor's box under v grows with v
+        a, b = self, other
+        if a.universe.explicit is None and b.universe.explicit is not None:
+            a, b = b, a
 
         def conv(v: Vec) -> Fraction:
-            # beta is a box point of self's universe; v - beta need not be
-            # a point of other's, so only that read is checked
+            # beta is a box point of a's universe; v - beta need not be a
+            # point of b's, so only that read is checked
             n, d = 0, 1
-            for beta in self.universe.box_points(v):
-                x = self._at(beta)
+            for beta in a.universe.box_points(v):
+                x = a._at(beta)
                 if x:
-                    y = other.coeff(vsub(v, beta))
+                    y = b.coeff(vsub(v, beta))
                     n, d = qadd(n, d, x.numerator * y.numerator,
                                 x.denominator * y.denominator)
             return Q(n, d)
@@ -137,26 +142,23 @@ class GenSeries:
 
     # -- order ------------------------------------------------------------------
 
-    def ord_and_min(self, budget: int = DEFAULT_BUDGET,
-                    grade_cap: Optional[Coord] = None
+    def ord_and_min(self, budget: int = DEFAULT_BUDGET
                     ) -> tuple[Coord, list[Vec]]:
         """Order (least total degree of a nonzero coefficient) and the
         componentwise-minimal support points found within the budget.
 
         The antichain is exact whenever all minimal support points have total
-        degree at most ``grade_cap`` (default: 4 + 4*ord)."""
+        degree at most 4 + 4*ord."""
         first = None
         stream = self.universe.graded_stream()
         found: list[Vec] = []
-        cap = grade_cap
         for n, v in enumerate(stream):
             if n >= budget:
                 break
             if first is None:
                 if self._at(v):
                     first = v
-                    if cap is None:
-                        cap = grade(v) * 4 + 4
+                    cap = grade(v) * 4 + 4
                 continue
             if grade(v) > cap:
                 break

@@ -208,43 +208,78 @@ def _map_factory(src: LaurentSeries, fn):
     return factory
 
 
+def _heap_sum(heap: list, popped: Callable[[int, int], None]
+              ) -> Iterator[Term]:
+    """The one series kernel: pop every entry (v, i, j, n, d) at the least
+    v, sum the ints n/d with qadd, call popped(i, j) for each popped entry,
+    and yield (v, Q(n, d)), reduced once.  The push rules live in popped and
+    in the caller, which may push more entries between yields; each pushed
+    v must come after the v just yielded."""
+    pop = heapq.heappop
+    while heap:
+        v = heap[0][0]
+        n, d = 0, 1
+        while heap and heap[0][0] == v:
+            _, i, j, p, q = pop(heap)
+            n, d = qadd(n, d, p, q)
+            popped(i, j)
+        yield (v, Q(n, d))
+
+
+def _stream_pusher(heap: list, iters: list, hints: list):
+    """advance(k) pushes the next term of stream iters[k] as (v, k, 0, n, d),
+    skipping its terms above hints[k], its declared leading monomial: a
+    nonzero one there violates the witness, and more than DEFAULT_BUDGET
+    zeros refuse.  Streams ascend, so only a stream's first push skips.
+    advance is also _heap_sum's popped, which passes j as well."""
+
+    def advance(k: int, _j: int = 0) -> None:
+        it, h = iters[k], hints[k]
+        t = next(it, None)
+        skipped = 0
+        while t is not None and t[0] < h:
+            if t[1]:
+                raise WitnessViolated(
+                    f"member {k} has support above its declared leading "
+                    f"monomial")
+            t = next(it, None)
+            skipped += 1
+            if skipped > DEFAULT_BUDGET:
+                raise CutoffTooDeep(
+                    "family member fast-forward budget exceeded")
+        if t is not None:
+            c = t[1]
+            heapq.heappush(heap, (t[0], k, 0, c.numerator, c.denominator))
+
+    return advance
+
+
 def _merge_factory(children: Sequence[LaurentSeries]):
     def factory():
+        heap: list = []
         iters = [ch.iter_terms() for ch in children]
-        heads: list = []
-        for idx, it in enumerate(iters):
-            t = next(it, None)
-            if t is not None:
-                heapq.heappush(heads, (t[0], idx, t[1]))
-        while heads:
-            v = heads[0][0]
-            n, d = 0, 1
-            while heads and heads[0][0] == v:
-                _, idx, c = heapq.heappop(heads)
-                n, d = qadd(n, d, c.numerator, c.denominator)
-                t = next(iters[idx], None)
-                if t is not None:
-                    heapq.heappush(heads, (t[0], idx, t[1]))
-            yield (v, Q(n, d))
+        # () precedes every vector, so nothing is skipped
+        advance = _stream_pusher(heap, iters, [()] * len(iters))
+        for k in range(len(iters)):
+            advance(k)
+        yield from _heap_sum(heap, advance)
 
     return factory
 
 
 def _product_factory(a: LaurentSeries, b: LaurentSeries):
-    """Heap merge of the pairs (i, j), term i of a times term j of b.  Each
-    pair is reached once, as in invert: popping (i, j) pushes (i+1, j),
-    and popping (0, j) also pushes (0, j+1).  Both streams ascend, so every
-    pair is pushed while its parent, of a smaller vector, is popped.  An
-    entry (v, i, j, n, d) carries the product a_i*b_j as the unreduced ints
-    n/d, so a pop reads no memo; the pops of one vector are summed with qadd
-    and the term is reduced once, when it is yielded.  Square rule: when a
-    and b share one memo (f*f, or f times a view of f), only the pairs
-    i <= j are visited and an off-diagonal product counts twice."""
+    """Johnson's heap product over _heap_sum: entry (i, j) is term i of a
+    times term j of b, as the unreduced ints n/d, so a pop reads no memo.
+    Each pair is reached once: popping (i, j) pushes (i+1, j), and popping
+    (0, j) also pushes (0, j+1).  Both streams ascend, so every pair is
+    pushed while its parent, of a smaller vector, is popped.  Square rule:
+    when a and b share one memo (f*f, or f times a view of f), only the
+    pairs i <= j are visited and an off-diagonal product counts twice."""
     get_a, get_b = a._memo.get, b._memo.get
     square = a._memo is b._memo
 
     def factory():
-        heap = []
+        heap: list = []
 
         def push(i: int, j: int):
             ta, tb = get_a(i), get_b(j)
@@ -255,18 +290,14 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
                                       n + n if square and i != j else n,
                                       x.denominator * y.denominator))
 
+        def popped(i: int, j: int):
+            if not square or i < j:
+                push(i + 1, j)
+            if i == 0:
+                push(0, j + 1)
+
         push(0, 0)
-        while heap:
-            v = heap[0][0]
-            n, d = 0, 1
-            while heap and heap[0][0] == v:
-                _, i, j, p, q = heapq.heappop(heap)
-                n, d = qadd(n, d, p, q)
-                if not square or i < j:
-                    push(i + 1, j)
-                if i == 0:
-                    push(0, j + 1)
-            yield (v, Q(n, d))
+        yield from _heap_sum(heap, popped)
 
     return factory
 
@@ -278,76 +309,37 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
     be strictly lex-increasing.  None signals the end of the family."""
 
     def factory():
+        heap: list = []
         iters: list = []
-        heads: list = []
         hints: list = []
-        opened = 0
+        advance = _stream_pusher(heap, iters, hints)
 
-        def open_next() -> bool:
-            nonlocal opened
-            h = lm_hint(opened)
-            if h is None:
-                return False
-            if hints and h <= hints[-1]:
-                raise WitnessViolated(
-                    f"leading monomials do not strictly decrease at member {opened}")
-            m = member(opened)
-            hints.append(h)
-            opened += 1
-            if m is None:
-                return False
-            it = m.iter_terms()
-            # fast-forward past skeleton points above the declared leading
-            # monomial: nonzero coefficients there violate the witness
-            t = next(it, None)
-            skipped = 0
-            while t is not None and t[0] < h:
-                if t[1]:
-                    raise WitnessViolated(
-                        f"member {opened - 1} has support above its declared "
-                        f"leading monomial")
-                t = next(it, None)
-                skipped += 1
-                if skipped > DEFAULT_BUDGET:
-                    raise CutoffTooDeep(
-                        "family member fast-forward budget exceeded")
-            iters.append(it)
-            if t is not None:
-                heapq.heappush(heads, (t[0], len(iters) - 1, t[1]))
-            return True
-
-        if not open_next():
-            return
-        while True:
-            # open every member whose support could reach the current frontier
-            guard = 0
+        def open_frontier(guard: int):
+            # open every member whose support could reach the frontier
             while True:
-                nxt = lm_hint(opened)
-                if nxt is None:
-                    break
-                if heads and nxt > heads[0][0]:
-                    break
-                if not open_next():
-                    break
+                k = len(iters)
+                h = lm_hint(k)
+                if h is None or (heap and h > heap[0][0]):
+                    return
+                if hints and h <= hints[-1]:
+                    raise WitnessViolated(
+                        f"leading monomials do not strictly decrease at member {k}")
+                m = member(k)
+                hints.append(h)
+                iters.append(iter(()) if m is None else m.iter_terms())
+                if m is None:
+                    return
+                advance(k)
                 guard += 1
                 if guard > DEFAULT_BUDGET:
                     raise CutoffTooDeep(
                         "family opening budget exceeded; leading monomials "
                         "are not coinitial past the frontier")
-            if not heads:
-                return
-            v = heads[0][0]
-            n, d = 0, 1
-            while heads and heads[0][0] == v:
-                _, idx, c = heapq.heappop(heads)
-                if c and v < hints[idx]:
-                    raise WitnessViolated(
-                        f"member {idx} has support above its declared leading monomial")
-                n, d = qadd(n, d, c.numerator, c.denominator)
-                t = next(iters[idx], None)
-                if t is not None:
-                    heapq.heappush(heads, (t[0], idx, t[1]))
-            yield (v, Q(n, d))
+
+        open_frontier(-1)  # member 0 is not counted
+        for t in _heap_sum(heap, advance):
+            yield t
+            open_frontier(0)
 
     return factory
 
@@ -469,19 +461,24 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     Hoeven, "Relax, but don't be too lazy", 2002).  With a*lm the leading
     term of f, a*c_v = [v = lm^-1] - sum_u f_u c_(v-u+lm) over f's terms u
     after lm; each u - lm is lex-positive, so c_v needs only terms already
-    emitted.  Heap entries are as in _product_factory: pair (i, j) is the
-    remainder term -f_u/a at u - lm times c's term j, reached once, at (0, j)
-    when c_j is emitted and at (i+1, j) when (i, j) pops.  Zero terms after
-    lm stay pairs, so the skeleton stays complete."""
+    emitted.  The sum is _heap_sum's: pair (i, j) is the remainder term
+    -f_u/a at u - lm times c's term j, reached once, at (0, j) when c_j is
+    emitted and at (i+1, j) when (i, j) pops.  Zero terms after lm stay
+    pairs, so the skeleton stays complete."""
     # f's first two nonzero terms within the budget; one alone proves
     # f = a*lm only when f's stream also ends within the budget
     scan = itertools.takewhile(lambda t: t[0] < budget,
                                enumerate(f.iter_terms()))
     hits = list(itertools.islice((n for n, (_, c) in scan if c), 2))
     get = f._memo.get
-    if not hits or (len(hits) == 1 and get(budget) is not None):
+    if not hits:
         raise ZeroWithinBound(
             f"no nonzero coefficient within the first {budget} skeleton points")
+    if len(hits) == 1 and get(budget) is not None:
+        raise ZeroWithinBound(
+            f"the remainder after the leading term has no nonzero coefficient "
+            f"within the first {budget} skeleton points, and the stream does "
+            f"not end there")
     lm, a = get(hits[0])
     inv_lm, inv_a = tuple(-x for x in lm), 1 / a
     if len(hits) == 1:
@@ -493,9 +490,11 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     def factory():
         rem: list[tuple[Vec, int, int]] = []  # u - lm and -f_u/a as n, d
         out: list[tuple[Vec, int, int]] = []  # c's terms as v, n, d
-        heap = [(inv_lm, -1, -1, inv_a.numerator, inv_a.denominator)]
+        heap: list = []
 
-        def push(i: int, j: int):
+        def push_next(i: int, j: int):
+            # pair (i+1, j): when (i, j) pops, and (0, j) as push_next(-1, j)
+            i += 1
             if i == len(rem):
                 # each term of f is shifted and scaled once, when first read
                 t = get(first + i)
@@ -507,18 +506,12 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
             w, p, q = out[j]
             heapq.heappush(heap, (vadd(u, w), i, j, n * p, d * q))
 
-        while heap:
-            v = heap[0][0]
-            n, d = 0, 1
-            while heap and heap[0][0] == v:
-                _, i, j, p, q = heapq.heappop(heap)
-                n, d = qadd(n, d, p, q)
-                if i >= 0:
-                    push(i + 1, j)
-            total = Q(n, d)
-            out.append((v, total.numerator, total.denominator))
-            push(0, len(out) - 1)
-            yield (v, total)
+        # c's first term is 1/a at lm^-1; every later one is a heap sum
+        for v, c in itertools.chain([(inv_lm, inv_a)],
+                                    _heap_sum(heap, push_next)):
+            out.append((v, c.numerator, c.denominator))
+            push_next(-1, len(out) - 1)
+            yield (v, c)
 
     uni = None
     if f._universe is not None and f._universe.explicit is not None:
@@ -550,7 +543,6 @@ def is_zero_to_cutoff(f: LaurentSeries, cutoff: Monomial,
 def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
                witness_class: int,
                leading_monomials: Callable[[int], Optional[Monomial]],
-               joint_skeleton: Optional[SupportUniverse] = None,
                probe: int = 40) -> LaurentSeries:
     """Sum of F_0 + F_1 + ... with caller-supplied coinitiality witness.
 
@@ -605,7 +597,6 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
         return None if m is None else m.vector
 
     return LaurentSeries(scale, _family_factory(member, hint),
-                         universe=joint_skeleton,
                          provenance="family-sum")
 
 
@@ -649,22 +640,6 @@ class OmegaPoly:
     def omega_power(k: int, c: int = 1) -> "OmegaPoly":
         return OmegaPoly(((k, c),))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def times_finite(self, n: int) -> "OmegaPoly":
-        if n == 0 or self.is_zero():
-            return OmegaPoly(())
-        if n == 1:
-            return self
-        (e, c), rest = self.coeffs[0], self.coeffs[1:]
-        return OmegaPoly(((e, c * n),) + rest)
-
-    def times_omega(self) -> "OmegaPoly":
-        if self.is_zero():
-            return self
-        return OmegaPoly(((self.coeffs[0][0] + 1, 1),))
-
     def __le__(self, other: "OmegaPoly") -> bool:
         return self.coeffs <= other.coeffs
 
@@ -696,7 +671,10 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     generators contributes one omega factor; for a validated scale the
     generators are pairwise incomparable as monomials, so classes are
     counted per generator).  The exact type is computed for finite series
-    and for skeletons that split as per-coordinate products."""
+    and for skeletons that split as per-coordinate products: when every
+    generator moves one coordinate, each of the k coordinates moved is a
+    factor omega and every other one a single point, so the type is
+    omega^k."""
     witness = 0
     exhausted = False
     for n, (v, c) in enumerate(f.iter_terms()):
@@ -715,16 +693,9 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
         return OrderTypeBound(f.scale.arity, None, witness)
     infinite = uni.infinite_coordinates()
     bound = max(1, len(infinite))
-    factors = uni.product_factors()
     exact = None
-    if factors is not None:
-        exact = OmegaPoly.finite(1)
-        for i in range(len(factors) - 1, -1, -1):
-            fac = factors[i]
-            if fac == "omega":
-                exact = exact.times_omega()
-            else:
-                exact = exact.times_finite(len(fac))
+    if uni.explicit is None and all(sum(map(bool, g)) == 1 for g in uni.gens):
+        exact = OmegaPoly.omega_power(len(infinite))
     return OrderTypeBound(bound, exact, witness)
 
 

@@ -23,10 +23,11 @@ does all three.  Such a point may hold an integral ``Fraction`` coordinate.
 
 Coefficients are exact: every coefficient a kernel stores or yields is a
 ``Fraction`` (``Q``).  Inside, a kernel that sums products of coefficients
-(the series products, merges, family sums and inverse, the gps convolution
-and power table) keeps each sum as a pair of ints, a numerator over a running
-denominator, and adds terms with ``qadd``; it builds ``Q(n, d)``, which
-reduces by one gcd, once per coefficient it emits.  The pair is not reduced
+(``series._heap_sum``, the one series kernel under the merges, products,
+family sums and inverse; the gps convolution and power table) keeps each sum
+as a pair of ints, a numerator over a running denominator, and adds terms
+with ``qadd``; it builds ``Q(n, d)``, which reduces by one gcd, once per
+coefficient it emits.  The pair is not reduced
 on the way, but its denominator stays the lcm of the denominators added.
 """
 
@@ -222,23 +223,6 @@ class SupportUniverse:
                 if a:
                     out.add(i)
         return out
-
-    def product_factors(self) -> Optional[list[object]]:
-        """Per-coordinate factor structure when the universe is a product of
-        single-coordinate sets: returns a list whose i-th entry is either a
-        sorted list of exponents (finite factor) or the string 'omega'.
-        None when the generators mix coordinates."""
-        if self.explicit is not None:
-            return None
-        sets: list = [{self.offset[i]} for i in range(self.arity)]
-        for g in self.gens:
-            nz = [i for i, a in enumerate(g) if a]
-            if len(nz) != 1:
-                return None
-            if g[nz[0]] < 0:
-                return None
-            sets[nz[0]] = "omega"
-        return [s if s == "omega" else sorted(s) for s in sets]
 
     def contains(self, v: Vec) -> bool:
         """Whether v is a point of the universe.

@@ -78,6 +78,29 @@ def test_mul_difference_of_squares():
     assert prod.coeff((3,)) == 0
 
 
+def test_mul_walks_the_finite_factor(monkeypatch):
+    # (2 + sum X^k)(1 - X) = 3 - 2X: each coefficient needs at most the two
+    # points of the finite factor's box, whichever side that factor is on;
+    # the infinite factor's box at X^k has k + 1 points
+    walked = [0]
+    box_points = SupportUniverse.box_points
+
+    def counted(uni, bound):
+        pts = box_points(uni, bound)
+        walked[0] += len(pts)
+        return pts
+
+    monkeypatch.setattr(SupportUniverse, "box_points", counted)
+    geo = constant(1, 2) + geometric_in(1, (1,))
+    one_minus = from_terms(1, {(0,): 1, (1,): -1})
+    n = 200
+    for prod in (geo * one_minus, one_minus * geo):
+        walked[0] = 0
+        coeffs = [prod.coeff((k,)) for k in range(n + 1)]
+        assert coeffs == [3, -2] + [0] * (n - 1)
+        assert walked[0] <= 2 * (n + 1)
+
+
 def test_add_identity():
     g = from_terms(2, {(1, 0): 3, (0, 2): Q(1, 2)})
     z = constant(2, 0)

@@ -14,7 +14,7 @@ import pytest
 from transgerm import gps
 from transgerm.germ import g_x
 from transgerm.scale import make_scale
-from transgerm.series import from_terms, invert
+from transgerm.series import from_terms, invert, sum_family
 
 RATIOS = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(7, 10)]
 
@@ -82,6 +82,20 @@ def test_invert_matches_power_series_division(sx):
                   Fraction(0))
         b.append(-acc / a[0])
     assert dense_terms(invert(series_of(sx, a)), n) == b
+
+
+@pytest.mark.parametrize("r, s", [(RATIOS[0], RATIOS[1]),
+                                  (RATIOS[2], RATIOS[3])])
+def test_sum_family_matches_convolution(sx, r, s):
+    # F_nu = r^nu m^nu * sum_k s^k m^k, so the m^n coefficient of the
+    # family's sum is sum_(nu <= n) r^nu s^(n - nu)
+    geo = invert(series_of(sx, [Fraction(1), -s]))
+    fam = lambda nu: from_terms(sx, {(nu,): r ** nu}) * geo
+    total = sum_family(sx, fam, 0, lambda nu: sx.monomial([nu]))
+    n = 20
+    assert dense_terms(total, n) == [
+        sum((r ** nu * s ** (k - nu) for nu in range(k + 1)), Fraction(0))
+        for k in range(n + 1)]
 
 
 def test_gps_product_matches_dense_convolution():

@@ -218,8 +218,11 @@ def test_invert_budget_edge(sx):
         return make_laurent(sx, sx.unit(), body)
 
     assert list(invert(f(50), budget=50).iter_terms()) == [((0,), 1)]
-    with pytest.raises(ZeroWithinBound):
+    # f has a leading term, so the refusal names the remainder
+    with pytest.raises(ZeroWithinBound, match="remainder .* does not end"):
         invert(f(51), budget=50)
+    with pytest.raises(ZeroWithinBound, match="no nonzero coefficient"):
+        invert(from_terms(sx, {}), budget=50)
 
 
 def test_invert_order_type(sx, sxl):
@@ -415,6 +418,45 @@ def test_failed_stream_keeps_raising(sx):
             s.terms_to_cutoff(cut(sx, 10))
     # the terms stored before the failure stay readable
     assert s.terms_to_cutoff(cut(sx, 0)) == [((0,), 1)]
+
+
+def test_sum_family_fast_forwards_zeros_above_hint(sx):
+    # member nu is sum_(k >= nu) m^k, read over the geometric skeleton from
+    # m^0: its nu zero points above m^nu are skipped, so the sum ascends
+    fam = lambda nu: geometric(sx, cut(sx, 1)).subseries(lambda v: v[0] >= nu)
+    s = sum_family(sx, fam, 0, lambda nu: cut(sx, nu))
+    assert list(itertools.islice(s.iter_terms(), 12)) == [
+        ((k,), k + 1) for k in range(12)]
+
+
+def test_sum_family_fast_forward_budget(sx):
+    # one member with hint m^zeros, whose stream has `zeros` zero skeleton
+    # points above it; DEFAULT_BUDGET zeros are skipped, one more refuses
+    def family(zeros):
+        fam = lambda nu: (geometric(sx, cut(sx, 1))
+                          .subseries(lambda v: v[0] >= zeros)
+                          if nu == 0 else None)
+        lm = lambda nu: cut(sx, zeros) if nu == 0 else None
+        return sum_family(sx, fam, 0, lm)
+
+    s = family(gps.DEFAULT_BUDGET)
+    assert s.terms_to_cutoff(cut(sx, gps.DEFAULT_BUDGET)) == [
+        ((gps.DEFAULT_BUDGET,), 1)]
+    with pytest.raises(CutoffTooDeep, match="fast-forward"):
+        family(gps.DEFAULT_BUDGET + 1).terms_to_cutoff(cut(sx, 0))
+
+
+def test_sum_family_opening_budget(sx):
+    # empty members: the frontier never moves, so every next member is
+    # opened; member 0 and DEFAULT_BUDGET more open, one more refuses
+    def family(members):
+        fam = lambda nu: from_terms(sx, {}) if nu < members else None
+        lm = lambda nu: cut(sx, nu) if nu < members else None
+        return sum_family(sx, fam, 0, lm)
+
+    assert family(gps.DEFAULT_BUDGET + 1).terms_to_cutoff(cut(sx, 0)) == []
+    with pytest.raises(CutoffTooDeep, match="opening budget"):
+        family(gps.DEFAULT_BUDGET + 2).terms_to_cutoff(cut(sx, 0))
 
 
 @pytest.mark.parametrize("entry", ["shifted", "sum_family", "project_class",
