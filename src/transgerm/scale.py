@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import germ as G
 from .errors import ArityMismatch, NotAnAsymptoticScale, ScaleMismatch
@@ -75,20 +75,28 @@ class Monomial:
         return G.g_exp(acc, max_depth=64)
 
     def eval(self, x: float) -> float:
-        s = 0.0
-        for a, f in zip(self.vector, self.scale.generators):
-            if a:
-                s -= float(a) * G.eval_germ(f, x)
-        try:
-            return math.exp(s)
-        except OverflowError:
-            return math.inf
+        return monomial_value(self.scale, self.vector,
+                              lambda i: G.eval_germ(self.scale.generators[i], x))
 
     def __str__(self) -> str:
         return "m[" + ",".join(str(a) for a in self.vector) + "]"
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
+
+
+def monomial_value(s: Scale, v: Vec, gen_value: Callable[[int], float]) -> float:
+    """exp(-sum of a_i * gen_value(i) over v's nonzero a_i); inf on overflow."""
+    if len(v) != s.arity:
+        raise ArityMismatch(f"monomial {v} has arity {len(v)}, expected {s.arity}")
+    acc = 0.0
+    for i, a in enumerate(v):
+        if a:
+            acc -= float(a) * gen_value(i)
+    try:
+        return math.exp(acc)
+    except OverflowError:
+        return math.inf
 
 
 def _check_same(m: Monomial, n: Monomial) -> None:

@@ -12,6 +12,7 @@ reports CutoffTooDeep.  Equality is only ever decided against a cutoff.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -32,7 +33,7 @@ from .errors import (
     ZeroWithinBound,
 )
 from .gps import DEFAULT_BUDGET, GenSeries
-from .scale import Monomial, Scale, make_scale, monomial_cmp
+from .scale import Monomial, Scale, make_scale, monomial_cmp, monomial_value
 from .support import (
     MemoStream,
     Q,
@@ -69,17 +70,35 @@ def _combine_convergence(*tags: Optional[Convergence]) -> Optional[Convergence]:
 
 
 class LaurentSeries:
-    """Lazy generalized Laurent series over a Scale."""
+    """Lazy generalized Laurent series over a Scale.  Its support universe is
+    built on the first read of ``_universe``, as ``universe`` of the universes
+    of the series ``reads``: None when any of those is, or ``universe`` is."""
 
-    def __init__(self, scale: Scale, factory: Callable[[], Iterator[Term]],
-                 *, universe: Optional[SupportUniverse] = None,
-                 convergence: Optional[Convergence] = None,
-                 provenance: str = ""):
+    def __init__(self, scale: Scale, factory: Callable[[], Iterator[Term]], *,
+                 universe: Optional[Callable] = None, reads: tuple = (),
+                 convergence: Optional[Convergence] = None, provenance: str = ""):
         self.scale = scale
         self.convergence = convergence
         self.provenance = provenance
-        self._universe = universe
+        self._build_universe, self._reads, self._uni = universe, reads, None
         self._memo = MemoStream(factory)
+
+    @property
+    def _universe(self) -> Optional[SupportUniverse]:
+        # the unbuilt universes read are built first, in post-order on an
+        # explicit stack, so a long chain of series does not recurse
+        stack = [(self, False)]
+        while stack:
+            s, ready = stack.pop()
+            build = s._build_universe
+            if build is not None and not ready:
+                stack.append((s, True))
+                stack += [(r, False) for r in s._reads]
+            elif build is not None:
+                us = [r._uni for r in s._reads]
+                s._uni = None if None in us else build(*us)
+                s._build_universe = None  # after _uni, for a racing reader
+        return self._uni
 
     # -- enumeration ------------------------------------------------------------
 
@@ -123,11 +142,9 @@ class LaurentSeries:
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_series(other)
-        uni = None
-        if self._universe is not None and other._universe is not None:
-            uni = self._universe.union(other._universe)
         return LaurentSeries(
-            self.scale, _merge_factory([self, other]), universe=uni,
+            self.scale, _merge_factory([self, other]),
+            universe=SupportUniverse.union, reads=(self, other),
             convergence=_combine_convergence(self.convergence, other.convergence),
             provenance=f"({self.provenance}+{other.provenance})")
 
@@ -139,30 +156,22 @@ class LaurentSeries:
 
     def scaled(self, q) -> "LaurentSeries":
         q = Q(q)
-        return LaurentSeries(
-            self.scale, _map_factory(self, lambda v, c: (v, q * c)),
-            universe=self._universe, convergence=self.convergence,
-            provenance=f"({q}*{self.provenance})")
+        return self._mapped(lambda v, c: (v, q * c), f"({q}*{self.provenance})")
 
     def shifted(self, delta: Vec) -> "LaurentSeries":
         delta = vec(delta)
         if len(delta) != self.scale.arity:
             raise ArityMismatch(
                 f"shift {delta} has arity {len(delta)}, expected {self.scale.arity}")
-        uni = self._universe.shifted(delta) if self._universe is not None else None
-        return LaurentSeries(
-            self.scale, _map_factory(self, lambda v, c: (vadd(v, delta), c)),
-            universe=uni, convergence=self.convergence,
-            provenance=f"shift({self.provenance})")
+        return self._mapped(lambda v, c: (vadd(v, delta), c),
+                            f"shift({self.provenance})", lambda u: u.shifted(delta))
 
     def __mul__(self, other) -> "LaurentSeries":
         if isinstance(other, LaurentSeries):
             self._check_series(other)
-            uni = None
-            if self._universe is not None and other._universe is not None:
-                uni = self._universe.sum(other._universe)
             return LaurentSeries(
-                self.scale, _product_factory(self, other), universe=uni,
+                self.scale, _product_factory(self, other),
+                universe=SupportUniverse.sum, reads=(self, other),
                 convergence=_combine_convergence(self.convergence, other.convergence),
                 provenance=f"({self.provenance}*{other.provenance})")
         return self.scaled(other)
@@ -171,11 +180,15 @@ class LaurentSeries:
 
     def subseries(self, keep: Callable[[Vec], bool]) -> "LaurentSeries":
         """Restrict coefficients to a decidable exponent predicate."""
+        return self._mapped(lambda v, c: (v, c if keep(v) else Q(0)),
+                            f"sub({self.provenance})")
+
+    def _mapped(self, fn, provenance: str, universe=lambda u: u) -> "LaurentSeries":
+        """fn(v, c) of each term, with this tag and ``universe`` of this universe."""
         return LaurentSeries(
-            self.scale,
-            _map_factory(self, lambda v, c: (v, c if keep(v) else Q(0))),
-            universe=self._universe, convergence=self.convergence,
-            provenance=f"sub({self.provenance})")
+            self.scale, lambda: (fn(v, c) for v, c in self.iter_terms()),
+            universe=universe, reads=(self,), convergence=self.convergence,
+            provenance=provenance)
 
     # -- convergence -----------------------------------------------------------------
 
@@ -187,8 +200,9 @@ class LaurentSeries:
               provenance: str) -> "LaurentSeries":
         """The same terms under another scale or tag, sharing this memo, so
         each term is pulled once however many views read it."""
-        out = LaurentSeries(scale, self.iter_terms, universe=self._universe,
-                            convergence=convergence, provenance=provenance)
+        out = LaurentSeries(scale, self.iter_terms, universe=lambda u: u,
+                            reads=(self,), convergence=convergence,
+                            provenance=provenance)
         out._memo = self._memo
         return out
 
@@ -198,14 +212,6 @@ class LaurentSeries:
 
 # ---------------------------------------------------------------------------
 # stream factories
-
-
-def _map_factory(src: LaurentSeries, fn):
-    def factory():
-        for v, c in src.iter_terms():
-            yield fn(v, c)
-
-    return factory
 
 
 def _heap_sum(heap: list, popped: Callable[[int, int], None]
@@ -306,7 +312,7 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
                     lm_hint: Callable[[int], Optional[Vec]]):
     """Sum of a (possibly infinite) family whose leading monomials strictly
     decrease; ``lm_hint(nu)`` bounds member nu's support from above and must
-    be strictly lex-increasing.  None signals the end of the family."""
+    be strictly lex-increasing.  None from either ends the family."""
 
     def factory():
         heap: list = []
@@ -314,21 +320,21 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
         hints: list = []
         advance = _stream_pusher(heap, iters, hints)
 
-        def open_frontier(guard: int):
-            # open every member whose support could reach the frontier
+        def open_frontier(guard: int) -> bool:
+            # open every member that could reach the frontier; False once ended
             while True:
                 k = len(iters)
                 h = lm_hint(k)
                 if h is None or (heap and h > heap[0][0]):
-                    return
+                    return h is not None
                 if hints and h <= hints[-1]:
                     raise WitnessViolated(
                         f"leading monomials do not strictly decrease at member {k}")
                 m = member(k)
-                hints.append(h)
-                iters.append(iter(()) if m is None else m.iter_terms())
                 if m is None:
-                    return
+                    return False
+                hints.append(h)
+                iters.append(m.iter_terms())
                 advance(k)
                 guard += 1
                 if guard > DEFAULT_BUDGET:
@@ -336,10 +342,10 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
                         "family opening budget exceeded; leading monomials "
                         "are not coinitial past the frontier")
 
-        open_frontier(-1)  # member 0 is not counted
+        more = open_frontier(-1)  # member 0 is not counted
         for t in _heap_sum(heap, advance):
             yield t
-            open_frontier(0)
+            more = more and open_frontier(0)
 
     return factory
 
@@ -363,14 +369,16 @@ def from_terms(scale: Scale, terms: dict, *,
         if type(c) is not Fraction:
             c = Q(c)
         if c:
-            # truncate's keys are distinct: add only on a repeated key
-            old = tbl.get(v)
-            tbl[v] = c if old is None else old + c
-    uni = SupportUniverse.finite(scale.arity, tbl.keys())
-    items = sorted(tbl.items())
-    return LaurentSeries(scale, lambda: iter(items),
-                         universe=uni, convergence=convergence,
-                         provenance="terms")
+            tbl[v] = tbl.get(v, 0) + c
+    return _finite(scale, sorted(tbl.items()), convergence, "terms")
+
+
+def _finite(scale: Scale, items: list, convergence: Optional[Convergence],
+            provenance: str) -> LaurentSeries:
+    """Distinct ascending terms, over the finite universe of their vectors."""
+    uni = lambda: SupportUniverse.finite(scale.arity, (v for v, _ in items))
+    return LaurentSeries(scale, lambda: iter(items), universe=uni,
+                         convergence=convergence, provenance=provenance)
 
 
 def one(scale: Scale) -> LaurentSeries:
@@ -390,7 +398,6 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
     if shift.scale != scale:
         raise ScaleMismatch("shift monomial over a different scale")
     delta = shift.vector
-    uni = body.universe.shifted(delta)
     if convergence is None and body.universe.explicit is not None:
         convergence = Convergence()
 
@@ -402,7 +409,8 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
             return ((vadd(v, delta), at(v)) for v in pts)
         return ((v, at(v)) for v in pts)
 
-    return LaurentSeries(scale, factory, universe=uni, convergence=convergence,
+    return LaurentSeries(scale, factory, convergence=convergence,
+                         universe=lambda: body.universe.shifted(delta),
                          provenance=f"laurent({body.provenance})")
 
 
@@ -440,9 +448,9 @@ def truncate(f: LaurentSeries, cutoff: Monomial,
              budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     """The finite sub-sum over monomials >= cutoff, as an explicit series."""
     terms = f.terms_to_cutoff(cutoff, budget)
-    out = from_terms(f.scale, dict(terms))
-    out.provenance = f"trunc({f.provenance},{cutoff})"
-    return out
+    for v in (v for v, _ in terms if len(v) != f.scale.arity):
+        raise ArityMismatch(f"exponent vector {v} has wrong arity")
+    return _finite(f.scale, terms, Convergence(), f"trunc({f.provenance},{cutoff})")
 
 
 def factor_leading(f: LaurentSeries, budget: int = DEFAULT_BUDGET
@@ -513,12 +521,13 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
             push_next(-1, len(out) - 1)
             yield (v, c)
 
-    uni = None
-    if f._universe is not None and f._universe.explicit is not None:
-        gens = [g for g in (vsub(p, lm) for p in f._universe.explicit) if any(g)]
-        if all(map(lex_positive, gens)):
-            uni = SupportUniverse.generated(f.scale.arity, gens, offset=inv_lm)
-    return LaurentSeries(f.scale, factory, universe=uni,
+    def universe(u: SupportUniverse) -> Optional[SupportUniverse]:
+        gens = [g for g in (vsub(p, lm) for p in u.explicit or ()) if any(g)]
+        if u.explicit is not None and all(map(lex_positive, gens)):
+            return SupportUniverse.generated(f.scale.arity, gens, offset=inv_lm)
+        return None
+
+    return LaurentSeries(f.scale, factory, universe=universe, reads=(f,),
                          convergence=f.convergence,
                          provenance=f"inv({f.provenance})")
 
@@ -685,10 +694,10 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     else:
         exhausted = True
 
-    uni = f._universe
     if exhausted:
         return OrderTypeBound(1 if witness else 0,
                               OmegaPoly.finite(witness), witness)
+    uni = f._universe
     if uni is None:
         return OrderTypeBound(f.scale.arity, None, witness)
     infinite = uni.infinite_coordinates()
@@ -716,14 +725,16 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
     if thr is not None and x < thr:
         raise DomainError(f"x={x} below the certified convergence threshold {thr}")
     f._check_monomial(cutoff)
+    # each generator is evaluated once, when a term first needs it
+    y = functools.cache(lambda i: G.eval_germ(f.scale.generators[i], x))
     total = []
     tail = 0.0
     for n, (v, c) in enumerate(f.iter_terms()):
         if c and v > cutoff.vector:
-            tail = abs(float(c) * Monomial(f.scale, v).eval(x))
+            tail = abs(float(c) * monomial_value(f.scale, v, y))
             break
         if n >= budget:
             raise CutoffTooDeep(f"summation above {cutoff} exceeds budget")
         if c:
-            total.append(float(c) * Monomial(f.scale, v).eval(x))
+            total.append(float(c) * monomial_value(f.scale, v, y))
     return math.fsum(total), tail

@@ -98,6 +98,32 @@ def test_truncate_empty(sx):
     assert t.terms_to_cutoff(cut(sx, 10)) == []
 
 
+def test_truncate_is_a_finite_tagged_series(sx):
+    # an untagged infinite series: its truncation is tagged convergent,
+    # finite, and truncating it again keeps its terms
+    body = gps.geometric_in(1, (1,), Q(-2, 3))
+    f = make_laurent(sx, sx.unit(), body)
+    n = cut(sx, 4)
+    t = truncate(f, n)
+    want = [((k,), Q(-2, 3) ** k) for k in range(5)]
+    assert f.convergence is None and t.convergence == S.Convergence()
+    assert t.provenance == f"trunc({f.provenance},{n})"
+    assert order_type(f).exact == OmegaPoly.omega_power(1)
+    assert order_type(t).exact == OmegaPoly.finite(5)
+    assert t._universe.explicit == {(k,) for k in range(5)}
+    assert t.terms_to_cutoff(cut(sx, 100)) == want
+    assert truncate(t, n).terms_to_cutoff(cut(sx, 100)) == want
+    # zeros on skeleton points are dropped from the result
+    g = S.LaurentSeries(sx, lambda: iter([
+        ((0,), Q(1)), ((1,), Q(0)), ((2,), Q(-3, 2)), ((5,), Q(2))]))
+    tg = truncate(g, cut(sx, 3))
+    assert tg.convergence == S.Convergence()
+    assert tg._universe.explicit == {(0,), (2,)}
+    assert order_type(tg).exact == OmegaPoly.finite(2)
+    assert truncate(tg, cut(sx, 3)).terms_to_cutoff(cut(sx, 9)) == [
+        ((0,), 1), ((2,), Q(-3, 2))]
+
+
 def test_truncate_budget_double_series(sxl):
     # sum_{m,nu} x^-m exp(-nu x): every x^-m lies above exp(-x)
     body = gps.geometric_in(2, (1, 0)) * gps.geometric_in(2, (0, 1))
@@ -241,15 +267,18 @@ def _invert_sxl(sxl):
 
 
 def _check_shared_across_threads(build, c):
-    """Truncates one series built by ``build`` from 2*nproc+2 threads at a
-    short switch interval; each must get the single-threaded answer."""
-    want = build().terms_to_cutoff(c)
+    """Truncates one series built by ``build`` and reads its universe from
+    2*nproc+2 threads at a short switch interval; each must get the
+    single-threaded answer and universe."""
+    ref = build()
+    want = (_universe_key(ref._universe), ref.terms_to_cutoff(c))
     shared = build()
     nthreads = 2 * (os.cpu_count() or 1) + 2
     results = [None] * nthreads
 
     def work(k):
-        results[k] = shared.terms_to_cutoff(c)
+        results[k] = (_universe_key(shared._universe),
+                      shared.terms_to_cutoff(c))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -446,6 +475,18 @@ def test_sum_family_fast_forward_budget(sx):
         family(gps.DEFAULT_BUDGET + 1).terms_to_cutoff(cut(sx, 0))
 
 
+def test_sum_family_none_member_ends_the_family(sx):
+    # F_1 is None while F_0's m^5 is still unread and the leading monomials
+    # go on: F_2 = m^2 and F_3 = m^3 are never opened, so the stream ascends
+    members = {0: {(0,): 1, (5,): 1}, 2: {(2,): 1}, 3: {(3,): 1}}
+    fam = lambda nu: (from_terms(sx, members[nu]) if nu in members
+                      else None)
+    s = sum_family(sx, fam, 0, lambda nu: cut(sx, nu))
+    got = list(s.iter_terms())
+    assert got == sorted(got) == [((0,), 1), ((5,), 1)]
+    assert s.terms_to_cutoff(cut(sx, 3)) == [((0,), 1)]
+
+
 def test_sum_family_opening_budget(sx):
     # empty members: the frontier never moves, so every next member is
     # opened; member 0 and DEFAULT_BUDGET more open, one more refuses
@@ -474,12 +515,15 @@ def test_sum_family_opening_budget(sx):
                                    "gps_monomial", "from_terms_short",
                                    "from_terms_long", "make_laurent",
                                    "box_points_short", "box_points_long",
-                                   "gps_add", "gps_mul", "compose_ps_coeff"])
+                                   "gps_add", "gps_mul", "compose_ps_coeff",
+                                   "truncate_stream", "sum_numeric_stream"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
     # each public entry point that takes a vector or an index refuses one that
     # does not fit the scale with a typed error, not an IndexError or a
     # silently truncated answer
     uni = SupportUniverse.generated(2, [(1, 0)])
+    # a stream of arity-2 vectors under an arity-1 scale
+    raw = S.LaurentSeries(sx, lambda: iter([((0, 1), Q(1))]), convergence=S.Convergence())
     calls = {
         # a short monomial used to be zipped away by every consumer
         "monomial_short": (ArityMismatch, lambda: Monomial(sxl, (1,))),
@@ -544,6 +588,11 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
                     * gps.geometric_in(2, (0, 1))),
         "compose_ps_coeff": (ArityMismatch, lambda: gps.compose_ps(
             [0, 1], gps.from_terms(2, {(1, 0): 1})).coeff((1,))),
+        # the vectors of a raw stream are checked where a finite series or a
+        # float is made from them
+        "truncate_stream": (ArityMismatch, lambda: truncate(raw, cut(sx, 3))),
+        "sum_numeric_stream": (ArityMismatch,
+                               lambda: sum_numeric(raw, 2.0, cut(sx, 3))),
     }
     error, call = calls[entry]
     with pytest.raises(error):
@@ -663,7 +712,7 @@ def test_product_matches_dict_convolution(sxl):
 
 def _own_memo(f):
     """A series equal to f that reads its terms through a memo of its own."""
-    return S.LaurentSeries(f.scale, f.iter_terms, universe=f._universe)
+    return S.LaurentSeries(f.scale, f.iter_terms, universe=lambda: f._universe)
 
 
 def _square_operands(sx, sxl):
@@ -725,6 +774,119 @@ def test_square_pulls_each_operand_term_once(sx):
     assert pulls == list(range(15))
 
 
+def test_universes_are_built_on_first_read(sx, monkeypatch):
+    calls = []
+    real_sum = SupportUniverse.sum
+
+    def counted_sum(self, other):
+        calls.append(1)
+        return real_sum(self, other)
+
+    monkeypatch.setattr(SupportUniverse, "sum", counted_sum)
+    f = make_laurent(sx, sx.unit(), gps.from_terms(1, {(0,): 1, (1,): 1}))
+    for _ in range(6):
+        f = f * f
+    t = truncate(f, cut(sx, 64))
+    assert t.terms_to_cutoff(cut(sx, 64)) == [
+        ((i,), math.comb(64, i)) for i in range(65)]
+    assert calls == []
+    assert order_type(f).exact == OmegaPoly.finite(65)
+    assert f._universe.explicit == {(i,) for i in range(65)}
+    # one sum per squaring, each kept on its series for the next read
+    assert len(calls) == 6
+    assert f._universe is f._universe and len(calls) == 6
+
+
+def test_universe_of_a_long_chain_does_not_recurse(sx):
+    # each sum is pulled as it is built, so its stream reads a full memo;
+    # its universe, read once at the end, is built without recursion
+    f = from_terms(sx, {(0,): 1})
+    for k in range(3 * sys.getrecursionlimit()):
+        f = f + from_terms(sx, {(k % 7,): 1})
+        list(f.iter_terms())
+    assert f._universe.explicit == {(k,) for k in range(7)}
+    g = f.shifted((1,)).scaled(2) * invert(f)
+    assert g._universe.offset == (1,) and len(g._universe.gens) == 6
+
+
+def _universe_key(u):
+    if u is None:
+        return None
+    if u.explicit is not None:
+        return ("explicit", u.explicit)
+    return ("generated", u.offset, u.gens)
+
+
+def _universe_leaf(rng, sxl):
+    """A leaf series, its universe built by hand, and its sorted nonzero
+    keys (None for an infinite leaf)."""
+    kind = rng.choice(["terms", "finite body", "geometric", "raw"])
+    terms = {(rng.randint(0, 2), rng.randint(0, 2)):
+             Q(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+             for _ in range(rng.randint(1, 3))}
+    keys = sorted(terms)
+    if kind == "terms":
+        return (from_terms(sxl, terms), SupportUniverse.finite(2, keys),
+                keys)
+    if kind == "raw":
+        return S.LaurentSeries(sxl, lambda: iter(sorted(terms.items()))), \
+            None, keys
+    delta = (rng.randint(-1, 1), rng.randint(-1, 1))
+    shift = sxl.monomial(delta)
+    if kind == "finite body":
+        body = gps.from_terms(2, terms)
+        keys = [tuple(a + d for a, d in zip(k, delta)) for k in keys]
+        return (make_laurent(sxl, shift, body),
+                SupportUniverse.finite(2, terms).shifted(delta), keys)
+    body = gps.geometric_in(2, rng.choice([(1, 0), (0, 1), (1, 1)]))
+    return (make_laurent(sxl, shift, body),
+            SupportUniverse.generated(2, body.universe.gens, offset=delta),
+            None)
+
+
+def _universe_expr(rng, sxl, depth):
+    """A seeded expression of +, *, shifted, scaled, subseries and invert
+    over leaves, with its universe by the SupportUniverse algebra."""
+    op = rng.choice(["leaf", "+", "*", "shift", "scale", "sub", "inv"]
+                    if depth else ["leaf", "inv"])
+    if op in ("leaf", "inv"):
+        f, uni, keys = _universe_leaf(rng, sxl)
+        if op == "leaf":
+            return f, uni
+        neg = lambda v: tuple(-a for a in v)
+        if keys is not None and len(keys) == 1:
+            return invert(f), SupportUniverse.finite(2, [neg(keys[0])])
+        if uni is not None and uni.explicit is not None:
+            lm = keys[0]
+            gens = [tuple(a - b for a, b in zip(p, lm)) for p in uni.explicit]
+            return invert(f), SupportUniverse.generated(2, gens,
+                                                        offset=neg(lm))
+        return invert(f), None
+    a, ua = _universe_expr(rng, sxl, depth - 1)
+    if op in ("+", "*"):
+        b, ub = _universe_expr(rng, sxl, depth - 1)
+        both = ua is not None and ub is not None
+        if op == "+":
+            return a + b, ua.union(ub) if both else None
+        return a * b, ua.sum(ub) if both else None
+    if op == "shift":
+        d = (rng.randint(-1, 1), rng.randint(-1, 1))
+        return a.shifted(d), None if ua is None else ua.shifted(d)
+    if op == "scale":
+        return a.scaled(Q(rng.choice([-3, 2]), 5)), ua
+    return a.subseries(lambda v: v[0] != 1), ua
+
+
+def test_universe_read_before_and_after_pull(sxl):
+    for seed in range(120):
+        lazy, want = _universe_expr(random.Random(seed), sxl, 3)
+        pulled, _ = _universe_expr(random.Random(seed), sxl, 3)
+        list(itertools.islice(pulled.iter_terms(), 40))
+        assert (_universe_key(lazy._universe)
+                == _universe_key(pulled._universe)
+                == _universe_key(want)), seed
+
+
 def test_sum_numeric_powers(sl):
     # sum_{nu>=1} x^-nu at x=10, cutoff x^-8: near 1/9
     body = gps.geometric_in(1, (1,))
@@ -740,6 +902,46 @@ def test_sum_numeric_finite_exact(sx):
     val, tail = sum_numeric(f, 2.0, cut(sx, 10))
     assert val == pytest.approx(3 - 2 * math.exp(-2.0), abs=1e-14)
     assert tail == 0.0
+
+
+@pytest.mark.parametrize("gens", ["x", "x, log x", "exp x, x"])
+def test_sum_numeric_matches_monomial_eval(X, LOG, gens):
+    # value and tail are the fsum of float(c) * Monomial.eval(x), exactly
+    s = make_scale({"x": [X], "x, log x": [X, LOG],
+                    "exp x, x": [g_exp(X), X]}[gens])
+    rng = random.Random(gens)
+    x, cutoff = 2.0, s.monomial([1] + [0] * (s.arity - 1))
+
+    def by_hand(terms):
+        kept = sorted(terms.items())
+        vals = [float(c) * Monomial(s, v).eval(x) for v, c in kept
+                if v <= cutoff.vector]
+        tail = next((abs(float(c) * Monomial(s, v).eval(x))
+                     for v, c in kept if v > cutoff.vector), 0.0)
+        return math.fsum(vals), tail
+
+    for _ in range(30):
+        terms = {tuple(Q(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(s.arity)):
+                 Q(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+                 for _ in range(rng.randint(1, 6))}
+        assert sum_numeric(from_terms(s, terms), x, cutoff) == by_hand(terms)
+    # exp(1000 f_0) overflows to inf, in the sum and, past the cutoff, as
+    # the tail
+    big = (-1000,) + (0,) * (s.arity - 1)
+    terms = {big: 3, cutoff.vector: 1}
+    assert sum_numeric(from_terms(s, terms), x, cutoff) == by_hand(terms)
+    assert by_hand(terms)[0] == math.inf
+    if s.arity == 2:
+        terms = {(0, 0): 1, (2, -2000): Q(-1, 2)}
+        assert sum_numeric(from_terms(s, terms), x, cutoff) == by_hand(terms)
+        assert by_hand(terms) == (1.0, math.inf)
+    # a coefficient too large for a float raises as float() does
+    huge = {(0,) * s.arity: Q(10 ** 400)}
+    with pytest.raises(OverflowError):
+        by_hand(huge)
+    with pytest.raises(OverflowError):
+        sum_numeric(from_terms(s, huge), x, cutoff)
 
 
 def test_sum_numeric_budget_ends_before_tail(sx):
