@@ -829,8 +829,8 @@ def _universe_leaf(rng, sxl):
         return (from_terms(sxl, terms), SupportUniverse.finite(2, keys),
                 keys)
     if kind == "raw":
-        return S.LaurentSeries(sxl, lambda: iter(sorted(terms.items()))), \
-            None, keys
+        raw = S.LaurentSeries(sxl, lambda: iter(sorted(terms.items())))
+        return raw, None, keys
     delta = (rng.randint(-1, 1), rng.randint(-1, 1))
     shift = sxl.monomial(delta)
     if kind == "finite body":
