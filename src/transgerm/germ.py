@@ -98,7 +98,8 @@ class Transmono(_Structural):
 
     Being one immutable object per monomial, an instance also keeps the facts
     that depend on it alone, each computed on first use: ``_log`` (``log m``,
-    from ``mono_log``) and ``_dlog`` (``(log m)'``, from ``mono_dlog``).  They
+    from ``mono_log``), ``_dlog`` (``(log m)'``, from ``mono_dlog``) and
+    ``_vs1`` (``mono_cmp(m, 1)``, from ``_cmp_unit``: m > 1 is 1).  They
     are written without a lock, as ``_hash`` is: two threads racing on the
     first use compute equal values, so either write is correct.  They are not
     part of ``_key()`` or of the pickled state, so equality, hashing and
@@ -252,25 +253,24 @@ def mono_log(t: Transmono) -> GermTerm:
 
 
 def _cmp_pure(a: Transmono, b: Transmono) -> int:
-    # no exp parts: lexicographic on exponents, lowest iterate index dominates;
-    # walks both index-sorted powers in step, an absent index being exponent 0
+    # no exp parts: lex on exponents by iterate index, compared as ints: an
+    # index on one side only decides by its sign, a shared one by cross-products
     pa, pb = a.powers, b.powers
     na, nb = len(pa), len(pb)
     i = j = 0
-    while i < na or j < nb:
-        if j == nb or (i < na and pa[i][0] < pb[j][0]):
-            ra, rb = pa[i][1], 0
-            i += 1
-        elif i == na or pb[j][0] < pa[i][0]:
-            ra, rb = 0, pb[j][1]
-            j += 1
-        else:
-            ra, rb = pa[i][1], pb[j][1]
-            i += 1
-            j += 1
-        if ra != rb:
-            return 1 if ra > rb else -1
-    return 0
+    while i < na and j < nb:
+        (ka, ra), (kb, rb) = pa[i], pb[j]
+        if ka != kb:
+            return (1 if ra.numerator > 0 else -1) if ka < kb else \
+                (-1 if rb.numerator > 0 else 1)
+        x, y = ra.numerator * rb.denominator, rb.numerator * ra.denominator
+        if x != y:
+            return 1 if x > y else -1
+        i += 1
+        j += 1
+    if i < na:
+        return 1 if pa[i][1].numerator > 0 else -1
+    return (-1 if pb[j][1].numerator > 0 else 1) if j < nb else 0
 
 
 def mono_cmp(a: Transmono, b: Transmono) -> int:
@@ -291,13 +291,22 @@ def mono_cmp(a: Transmono, b: Transmono) -> int:
         i += 1
     c = mono_cmp(ta[i][1], tb[i][1]) if i < n else len(ta) - len(tb)
     if c > 0:
-        res = 1 if ta[i][0] > 0 else -1
+        res = 1 if ta[i][0].numerator > 0 else -1
     elif c < 0:
-        res = -1 if tb[i][0] > 0 else 1
+        res = -1 if tb[i][0].numerator > 0 else 1
     else:  # log is injective on canonical transmonomials
         res = 0 if i == n else (1 if ta[i][0] > tb[i][0] else -1)
     _remember(_cmp_cache, a, b, res, -res)
     return res
+
+
+def _cmp_unit(m: Transmono) -> int:
+    """mono_cmp(m, 1), kept on m as ``_vs1``."""
+    c = m.__dict__.get("_vs1")
+    if c is None:
+        c = mono_cmp(m, UNIT_MONO)
+        object.__setattr__(m, "_vs1", c)
+    return c
 
 
 def mono_mul(a: Transmono, b: Transmono) -> Transmono:
@@ -496,7 +505,7 @@ def g_invert_term(f: GermTerm) -> GermTerm:
 
 def is_purely_infinite(f: GermTerm) -> bool:
     """Every transmonomial of f is large (tends to infinity)."""
-    return all(mono_cmp(m, UNIT_MONO) > 0 for _, m in f.terms)
+    return all(_cmp_unit(m) > 0 for _, m in f.terms)
 
 
 def g_exp(f: GermTerm, max_depth: int = DEFAULT_EXP_DEPTH) -> GermTerm:
@@ -546,7 +555,7 @@ def sign(f: GermTerm) -> int:
     """Eventual sign at +infinity."""
     if f.is_zero():
         return 0
-    return 1 if f.terms[0][0] > 0 else -1
+    return 1 if f.terms[0][0].numerator > 0 else -1
 
 
 def leading_mono(f: GermTerm) -> Transmono:
@@ -556,8 +565,8 @@ def leading_mono(f: GermTerm) -> Transmono:
 def is_infinitely_increasing(f: GermTerm) -> bool:
     if f.is_zero():
         return False
-    c, m = f.leading()
-    return c > 0 and mono_cmp(m, UNIT_MONO) > 0
+    c, m = f.terms[0]
+    return c.numerator > 0 and _cmp_unit(m) > 0
 
 
 @dataclass(frozen=True)
@@ -567,14 +576,6 @@ class ComparisonResult:
     relation: str
     same_archimedean_class: bool
     comparable: bool
-
-
-def _log_class_mono(m: Transmono) -> Optional[Transmono]:
-    """Leading transmonomial of log|m|, or None for the unit monomial."""
-    if m.is_unit():
-        return None
-    lg = mono_log(m)
-    return leading_mono(lg)
 
 
 def compare(f: GermTerm, g: GermTerm) -> ComparisonResult:
@@ -589,15 +590,16 @@ def compare(f: GermTerm, g: GermTerm) -> ComparisonResult:
     mf, mg = leading_mono(f), leading_mono(g)
     c = mono_cmp(mf, mg)
     relation = "~" if c == 0 else (">>" if c > 0 else "<<")
-    same_class = c == 0
+    return ComparisonResult(relation, c == 0, _comparable(mf, mg))
+
+
+def _comparable(mf: Transmono, mg: Transmono) -> bool:
+    """``compare``'s ``comparable`` for germs led by mf and mg."""
     uf, ug = mf.is_unit(), mg.is_unit()
     if uf or ug:
-        comparable = uf and ug
-    else:
-        sf = mono_cmp(mf, UNIT_MONO)
-        sg = mono_cmp(mg, UNIT_MONO)
-        comparable = sf == sg and _log_class_mono(mf) == _log_class_mono(mg)
-    return ComparisonResult(relation, same_class, comparable)
+        return uf and ug
+    return _cmp_unit(mf) == _cmp_unit(mg) and \
+        mono_log(mf).terms[0][1] is mono_log(mg).terms[0][1]
 
 
 def same_archimedean_class(f: GermTerm, g: GermTerm) -> bool:
@@ -609,10 +611,11 @@ def same_archimedean_class(f: GermTerm, g: GermTerm) -> bool:
 
 
 def _mono_eh(m: Transmono) -> int:
-    present = [0 if k == 0 else -k for k, _ in m.powers]
-    if m.expart is not None:
-        present.append(eh(m.expart) + 1)
-    return max(present, default=0)
+    # the powers' heights are -k, so the lowest index, the first, is highest
+    if m.expart is None:
+        return -m.powers[0][0] if m.powers else 0
+    h = eh(m.expart) + 1
+    return max(h, -m.powers[0][0]) if m.powers else h
 
 
 def eh(f: GermTerm) -> int:
@@ -626,12 +629,12 @@ def _mono_level(m: Transmono) -> int:
     # requires m > 1
     if m.expart is None:
         k, r = m.powers[0]
-        if r <= 0:
+        if r.numerator <= 0:
             raise Unclassifiable(f"transmonomial {m} is not infinitely increasing")
         return -k
     lg = mono_log(m)
     c, lead = lg.leading()
-    if c <= 0:
+    if c.numerator <= 0:
         raise Unclassifiable(f"transmonomial {m} is not infinitely increasing")
     return _mono_level(lead) + 1
 
@@ -677,31 +680,39 @@ def is_admissible(germs: Sequence[GermTerm]) -> AdmissibilityResult:
     germs = list(germs)
     if not germs:
         raise NotDecreasing("empty generator tuple")
-    reasons: list[str] = []
-    cert: list[GeneratorCertificate] = []
+    reasons, facts = _admissibility(germs)
+    cert = [GeneratorCertificate(f, lv, h, lv == h,
+                                 "?" if lv is None else mono_str(f.terms[0][1]))
+            for f, (lv, h) in zip(germs, facts)]
+    return AdmissibilityResult(not reasons, cert, reasons)
+
+
+def _admissibility(germs: list[GermTerm]) -> tuple[list[str], list[tuple]]:
+    """``is_admissible``'s reasons without its certificate, and each germ's
+    (level, eh), the level None for a germ not infinitely increasing."""
+    reasons, facts = [], []
     for f in germs:
-        if not is_infinitely_increasing(f):
+        h = eh(f)
+        lv = _mono_level(f.terms[0][1]) if is_infinitely_increasing(f) else None
+        if lv is None:
             reasons.append(f"{f} is not infinitely increasing")
-            cert.append(GeneratorCertificate(f, None, eh(f), False, "?"))
-            continue
-        lv, h = level_and_eh(f)
-        simple = lv == h
-        if not simple:
+        elif lv != h:
             reasons.append(f"{f} is not simple: level {lv} != eh {h}")
-        cert.append(GeneratorCertificate(f, lv, h, simple, mono_str(leading_mono(f))))
-    for i in range(len(germs) - 1):
-        a, b = germs[i], germs[i + 1]
+        facts.append((lv, h))
+    same: list[bool] = []  # same[i]: generators i and i + 1 share a class
+    for i, (a, b) in enumerate(zip(germs, germs[1:])):
         if a.is_zero() or b.is_zero():
             raise NotDecreasing("zero germ in generator tuple")
-        if mono_cmp(leading_mono(a), leading_mono(b)) < 0:
+        c = mono_cmp(a.terms[0][1], b.terms[0][1])
+        if c < 0:
             raise NotDecreasing(f"generator {i} precedes generator {i + 1}")
-    for i in range(len(germs)):
-        for j in range(i + 1, len(germs)):
-            if not germs[i].is_zero() and not germs[j].is_zero() and \
-                    same_archimedean_class(germs[i], germs[j]):
-                reasons.append(
-                    f"generators {i} and {j} share an archimedean class")
-    return AdmissibilityResult(not reasons, cert, reasons)
+        same.append(c == 0)
+    # the leading monomials do not increase, so generators i < j share a
+    # class exactly when every adjacent pair between them does
+    reasons += [f"generators {i} and {j} share an archimedean class"
+                for i in range(len(germs)) for j in range(i + 1, len(germs))
+                if all(same[i:j])]
+    return reasons, facts
 
 
 def extract_basis(germs: Sequence[GermTerm]) -> list[GermTerm]:
@@ -710,26 +721,28 @@ def extract_basis(germs: Sequence[GermTerm]) -> list[GermTerm]:
     Recursive leading-multiple subtraction: pick the germ of maximal class,
     eliminate that class from the others, recurse on the remainders.
     """
-    pool: list[GermTerm] = []
-    for f in germs:
-        if f.is_zero():
-            continue
+    pool = [f for f in germs if not f.is_zero()]
+    for f in pool:
         if not is_purely_infinite(f) or not is_infinitely_increasing(f):
             raise NotInFragment(
                 f"extract_basis requires purely infinite, infinitely increasing germs, got {f}")
-        pool.append(f)
+    return _basis(pool)
+
+
+def _basis(pool: list[GermTerm]) -> list[GermTerm]:
+    """extract_basis of nonzero, purely infinite, increasing germs; consumes pool."""
     basis: list[GermTerm] = []
     while pool:
         top = 0  # first element attaining the maximal archimedean class
         for i in range(1, len(pool)):
-            if mono_cmp(leading_mono(pool[i]), leading_mono(pool[top])) > 0:
+            if mono_cmp(pool[i].terms[0][1], pool[top].terms[0][1]) > 0:
                 top = i
         pivot = pool.pop(top)
         basis.append(pivot)
-        pc, pm = pivot.leading()
+        pc, pm = pivot.terms[0]
         nxt: list[GermTerm] = []
         for f in pool:
-            c, m = f.leading()
+            c, m = f.terms[0]
             if mono_cmp(m, pm) == 0:
                 f = g_add(f, g_scale(pivot, -c / pc))
                 if f.is_zero():

@@ -119,7 +119,7 @@ def _comparability_classes(gens: Sequence[GermTerm]) -> tuple[tuple[int, int], .
     ranges = []
     start = 0
     for i in range(1, len(gens)):
-        if not G.compare(gens[i - 1], gens[i]).comparable:
+        if not G._comparable(gens[i - 1].terms[0][1], gens[i].terms[0][1]):
             ranges.append((start, i))
             start = i
     ranges.append((start, len(gens)))
@@ -136,21 +136,15 @@ def make_scale(germs: Sequence[GermTerm]) -> Scale:
     germs = [g for g in germs]
     if not germs:
         raise NotAnAsymptoticScale("empty generator tuple")
-    if all(not g.is_zero() and G.is_purely_infinite(g)
-           and G.is_infinitely_increasing(g) for g in germs):
-        gens = G.extract_basis(germs)
+    if all(G.is_infinitely_increasing(g) and G.is_purely_infinite(g)
+           for g in germs):
+        gens = G._basis(germs)  # checked just above
     else:
         gens = germs
-    res = G.is_admissible(gens)
-    if not res.ok:
-        pair = None
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if G.same_archimedean_class(gens[i], gens[j]):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+    if G._admissibility(gens)[0]:
+        res = G.is_admissible(gens)  # the refusal's reasons and certificate
+        pair = next(((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
+                     if G.same_archimedean_class(gens[i], gens[j])), None)
         raise NotAnAsymptoticScale(
             "; ".join(res.reasons), offending_pair=pair,
             certificate=res.certificate)

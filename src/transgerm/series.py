@@ -280,21 +280,29 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
     (0, j) also pushes (0, j+1).  Both streams ascend, so every pair is
     pushed while its parent, of a smaller vector, is popped.  Square rule:
     when a and b share one memo (f*f, or f times a view of f), only the
-    pairs i <= j are visited and an off-diagonal product counts twice."""
+    pairs i <= j are visited and an off-diagonal product counts twice.
+    Operand terms are read and unpacked to (v, n, d) once, in order."""
     get_a, get_b = a._memo.get, b._memo.get
     square = a._memo is b._memo
 
     def factory():
         heap: list = []
+        a_terms: list = []
+        b_terms = a_terms if square else []
+
+        def read(ts: list, get, i: int):
+            if i == len(ts):
+                t = get(i)
+                ts.append(t and (t[0], t[1].numerator, t[1].denominator))
+            return ts[i]
 
         def push(i: int, j: int):
-            ta, tb = get_a(i), get_b(j)
+            ta, tb = read(a_terms, get_a, i), read(b_terms, get_b, j)
             if ta is not None and tb is not None:
-                x, y = ta[1], tb[1]
-                n = x.numerator * y.numerator
+                n = ta[1] * tb[1]
                 heapq.heappush(heap, (vadd(ta[0], tb[0]), i, j,
                                       n + n if square and i != j else n,
-                                      x.denominator * y.denominator))
+                                      ta[2] * tb[2]))
 
         def popped(i: int, j: int):
             if not square or i < j:

@@ -409,10 +409,14 @@ def test_derivative_matches_sympy_diff():
 def test_mono_cmp_pure_matches_dense_lex():
     # pure monomials: dominance is lexicographic on the dense exponent vector
     rng = random.Random(1732)
-    exps = (Q(-2), Q(-1), Q(-1, 2), Q(1, 2), Q(1), Q(2))
-
-    def draw(idx):
-        return Transmono(tuple((k, rng.choice(exps)) for k in sorted(idx)))
+    big, tiny = Q(3**50, 7**30), Q(1, 10**30)  # 3**50 and 7**30 exceed 2**64
+    exponent_sets = (
+        (Q(-2), Q(-1), Q(-1, 2), Q(1, 2), Q(1), Q(2)),
+        # negative, and apart by 1/10**30 on numerators and denominators past
+        # 2**64, where an int cross-product must stay exact
+        (-big, big, big + tiny, big - tiny, -big - tiny, tiny, -tiny,
+         Q(2**70 + 1, 2**65), Q(2**70 - 1, 2**65), Q(-(10**40), 3)),
+    )
 
     def dense(m):
         v = [Q(0)] * 4
@@ -420,27 +424,31 @@ def test_mono_cmp_pure_matches_dense_lex():
             v[k] = r
         return v
 
-    pairs = []
-    for trial in range(400):
-        ia = rng.sample(range(4), rng.randint(0, 4))
-        a = draw(ia)
-        mode = trial % 4
-        if mode == 0:  # independent index sets
-            b = draw(rng.sample(range(4), rng.randint(0, 4)))
-        elif mode == 1:  # the same index set, a common prefix of exponents
-            cut = rng.randint(0, len(a.powers))
-            b = Transmono(a.powers[:cut] + draw(ia).powers[cut:])
-        elif mode == 2:  # disjoint index sets
-            b = draw([k for k in range(4) if k not in ia])
-        else:  # equal, built separately
-            b = Transmono(tuple(a.powers))
-        pairs.append((a, b))
-    assert any(dense(a) == dense(b) for a, b in pairs)
-    for a, b in pairs:
-        da, db = dense(a), dense(b)
-        want = (da > db) - (da < db)
-        assert mono_cmp(a, b) == want
-        assert mono_cmp(b, a) == -want
+    for exps in exponent_sets:
+        def draw(idx):
+            return Transmono(tuple((k, rng.choice(exps)) for k in sorted(idx)))
+
+        pairs = []
+        for trial in range(400):
+            ia = rng.sample(range(4), rng.randint(0, 4))
+            a = draw(ia)
+            mode = trial % 4
+            if mode == 0:  # independent index sets
+                b = draw(rng.sample(range(4), rng.randint(0, 4)))
+            elif mode == 1:  # the same index set, a common prefix of exponents
+                cut = rng.randint(0, len(a.powers))
+                b = Transmono(a.powers[:cut] + draw(ia).powers[cut:])
+            elif mode == 2:  # disjoint index sets
+                b = draw([k for k in range(4) if k not in ia])
+            else:  # equal, built separately
+                b = Transmono(tuple(a.powers))
+            pairs.append((a, b))
+        assert any(dense(a) == dense(b) for a, b in pairs)
+        for a, b in pairs:
+            da, db = dense(a), dense(b)
+            want = (da > db) - (da < db)
+            assert mono_cmp(a, b) == want
+            assert mono_cmp(b, a) == -want
 
 
 def test_structural_hash_and_eq(X, LOG, LOG2):

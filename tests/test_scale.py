@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from transgerm import germ as G
-from transgerm.errors import NotAnAsymptoticScale, ScaleMismatch
+from transgerm.errors import NotAnAsymptoticScale, NotDecreasing, ScaleMismatch
 from transgerm.germ import g_add, g_exp, g_neg, g_pow, g_scale
 from transgerm.scale import (
     Monomial,
@@ -53,6 +53,83 @@ def test_make_scale_rewrites_raw_tuple(X, LOG, LOG2):
     assert s.arity == 3
     reps = [G.leading_mono(g) for g in s.generators]
     assert reps == [G.leading_mono(X), G.leading_mono(LOG), G.leading_mono(LOG2)]
+
+
+_X, _LOG = G.g_x(), G.g_logk(1)
+_NONSIMPLE = g_add(_X, g_exp(g_neg(g_pow(_X, 2))))  # level 0, eh 1
+_X1 = g_add(_X, G.ONE)
+_SHARED = "generators {} and {} share an archimedean class"
+
+# inputs, then the refusal: type, message, offending_pair and the
+# certificate as (level, eh, simple, class_rep) per generator
+_REFUSALS = {
+    "empty": ([], NotAnAsymptoticScale, "empty generator tuple", None, None),
+    "non-simple": ([_NONSIMPLE], NotAnAsymptoticScale,
+                   "x + exp(-x^2) is not simple: level 0 != eh 1", None,
+                   [(0, 1, False, "x")]),
+    "non-simple in a shared class": (
+        [_X, _NONSIMPLE], NotAnAsymptoticScale,
+        "x + exp(-x^2) is not simple: level 0 != eh 1; " + _SHARED.format(0, 1),
+        (0, 1), [(0, 0, True, "x"), (0, 1, False, "x")]),
+    "one class": ([_X1, _X], NotAnAsymptoticScale, _SHARED.format(0, 1),
+                  (0, 1), [(0, 0, True, "x"), (0, 0, True, "x")]),
+    "three in one class": (
+        [_X1, _X, g_add(_X, _LOG), _LOG], NotAnAsymptoticScale,
+        "; ".join(_SHARED.format(i, j) for i, j in ((0, 1), (0, 2), (1, 2))),
+        (0, 1), [(0, 0, True, "x")] * 3 + [(-1, -1, True, "log(x)")]),
+    "inverted": ([_X, g_add(g_exp(_X), G.ONE)], NotDecreasing,
+                 "generator 0 precedes generator 1", None, None),
+    "inverted later": ([_X1, _LOG, _X], NotDecreasing,
+                       "generator 1 precedes generator 2", None, None),
+    "zero alone": ([G.ZERO], NotAnAsymptoticScale,
+                   "0 is not infinitely increasing", None,
+                   [(None, 0, False, "?")]),
+    "zero after": ([_X, G.ZERO], NotDecreasing,
+                   "zero germ in generator tuple", None, None),
+    "not increasing": ([_X, g_pow(_X, -1)], NotAnAsymptoticScale,
+                       "x^(-1) is not infinitely increasing", None,
+                       [(0, 0, True, "x"), (None, 0, False, "?")]),
+    "negative": ([g_neg(_X)], NotAnAsymptoticScale,
+                 "-x is not infinitely increasing", None,
+                 [(None, 0, False, "?")]),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_make_scale_refusals(case):
+    gens, typ, msg, pair, cert = _REFUSALS[case]
+    with pytest.raises(typ) as exc:
+        make_scale(gens)
+    err = exc.value
+    assert type(err) is typ
+    assert err.code == typ.code
+    assert str(err) == msg
+    assert err.info.get("offending_pair") == pair
+    got = err.info.get("certificate")
+    if cert is None:
+        assert got is None
+    else:
+        assert [c.germ for c in got] == gens
+        assert [(c.level, c.eh, c.simple, c.class_rep) for c in got] == cert
+
+
+@pytest.mark.parametrize("gens, most", [(("x", "log"), 5), (("x",), 1)],
+                         ids=["x, log x", "x"])
+def test_make_scale_comparison_count(monkeypatch, gens, most):
+    # after a warm-up, the facts "m > 1" sit on each monomial, so what is
+    # left is the order of the generators' leading monomials
+    germs = [{"x": _X, "log": _LOG}[g] for g in gens]
+    want = make_scale(germs)
+    calls = []
+    real = G.mono_cmp
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(G, "mono_cmp", counted)
+    assert make_scale(germs) == want
+    assert len(calls) <= most
 
 
 def test_monomial_cmp_small_below_unit(sx):

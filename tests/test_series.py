@@ -774,6 +774,29 @@ def test_square_pulls_each_operand_term_once(sx):
     assert pulls == list(range(15))
 
 
+def test_product_reads_each_operand_term_once(sx, monkeypatch):
+    # two 30-term operands, and one squared: every term read is kept
+    # unpacked, so each memo is read once per term and once at its end
+    fa = from_terms(sx, {(k,): k + 1 for k in range(30)})
+    fb = from_terms(sx, {(2 * k,): Q(1, k + 2) for k in range(30)})
+    want = _convolve({(k,): Q(k + 1) for k in range(30)},
+                     {(2 * k,): Q(1, k + 2) for k in range(30)})
+    reads = {}
+    real_get = S.MemoStream.get
+
+    def counted_get(self, i):
+        reads[self] = reads.get(self, 0) + 1
+        return real_get(self, i)
+
+    monkeypatch.setattr(S.MemoStream, "get", counted_get)
+    got = (fa * fb).terms_to_cutoff(cut(sx, 100))
+    assert got == sorted((v, c) for v, c in want.items() if c)
+    assert reads[fa._memo] == reads[fb._memo] == 31
+    reads.clear()
+    (fa * fa).terms_to_cutoff(cut(sx, 100))
+    assert reads[fa._memo] == 31
+
+
 def test_universes_are_built_on_first_read(sx, monkeypatch):
     calls = []
     real_sum = SupportUniverse.sum
