@@ -20,13 +20,12 @@ increasing); there is no approximate fallback.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DepthLimitExceeded,
@@ -356,16 +355,6 @@ def mono_inv(a: Transmono) -> Transmono:
 # germ ring
 
 
-def _sum_terms(products: Iterable[tuple[Fraction, Transmono]]) -> GermTerm:
-    """Normal form of a sum of terms: like monomials collected, one sort."""
-    acc: dict[Transmono, Fraction] = {}
-    for c, m in products:
-        acc[m] = acc.get(m, 0) + c
-    monos = [m for m, c in acc.items() if c]
-    monos.sort(key=functools.cmp_to_key(mono_cmp), reverse=True)
-    return GermTerm(tuple((acc[m], m) for m in monos))
-
-
 def g_add(f: GermTerm, g: GermTerm) -> GermTerm:
     if f.is_zero():
         return g
@@ -404,14 +393,22 @@ def g_scale(f: GermTerm, q: Fraction) -> GermTerm:
     return GermTerm(tuple((c * q, m) for c, m in f.terms))
 
 
+def _sum_runs(runs: list[GermTerm]) -> GermTerm:
+    """The sum of germs in normal form, merged pairwise level by level with
+    g_add, so each term goes through about log2(len(runs)) merges."""
+    while len(runs) > 1:
+        merged = [g_add(a, b) for a, b in zip(runs[::2], runs[1::2])]
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    return runs[0] if runs else ZERO
+
+
 def g_mul(f: GermTerm, g: GermTerm) -> GermTerm:
+    # one run c*m*g per term of the shorter factor
     if len(f.terms) > len(g.terms):
         f, g = g, f
-    if len(f.terms) != 1:
-        return _sum_terms((cf * cg, mono_mul(mf, mg))
-                          for cf, mf in f.terms for cg, mg in g.terms)
-    c, m = f.terms[0]
-    return _mul_term(c, m, g)
+    return _sum_runs([_mul_term(c, m, g) for c, m in f.terms])
 
 
 def _mul_term(c: Fraction, m: Transmono, g: GermTerm) -> GermTerm:
@@ -680,16 +677,22 @@ def is_admissible(germs: Sequence[GermTerm]) -> AdmissibilityResult:
     germs = list(germs)
     if not germs:
         raise NotDecreasing("empty generator tuple")
-    reasons, facts = _admissibility(germs)
-    cert = [GeneratorCertificate(f, lv, h, lv == h,
+    reasons, facts, _ = _admissibility(germs)
+    return AdmissibilityResult(not reasons, _certificate(germs, facts), reasons)
+
+
+def _certificate(germs: list[GermTerm], facts: list[tuple]) -> list[GeneratorCertificate]:
+    """One GeneratorCertificate per germ, from ``_admissibility``'s facts."""
+    return [GeneratorCertificate(f, lv, h, lv == h,
                                  "?" if lv is None else mono_str(f.terms[0][1]))
             for f, (lv, h) in zip(germs, facts)]
-    return AdmissibilityResult(not reasons, cert, reasons)
 
 
-def _admissibility(germs: list[GermTerm]) -> tuple[list[str], list[tuple]]:
-    """``is_admissible``'s reasons without its certificate, and each germ's
-    (level, eh), the level None for a germ not infinitely increasing."""
+def _admissibility(germs: list[GermTerm]
+                   ) -> tuple[list[str], list[tuple], Optional[tuple[int, int]]]:
+    """``is_admissible``'s reasons without its certificate, each germ's
+    (level, eh), the level None for a germ not infinitely increasing, and
+    the first pair of generators that share a class, or None."""
     reasons, facts = [], []
     for f in germs:
         h = eh(f)
@@ -712,7 +715,8 @@ def _admissibility(germs: list[GermTerm]) -> tuple[list[str], list[tuple]]:
     reasons += [f"generators {i} and {j} share an archimedean class"
                 for i in range(len(germs)) for j in range(i + 1, len(germs))
                 if all(same[i:j])]
-    return reasons, facts
+    first = next(((i, i + 1) for i, shared in enumerate(same) if shared), None)
+    return reasons, facts, first
 
 
 def extract_basis(germs: Sequence[GermTerm]) -> list[GermTerm]:
@@ -836,11 +840,7 @@ def mono_dlog(m: Transmono) -> GermTerm:
 def derivative(f: GermTerm) -> GermTerm:
     """Exact d/dx; the fragment is closed under differentiation."""
     # (c m)' = c m (log m)'
-    if len(f.terms) == 1:
-        c, m = f.terms[0]
-        return _mul_term(c, m, mono_dlog(m))
-    return _sum_terms((c * cd, mono_mul(m, md))
-                      for c, m in f.terms for cd, md in mono_dlog(m).terms)
+    return _sum_runs([_mul_term(c, m, mono_dlog(m)) for c, m in f.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -883,36 +883,36 @@ def _log_iterate_of(g: GermTerm, k: int, logs: dict[int, GermTerm]) -> GermTerm:
     return logs[k]
 
 
-def _subst_mono(m: Transmono, g: GermTerm, logs: dict[int, GermTerm],
-                max_depth: int) -> GermTerm:
+def _subst_mono(m: Transmono, g: GermTerm, logs: dict[int, GermTerm]) -> GermTerm:
     out = ONE
     for k, r in m.powers:
         out = g_mul(out, g_pow(_log_iterate_of(g, k, logs), r))
     if m.expart is not None:
-        out = g_mul(out, g_exp(compose_exact(m.expart, g, logs, max_depth), max_depth))
+        out = g_mul(out, g_exp(_compose(m.expart, g, logs)))
     return out
 
 
-def compose_exact(f: GermTerm, g: GermTerm, logs: Optional[dict[int, GermTerm]] = None,
-                  max_depth: int = DEFAULT_EXP_DEPTH) -> GermTerm:
+def _compose(f: GermTerm, g: GermTerm, logs: dict[int, GermTerm]) -> GermTerm:
+    """f o g for a checked g; ``logs`` caches g's log iterates while
+    recursing into exp parts."""
+    acc = ZERO
+    for c, m in f.terms:
+        acc = g_add(acc, g_scale(_subst_mono(m, g, logs), c))
+    return acc
+
+
+def compose_exact(f: GermTerm, g: GermTerm) -> GermTerm:
     """f o g, the substitution x -> g in f, in normal form.
 
     Raises NotIncreasing when g is not infinitely increasing, and NotInFragment,
     DepthLimitExceeded or NonHardyExpression when f o g has no normal form in
-    the fragment; NotInFragment also refuses an f or g that is not a germ.
-    ``logs`` caches g's log iterates while recursing into exp parts; a
-    top-level call leaves it None."""
-    if logs is None:
-        for a in (f, g):
-            if not isinstance(a, GermTerm):
-                raise NotInFragment(f"{a!r} is not a germ")
-        if not is_infinitely_increasing(g):
-            raise NotIncreasing(f"right-composition germ {g} is not infinitely increasing")
-        logs = {0: g}
-    acc = ZERO
-    for c, m in f.terms:
-        acc = g_add(acc, g_scale(_subst_mono(m, g, logs, max_depth), c))
-    return acc
+    the fragment; NotInFragment also refuses an f or g that is not a germ."""
+    for a in (f, g):
+        if not isinstance(a, GermTerm):
+            raise NotInFragment(f"{a!r} is not a germ")
+    if not is_infinitely_increasing(g):
+        raise NotIncreasing(f"right-composition germ {g} is not infinitely increasing")
+    return _compose(f, g, {0: g})
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ class GenSeries:
         return self + (-other)
 
     def __neg__(self) -> "GenSeries":
-        return GenSeries(self.arity, self.universe, lambda v: -self.coeff(v),
+        return GenSeries(self.arity, self.universe, lambda v: -self._at(v),
                          provenance=f"(-{self.provenance})")
 
     def __mul__(self, other: "GenSeries") -> "GenSeries":
@@ -137,7 +137,7 @@ class GenSeries:
         if not 0 <= i < self.arity:
             raise ArityMismatch(f"variable index {i} out of range")
         return GenSeries(self.arity, self.universe,
-                         lambda v: v[i] * self.coeff(v),
+                         lambda v: v[i] * self._at(v),
                          provenance=f"d{i}({self.provenance})")
 
     # -- order ------------------------------------------------------------------

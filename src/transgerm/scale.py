@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from . import germ as G
 from .errors import ArityMismatch, NotAnAsymptoticScale, ScaleMismatch
 from .germ import GermTerm, Q
-from .support import Vec, vadd, vec
+from .support import Vec, lex_positive, vadd, vec
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,7 @@ class Monomial:
         return Monomial(self.scale, vec(a * q for a in self.vector))
 
     def is_small(self) -> bool:
-        for a in self.vector:
-            if a:
-                return a > 0
-        return False
+        return lex_positive(self.vector)
 
     def to_germ(self) -> GermTerm:
         """The monomial as a germ, exp(-(sum of a_i f_i))."""
@@ -109,10 +106,7 @@ def monomial_cmp(m: Monomial, n: Monomial) -> int:
     vector(m) - vector(n) being positive means the dominant generator gets a
     larger exponent, hence m is the *smaller* monomial."""
     _check_same(m, n)
-    for a, b in zip(m.vector, n.vector):
-        if a != b:
-            return -1 if a > b else 1
-    return 0
+    return (m.vector < n.vector) - (m.vector > n.vector)
 
 
 def _comparability_classes(gens: Sequence[GermTerm]) -> tuple[tuple[int, int], ...]:
@@ -141,13 +135,10 @@ def make_scale(germs: Sequence[GermTerm]) -> Scale:
         gens = G._basis(germs)  # checked just above
     else:
         gens = germs
-    if G._admissibility(gens)[0]:
-        res = G.is_admissible(gens)  # the refusal's reasons and certificate
-        pair = next(((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
-                     if G.same_archimedean_class(gens[i], gens[j])), None)
-        raise NotAnAsymptoticScale(
-            "; ".join(res.reasons), offending_pair=pair,
-            certificate=res.certificate)
+    reasons, facts, pair = G._admissibility(gens)
+    if reasons:
+        raise NotAnAsymptoticScale("; ".join(reasons), offending_pair=pair,
+                                   certificate=G._certificate(gens, facts))
     return Scale(tuple(gens), _comparability_classes(gens))
 
 

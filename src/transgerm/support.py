@@ -20,6 +20,8 @@ or ``box_points`` produced is a member of it as given, so a coefficient
 read there (``GenSeries._at``) skips normalisation, the arity check and the
 membership test; any other point is read through ``GenSeries.coeff``, which
 does all three.  Such a point may hold an integral ``Fraction`` coordinate.
+A series' oracle is asked only at members of its universe, so a series
+over another's universe (``-f``, ``partial_deriv``) reads it with ``_at``.
 
 Coefficients are exact: every coefficient a kernel stores or yields is a
 ``Fraction`` (``Q``).  Inside, a kernel that sums products of coefficients
@@ -229,14 +231,12 @@ class SupportUniverse:
 
         A generated universe keeps every answer, those for the intermediate
         points of a search included, in a memo that lives exactly as long as
-        the universe; lex_stream records each point it emits there.  Along
-        the universe's own stream a query is one dict lookup (amortized
-        O(1)); a cold query visits each point v - (sum of generators) at most
-        once, which for a point reached along one generator chain is linear
-        in its depth.  The search keeps an explicit stack, so depth is not
-        limited by the interpreter's recursion limit.  A point of the wrong
-        arity raises ArityMismatch; the check runs only when v is not a
-        known point."""
+        the universe, so a repeated query is one dict lookup; a cold query
+        visits each point v - (sum of generators) at most once, which for a
+        point reached along one generator chain is linear in its depth.  The
+        search keeps an explicit stack, so depth is not limited by the
+        interpreter's recursion limit.  A point of the wrong arity raises
+        ArityMismatch; the check runs only when v is not a known point."""
         if self.explicit is not None:
             if v in self.explicit:
                 return True
@@ -298,13 +298,11 @@ class SupportUniverse:
         heap = [self.offset]
         prev = None
         gens = self.gens
-        known = self._known
         while heap:
             v = heapq.heappop(heap)
             if v == prev:
                 continue
             prev = v
-            known[v] = True
             yield v
             for g in gens:
                 heapq.heappush(heap, vadd(v, g))

@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import math
 import os
@@ -674,6 +675,65 @@ def _mp_germ(f, x):
     return total
 
 
+def _collect_and_sort(products):
+    """Reference normal form of a sum of terms: like monomials collected in a
+    dict, zero sums dropped, one sort by dominance, largest first."""
+    acc = {}
+    for c, m in products:
+        acc[m] = acc.get(m, 0) + c
+    monos = sorted((m for m, c in acc.items() if c),
+                   key=functools.cmp_to_key(mono_cmp), reverse=True)
+    return GermTerm(tuple((acc[m], m) for m in monos))
+
+
+def _pair_products(f, g):
+    return ((cf * cg, germ.mono_mul(mf, mg))
+            for cf, mf in f.terms for cg, mg in g.terms)
+
+
+def _derivative_products(f):
+    return ((c * cd, germ.mono_mul(m, md))
+            for c, m in f.terms for cd, md in germ.mono_dlog(m).terms)
+
+
+def _germ_of_length(rng, n):
+    """A germ of exactly n terms, each taken from a random germ with exp
+    parts."""
+    f = germ.ZERO
+    while len(f.terms) < n:
+        t = rng.choice(_random_germ(rng, 2, False).terms)
+        if all(m is not t[1] for _, m in f.terms):
+            f = g_add(f, GermTerm((t,)))
+    return f
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merged_runs_match_collect_and_sort(seed, X, LOG):
+    rng = random.Random(seed)
+    for n in range(10):  # 0 to 9 runs
+        f = _germ_of_length(rng, n)
+        g = _germ_of_length(rng, rng.randint(n, 9))
+        assert g_mul(f, g) == g_mul(g, f) == _collect_and_sort(_pair_products(f, g))
+        assert derivative(f) == _collect_and_sort(_derivative_products(f))
+        # (f + g)(f - g): the cross terms cancel
+        s, d = g_add(f, g), g_add(f, g_neg(g))
+        assert g_mul(s, d) == _collect_and_sort(_pair_products(s, d))
+        # c + f: the constant's derivative is ZERO
+        cf = g_add(g_const(Q(rng.randint(1, 5))), f)
+        assert derivative(cf) == derivative(f)
+        assert germ._sum_runs([f, g, g_neg(f), g_neg(g)]) == germ.ZERO
+    assert derivative(g_const(Q(3))) == germ.ZERO
+    # (x log x - x)' = log x: the constants 1 and -1 cancel
+    h = g_add(g_mul(X, LOG), g_neg(X))
+    assert derivative(h) == _collect_and_sort(_derivative_products(h)) == LOG
+
+
+def test_merged_runs_large_product():
+    rng = random.Random(60)
+    f, g = _germ_of_length(rng, 60), _germ_of_length(rng, 60)
+    assert g_mul(f, g) == _collect_and_sort(_pair_products(f, g))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 2**32), st.booleans())
 def test_g_mul_by_one_term_is_normal(seed, left):
@@ -688,8 +748,7 @@ def test_g_mul_by_one_term_is_normal(seed, left):
     assert all(mono_cmp(a, b) > 0
                for (_, a), (_, b) in zip(p.terms, p.terms[1:]))
     # the product of every pair of terms, collected and sorted in full
-    assert p == germ._sum_terms((cf * ct, germ.mono_mul(mf, mt))
-                                for cf, mf in f.terms for ct, mt in t.terms)
+    assert p == _collect_and_sort(_pair_products(f, t))
     for x0 in (3, 7):
         # exp of an argument near L = log|want| loses log10(L) digits, so the
         # values are compared at 50 digits more than that; L itself is read

@@ -132,6 +132,31 @@ def test_make_scale_comparison_count(monkeypatch, gens, most):
     assert len(calls) <= most
 
 
+@pytest.mark.parametrize("gens", [
+    [_X1, _X],
+    [_X1, _X, _LOG],
+    [g_add(g_pow(_X, 2), G.ONE), _X1, g_scale(_X, 3)],
+], ids=["x+1, x", "x+1, x, log x", "x^2+1, x+1, 3x"])
+def test_refusing_make_scale_comparison_count(monkeypatch, gens):
+    # a refusal is raised from the one admissibility pass: after a warm-up,
+    # n generators cost at most the n - 1 adjacent comparisons
+    with pytest.raises(NotAnAsymptoticScale) as want:
+        make_scale(gens)
+    calls = []
+    real = G.mono_cmp
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(G, "mono_cmp", counted)
+    with pytest.raises(NotAnAsymptoticScale) as got:
+        make_scale(gens)
+    assert str(got.value) == str(want.value)
+    assert got.value.info == want.value.info
+    assert len(calls) <= len(gens) - 1
+
+
 def test_monomial_cmp_small_below_unit(sx):
     m = sx.monomial([1])   # exp(-x)
     one = sx.unit()
