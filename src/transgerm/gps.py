@@ -37,8 +37,9 @@ class GenSeries:
 
     ``coeff`` is the one public read: it normalises its point, checks the
     arity and answers 0 off the universe.  ``_at`` reads a point that this
-    series' universe itself produced, with none of those checks.  So the
-    oracle is only ever asked at points of the universe."""
+    series' universe itself produced, or that ``coeff`` checked, with none
+    of those checks.  So the oracle is only ever asked at points of the
+    universe."""
 
     def __init__(self, arity: int, universe: SupportUniverse,
                  oracle: Callable[[Vec], Fraction], provenance: str = ""):
@@ -69,8 +70,8 @@ class GenSeries:
 
     def _at(self, v: Vec) -> Fraction:
         """The coefficient at v, a point of this series' universe as that
-        universe produced it (one of its streams or box_points): no
-        normalisation, arity or membership check."""
+        universe produced it (one of its streams or box_points) or as
+        ``coeff`` checked it: no normalisation, arity or membership check."""
         memo = self._memo
         hit = memo.get(v)
         if hit is None:
