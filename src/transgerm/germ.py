@@ -643,10 +643,6 @@ def level(f: GermTerm) -> int:
     return _mono_level(leading_mono(f))
 
 
-def level_and_eh(f: GermTerm) -> tuple[int, int]:
-    return level(f), eh(f)
-
-
 # ---------------------------------------------------------------------------
 # admissibility and basis extraction
 

@@ -5,11 +5,13 @@ support, a coefficient oracle returning exact rationals, and memoization.
 The constructors refuse a point with a negative coordinate, and a universe
 finitely generated by nonnegative points is natural, so every support is
 natural by construction.  All arithmetic is exact; equality is decidable
-only up to a bound and the API says so.
+only up to a bound, and ``GenSeries.enumerate(bound)`` is the read that
+decides it: two series agree below the bound when their lists are equal.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -143,46 +145,15 @@ class GenSeries:
 
     # -- order ------------------------------------------------------------------
 
-    def ord_and_min(self, budget: int = DEFAULT_BUDGET
-                    ) -> tuple[Coord, list[Vec]]:
-        """Order (least total degree of a nonzero coefficient) and the
-        componentwise-minimal support points found within the budget.
-
-        The antichain is exact whenever all minimal support points have total
-        degree at most 4 + 4*ord."""
-        first = None
-        stream = self.universe.graded_stream()
-        found: list[Vec] = []
-        for n, v in enumerate(stream):
-            if n >= budget:
-                break
-            if first is None:
-                if self._at(v):
-                    first = v
-                    cap = grade(v) * 4 + 4
-                continue
-            if grade(v) > cap:
-                break
-            if self._at(v):
-                found.append(v)
-        if first is None:
-            raise ZeroWithinBound(
-                f"no nonzero coefficient within {budget} enumerated points")
-        pts = [first] + found
-        minimal = [p for p in pts
-                   if not any(q != p and all(a <= b for a, b in zip(q, p))
-                              for q in pts)]
-        return grade(first), sorted(minimal)
-
     def order(self, budget: int = DEFAULT_BUDGET) -> Coord:
-        return self.ord_and_min(budget)[0]
-
-    def equal_to_bound(self, other: "GenSeries", bound: Sequence) -> bool:
-        self._check(other)
-        b = vec(bound)
-        pts = {v for v in self.universe.box_points(b)}
-        pts |= {v for v in other.universe.box_points(b)}
-        return all(self.coeff(v) == other.coeff(v) for v in pts)
+        """Least total degree of a nonzero coefficient, found along the
+        graded stream; ZeroWithinBound when the first ``budget`` points of
+        the universe all have coefficient 0."""
+        for v in itertools.islice(self.universe.graded_stream(), budget):
+            if self._at(v):
+                return grade(v)
+        raise ZeroWithinBound(
+            f"no nonzero coefficient within {budget} enumerated points")
 
     def __repr__(self) -> str:
         return f"GenSeries(arity={self.arity}, {self.provenance or 'oracle'})"
@@ -207,14 +178,6 @@ def from_terms(arity: int, terms: dict) -> GenSeries:
     uni = SupportUniverse.finite(arity, tbl.keys())
     return GenSeries(arity, uni, lambda v: tbl.get(v, Q(0)),
                      provenance="terms")
-
-
-def constant(arity: int, q) -> GenSeries:
-    return from_terms(arity, {vzero(arity): Q(q)})
-
-
-def monomial(arity: int, alpha: Sequence, c=1) -> GenSeries:
-    return from_terms(arity, {tuple(alpha): Q(c)})
 
 
 def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
@@ -254,8 +217,10 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
                budget: int = DEFAULT_BUDGET) -> GenSeries:
     """P o G = sum_nu a_nu G^nu for a one-variable power series P.
 
-    Requires ord(G) > 0.  Every term of G^nu has grade between nu * ord(G)
-    and nu * maxdeg(G), so only the nu in the window (grade_window)
+    Requires ord(G) > 0, as ``G.order(budget)`` finds it: OrderNotPositive
+    for ord 0, ZeroWithinBound when the budget finds none.  Every term of
+    G^nu has grade between nu * ord(G) and nu * maxdeg(G), so only the nu in
+    the window (grade_window)
 
         ceil(|alpha| / maxdeg(G)) <= nu <= floor(|alpha| / ord(G))
 
@@ -272,21 +237,10 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
         coeffs = [Q(a) for a in p]
         pc = lambda n: coeffs[n] if n < len(coeffs) else Q(0)
 
-    stream = g.universe.graded_stream()
-    g_ord: Optional[Coord] = None
-    for n, v in enumerate(stream):
-        if n >= budget:
-            break
-        c = g._at(v)
-        if c:
-            if grade(v) == 0:
-                raise OrderNotPositive("composition requires ord > 0, "
-                                       "found a nonzero constant term")
-            g_ord = grade(v)
-            break
-    if g_ord is None:
-        raise ZeroWithinBound(
-            "could not certify ord within budget; series may be zero")
+    g_ord = g.order(budget)
+    if g_ord == 0:
+        raise OrderNotPositive("composition requires ord > 0, "
+                               "found a nonzero constant term")
 
     def by_grade():
         # one item per grade of g's skeleton points, holding g's nonzero

@@ -65,15 +65,13 @@ class Monomial:
         return lex_positive(self.vector)
 
     def to_germ(self) -> GermTerm:
-        """The monomial as a germ, exp(-(sum of a_i f_i))."""
+        """The germ exp(-(sum of a_i f_i)) that this monomial stands for.
+        The paper's expansions are sums of such germs over the scale, and
+        this is the map from an exponent vector back to the Hardy field."""
         acc = G.ZERO
         for a, f in zip(self.vector, self.scale.generators):
             acc = G.g_add(acc, G.g_scale(f, -a))
         return G.g_exp(acc, max_depth=64)
-
-    def eval(self, x: float) -> float:
-        return monomial_value(self.scale, self.vector,
-                              lambda i: G.eval_germ(self.scale.generators[i], x))
 
     def __str__(self) -> str:
         return "m[" + ",".join(str(a) for a in self.vector) + "]"

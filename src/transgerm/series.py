@@ -69,6 +69,13 @@ def _combine_convergence(*tags: Optional[Convergence]) -> Optional[Convergence]:
     return Convergence(thr)
 
 
+def _check_monomial(scale: Scale, m: Monomial) -> None:
+    """ScaleMismatch unless m is a Monomial over scale: a plain vector or
+    another scale's monomial would be read in the wrong generators."""
+    if not isinstance(m, Monomial) or m.scale != scale:
+        raise ScaleMismatch(f"{m!r} is not a monomial over {scale}")
+
+
 class LaurentSeries:
     """Lazy generalized Laurent series over a Scale.  Its support universe is
     built on the first read of ``_universe``, as ``universe`` of the universes
@@ -109,7 +116,7 @@ class LaurentSeries:
                         budget: int = DEFAULT_BUDGET) -> list[Term]:
         """All (vector, coefficient) pairs for monomials >= cutoff, zeros
         dropped.  Raises CutoffTooDeep when the budget runs out first."""
-        self._check_monomial(cutoff)
+        _check_monomial(self.scale, cutoff)
         out = []
         for n, (v, c) in enumerate(self.iter_terms()):
             if v > cutoff.vector:
@@ -120,19 +127,6 @@ class LaurentSeries:
             if c:
                 out.append((v, c))
         return out
-
-    def leading_term(self, budget: int = DEFAULT_BUDGET) -> Term:
-        for n, (v, c) in enumerate(self.iter_terms()):
-            if n >= budget:
-                break
-            if c:
-                return (v, c)
-        raise ZeroWithinBound(
-            f"no nonzero coefficient within the first {budget} skeleton points")
-
-    def _check_monomial(self, m: Monomial) -> None:
-        if m.scale != self.scale:
-            raise ScaleMismatch("monomial over a different scale")
 
     def _check_series(self, other: "LaurentSeries") -> None:
         if self.scale != other.scale:
@@ -179,7 +173,11 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def subseries(self, keep: Callable[[Vec], bool]) -> "LaurentSeries":
-        """Restrict coefficients to a decidable exponent predicate."""
+        """Restrict coefficients to a decidable exponent predicate.  The
+        paper reads an expansion class by class: the terms whose exponents
+        in the dominant comparability class take one value form one block of
+        a support of order type past omega, and each block is such a
+        restriction."""
         return self._mapped(lambda v, c: (v, c if keep(v) else Q(0)),
                             f"sub({self.provenance})")
 
@@ -389,22 +387,13 @@ def _finite(scale: Scale, items: list, convergence: Optional[Convergence],
                          convergence=convergence, provenance=provenance)
 
 
-def one(scale: Scale) -> LaurentSeries:
-    return from_terms(scale, {vzero(scale.arity): 1})
-
-
-def monomial_series(scale: Scale, m: Monomial, coeff=1) -> LaurentSeries:
-    return from_terms(scale, {m: coeff})
-
-
 def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
                  *, convergence: Optional[Convergence] = None) -> LaurentSeries:
     """shift * body(m_0, ..., m_k), the model constructor of the series type."""
     if body.arity != scale.arity:
         raise ArityMismatch(
             f"body arity {body.arity} does not match scale arity {scale.arity}")
-    if shift.scale != scale:
-        raise ScaleMismatch("shift monomial over a different scale")
+    _check_monomial(scale, shift)
     delta = shift.vector
     if convergence is None and body.universe.explicit is not None:
         convergence = Convergence()
@@ -439,7 +428,8 @@ def lift_germ(scale: Scale, f: GermTerm) -> LaurentSeries:
 
 def geometric(scale: Scale, step: Monomial, ratio=1) -> LaurentSeries:
     """sum_nu ratio^nu step^nu = 1/(1 - ratio*step) for a small step."""
-    # from_terms refuses another scale's step and tags the result convergent
+    _check_monomial(scale, step)
+    # from_terms tags the result convergent
     f = from_terms(scale, {vzero(scale.arity): 1, step: -Q(ratio)})
     if not step.is_small():
         raise WitnessViolated(f"geometric step {step} is not small")
@@ -449,7 +439,7 @@ def geometric(scale: Scale, step: Monomial, ratio=1) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# truncation, leading factorization, inversion
+# truncation and inversion
 
 
 def truncate(f: LaurentSeries, cutoff: Monomial,
@@ -459,17 +449,6 @@ def truncate(f: LaurentSeries, cutoff: Monomial,
     for v in (v for v, _ in terms if len(v) != f.scale.arity):
         raise ArityMismatch(f"exponent vector {v} has wrong arity")
     return _finite(f.scale, terms, Convergence(), f"trunc({f.provenance},{cutoff})")
-
-
-def factor_leading(f: LaurentSeries, budget: int = DEFAULT_BUDGET
-                   ) -> tuple[Fraction, Monomial, LaurentSeries]:
-    """Write f = a * lm * (1 - e) with lm(e) small; returns (a, lm, e)."""
-    v0, a = f.leading_term(budget)
-    lm = Monomial(f.scale, v0)
-    rest = f.shifted(tuple(-x for x in v0)).scaled(1 / a)
-    e = one(f.scale) - rest
-    e.provenance = f"eps({f.provenance})"
-    return a, lm, e
 
 
 def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
@@ -540,32 +519,23 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
                          provenance=f"inv({f.provenance})")
 
 
-def equal_to_cutoff(f: LaurentSeries, g: LaurentSeries, cutoff: Monomial,
-                    budget: int = DEFAULT_BUDGET) -> bool:
-    """Coefficient-for-coefficient agreement on every monomial >= cutoff."""
-    lhs = dict(f.terms_to_cutoff(cutoff, budget))
-    rhs = dict(g.terms_to_cutoff(cutoff, budget))
-    return lhs == rhs
-
-
-def is_zero_to_cutoff(f: LaurentSeries, cutoff: Monomial,
-                      budget: int = DEFAULT_BUDGET) -> bool:
-    return not f.terms_to_cutoff(cutoff, budget)
-
-
 # ---------------------------------------------------------------------------
 # infinite families
+
+# the number of leading monomials on which sum_family checks, before any
+# member opens, that the joint skeleton stays natural
+_FAMILY_PROBE = 40
 
 
 def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
                witness_class: int,
-               leading_monomials: Callable[[int], Optional[Monomial]],
-               probe: int = 40) -> LaurentSeries:
+               leading_monomials: Callable[[int], Optional[Monomial]]
+               ) -> LaurentSeries:
     """Sum of F_0 + F_1 + ... with caller-supplied coinitiality witness.
 
     ``leading_monomials`` gives lm(F_nu); the projections onto the witness
     comparability class must strictly decrease and the joint skeleton union
-    must stay natural (probed on the first ``probe`` members: a strictly
+    must stay natural (probed on the first _FAMILY_PROBE members: a strictly
     shrinking positive coordinate gap is rejected, mirroring the failure of
     naturality for supports like {(nu, 1/nu)})."""
     from .scale import project_class
@@ -588,7 +558,7 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
     seen: list[Monomial] = []
     mins: list[Optional[Fraction]] = [None] * scale.arity
     shrink_count = [0] * scale.arity
-    for nu in range(probe):
+    for nu in range(_FAMILY_PROBE):
         m = lm(nu)
         if m is None:
             break
@@ -604,7 +574,7 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
                 if mins[i] is None or a < mins[i]:
                     mins[i] = a
     for i, n in enumerate(shrink_count):
-        if n >= max(3, probe // 4):
+        if n >= max(3, _FAMILY_PROBE // 4):
             raise WitnessViolated(
                 f"joint skeleton is not natural: coordinate {i} has no "
                 f"positive gap (minimum keeps shrinking)")
@@ -654,8 +624,8 @@ class OmegaPoly:
         return OmegaPoly(((0, n),) if n else ())
 
     @staticmethod
-    def omega_power(k: int, c: int = 1) -> "OmegaPoly":
-        return OmegaPoly(((k, c),))
+    def omega_power(k: int) -> "OmegaPoly":
+        return OmegaPoly(((k, 1),))
 
     def __le__(self, other: "OmegaPoly") -> bool:
         return self.coeffs <= other.coeffs
@@ -729,10 +699,12 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
         raise NotMarkedConvergent(
             "series has no convergence tag; use assert_convergent or a "
             "constructor that certifies convergence")
+    if not math.isfinite(x):
+        raise DomainError(f"x={x} is not a finite real")
     thr = f.convergence.threshold
     if thr is not None and x < thr:
         raise DomainError(f"x={x} below the certified convergence threshold {thr}")
-    f._check_monomial(cutoff)
+    _check_monomial(f.scale, cutoff)
     # each generator is evaluated once, when a term first needs it
     y = functools.cache(lambda i: G.eval_germ(f.scale.generators[i], x))
     total = []

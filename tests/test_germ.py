@@ -49,7 +49,6 @@ from transgerm.germ import (
     inverse,
     is_admissible,
     level,
-    level_and_eh,
     mono_cmp,
     same_archimedean_class,
 )
@@ -174,26 +173,27 @@ def test_symbolic_numeric_agreement(germ_pool):
 
 
 def test_level_eh_paper_values(X, LOG2):
-    f = g_add(X, g_exp(g_neg(X)))
-    assert level_and_eh(f) == (0, 1)
-    assert level_and_eh(LOG2) == (-2, -2)
-    assert level_and_eh(X) == (0, 0)
+    for f, want in ((g_add(X, g_exp(g_neg(X))), (0, 1)),
+                    (LOG2, (-2, -2)),
+                    (X, (0, 0))):
+        assert (level(f), eh(f)) == want
 
 
 def test_level_eh_more(X, LOG):
-    assert level_and_eh(g_exp(X)) == (1, 1)
-    assert level_and_eh(g_exp(g_pow(X, 2))) == (1, 1)
-    assert level_and_eh(g_mul(X, LOG)) == (0, 0)
-    assert level_and_eh(g_pow(X, Q(1, 2))) == (0, 0)
-    # x^log x = exp(log^2) has level 0 and height 0
-    assert level_and_eh(g_exp(g_pow(LOG, 2))) == (0, 0)
+    for f, want in ((g_exp(X), (1, 1)),
+                    (g_exp(g_pow(X, 2)), (1, 1)),
+                    (g_mul(X, LOG), (0, 0)),
+                    (g_pow(X, Q(1, 2)), (0, 0)),
+                    # x^log x = exp(log^2) has level 0 and height 0
+                    (g_exp(g_pow(LOG, 2)), (0, 0))):
+        assert (level(f), eh(f)) == want
 
 
 def test_level_le_eh(germ_pool):
     for f in germ_pool:
         if not germ.is_infinitely_increasing(f):
             continue
-        lv, h = level_and_eh(f)
+        lv, h = level(f), eh(f)
         assert lv <= h
 
 

@@ -15,6 +15,12 @@ coefficient by running, at the parent and at the change,
 
 and comparing the lines.  ``--rounds`` defaults to each workload's cycle
 (specs.CYCLE), the rounds after which every seeded value has recurred.
+
+A query whose outcome is ``failed`` (an exception that is no
+TransgermError) makes the run exit 1, after it names the first such query
+of each workload on stderr.  The benchmark's own oracle checks skip failed
+queries, so this is the check that every query of the benchmark still
+answers or refuses with a typed error.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import json
 import signal
 import sys
 from pathlib import Path
+from typing import Optional
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,18 +48,22 @@ def load(name: str):
 
 
 def digest(specs, worker, tg, workload: str, seed: int, rounds: int
-           ) -> tuple[str, int]:
-    """(sha256 hex, number of queries) over rounds 0 .. rounds-1."""
+           ) -> tuple[str, int, Optional[dict]]:
+    """(sha256 hex, number of queries, the record of the first failed query
+    or None) over rounds 0 .. rounds-1."""
     wl = worker.WORKLOAD_CLASSES[workload](tg, seed)
     h = hashlib.sha256()
     count = 0
+    failed = None
     for rnd in range(rounds):
         for q in specs.round_queries(workload, seed, rnd):
             rec = worker.run_query(wl, q, tg.errors.TransgermError)
             line = [q, rec["outcome"], rec["detail"], rec["answer"]]
             h.update(json.dumps(line, sort_keys=True).encode() + b"\n")
             count += 1
-    return h.hexdigest(), count
+            if failed is None and rec["outcome"] == "failed":
+                failed = rec
+    return h.hexdigest(), count, failed
 
 
 def main(argv=None) -> int:
@@ -64,13 +75,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     tg = worker.load_transgerm()
     signal.signal(signal.SIGALRM, worker._on_alarm)  # the per-query cap
+    status = 0
     for workload in specs.WORKLOADS:
         rounds = args.rounds or specs.CYCLE[workload]
-        hexdigest, count = digest(specs, worker, tg, workload, args.seed,
-                                  rounds)
+        hexdigest, count, failed = digest(specs, worker, tg, workload,
+                                          args.seed, rounds)
         print(f"{workload} seed {args.seed} rounds {rounds} "
               f"queries {count} sha256 {hexdigest}")
-    return 0
+        if failed is not None:
+            print(f"{workload}: query {json.dumps(failed['q'], sort_keys=True)}"
+                  f" failed with {failed['detail']}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
