@@ -984,9 +984,9 @@ def test_convergence_threshold_rule(sx, X):
     assert bare.convergence is None
     for h in (f + g, g + f, f * g, g * f):
         assert h.convergence.threshold == 3.0
-    one = from_terms(sx, {(0,): 1})
-    assert (f + one).convergence.threshold == 2.0
-    assert (one * one).convergence.threshold is None
+    unit = from_terms(sx, {(0,): 1})
+    assert (f + unit).convergence.threshold == 2.0
+    assert (unit * unit).convergence.threshold is None
     for h in (f + bare, bare + g, f * bare, bare * g):
         assert h.convergence is None
     c = cut(sx, 6)
