@@ -118,13 +118,37 @@ def test_geometric_product_grid():
             assert prod.coeff((a, b)) == 1
 
 
-def test_order_is_the_least_nonzero_grade():
-    assert from_terms(2, {(2, 0): 1, (1, 1): 5}).order() == 2
-    assert from_terms(1, {(0,): 1, (1,): 1}).order() == 0
-    full = geometric_in(2, (1, 0)) * geometric_in(2, (0, 1))
-    assert (full - from_terms(2, {(0, 0): 1})).order() == 1
+def nonzero_below(g, bound):
+    """Componentwise-minimal points with a nonzero coefficient in the box
+    0 <= v < bound, read through coeff."""
+    pts = [v for v in itertools.product(*(range(b) for b in bound))
+           if g.coeff(v)]
+    return sorted(p for p in pts
+                  if not any(q != p and all(a <= b for a, b in zip(q, p))
+                             for q in pts))
+
+
+def test_ord_and_min_direct():
+    g = from_terms(2, {(2, 0): 1, (1, 1): 5})
+    assert g.order() == 2
+    assert nonzero_below(g, (6, 6)) == [(1, 1), (2, 0)]
     # a minimal support point far above the order does not move it
-    assert from_terms(2, {(1, 0): 1, (0, 20): 1}).order() == 1
+    far = from_terms(2, {(1, 0): 1, (0, 20): 1})
+    assert far.order() == 1
+    assert nonzero_below(far, (2, 21)) == [(0, 20), (1, 0)]
+
+
+def test_ord_and_min_constant():
+    g = from_terms(1, {(0,): 1, (1,): 1})
+    assert g.order() == 0
+    assert nonzero_below(g, (6,)) == [(0,)]
+
+
+def test_ord_and_min_grid_minus_constant():
+    full = geometric_in(2, (1, 0)) * geometric_in(2, (0, 1))
+    g = full - from_terms(2, {(0, 0): 1})
+    assert g.order() == 1
+    assert nonzero_below(g, (6, 6)) == [(0, 1), (1, 0)]
 
 
 def test_zero_within_bound():

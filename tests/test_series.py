@@ -482,7 +482,7 @@ def test_sum_family_opening_budget(sx):
 
 @pytest.mark.parametrize("entry", ["shifted", "sum_family", "project_class",
                                    "partial_deriv", "enumerate",
-                                   "enumerate_finite",
+                                   "enumerate_finite", "equal_to_bound",
                                    "monomial_short", "monomial_long",
                                    "scale_monomial",
                                    "contains", "contains_explicit",
@@ -492,7 +492,7 @@ def test_sum_family_opening_budget(sx):
                                    "coeff_short", "coeff_long",
                                    "coeff_explicit_short",
                                    "coeff_explicit_long", "gps_from_terms",
-                                   "from_terms_short",
+                                   "gps_monomial", "from_terms_short",
                                    "from_terms_long", "make_laurent",
                                    "box_points_short", "box_points_long",
                                    "gps_add", "gps_mul", "compose_ps_coeff",
@@ -539,6 +539,10 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
         # a finite one: the short bound used to answer silently
         "enumerate_finite": (ArityMismatch, lambda: gps.from_terms(
             2, {(1, 0): 1, (0, 1): 2}).enumerate((3,))),
+        # equality below a bound is decided by comparing the two enumerations
+        "equal_to_bound": (ArityMismatch, lambda: gps.from_terms(
+            2, {(1, 0): 1}).enumerate((3,)) == gps.from_terms(
+                2, {(0, 1): 2}).enumerate((3,))),
         # coeff is the one checked read of a coefficient, whatever the point
         "coeff_short": (ArityMismatch,
                         lambda: gps.geometric_in(2, (0, 1)).coeff((1,))),
@@ -550,6 +554,8 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
             2, {(1, 0): 1}).coeff((1, 0, 0))),
         "gps_from_terms": (ArityMismatch,
                            lambda: gps.from_terms(2, {(1,): 1})),
+        "gps_monomial": (ArityMismatch,
+                         lambda: gps.from_terms(2, {(1, 0, 0): Q(3)})),
         "from_terms_short": (ArityMismatch,
                              lambda: from_terms(sxl, {(1,): 1})),
         "from_terms_long": (ArityMismatch,
