@@ -104,11 +104,13 @@ class Transmono(_Structural):
     part of ``_key()`` or of the pickled state, so equality, hashing and
     pickling see only ``(powers, expart)``.
 
-    Facts about a pair of monomials live in two module memos keyed on the
-    ordered pair: ``_cmp_cache`` (``mono_cmp``) and ``_mul_memo``
-    (``mono_mul``).  Their entries hold monomials strongly, so each memo is
-    cleared whenever it has no room for two more entries under
-    ``_PAIR_MEMO_MAX``; a monomial no one else holds is then freed.
+    Facts about a pair live in three module memos keyed on the ordered
+    pair: ``_cmp_cache`` (``mono_cmp``) and ``_mul_memo`` (``mono_mul``) on
+    two monomials, and ``_subst_memo`` (``m o g``, from ``_subst_mono``) on a
+    monomial and a checked inner germ.  Their entries hold monomials, and in
+    ``_subst_memo`` inner germs, strongly until the memo is cleared, which
+    happens whenever it has no room for the entries being stored under
+    ``_PAIR_MEMO_MAX``; a monomial or germ no one else holds is then freed.
     """
 
     powers: tuple[tuple[int, Fraction], ...] = ()
@@ -221,21 +223,23 @@ def _mono_logk(k: int) -> Transmono:
 # transmonomial order
 
 # pair memos (see Transmono): keys are ordered pairs of interned monomials,
-# which hash through the cached ``_hash`` and compare by identity; the bound
-# is read at call time
+# which hash through the cached ``_hash`` and compare by identity, or, in
+# ``_subst_memo``, a monomial and a checked inner germ, which compares
+# structurally; the bound is read at call time
 _PAIR_MEMO_MAX = 1 << 16
 _cmp_cache: dict[tuple[Transmono, Transmono], int] = {}
 _mul_memo: dict[tuple[Transmono, Transmono], Transmono] = {}
+_subst_memo: dict[tuple[Transmono, "GermTerm"], "GermTerm"] = {}
 _pair_lock = threading.Lock()
 
 
-def _remember(memo: dict, a: Transmono, b: Transmono, ab, ba) -> None:
-    """Store ``memo[a, b] = ab`` and ``memo[b, a] = ba`` under the bound."""
+def _remember(memo: dict, entries: dict) -> None:
+    """Store ``entries`` in ``memo`` under the bound: a memo with no room for
+    them is cleared first."""
     with _pair_lock:
-        if len(memo) + 2 > _PAIR_MEMO_MAX:
+        if len(memo) + len(entries) > _PAIR_MEMO_MAX:
             memo.clear()
-        memo[a, b] = ab
-        memo[b, a] = ba
+        memo.update(entries)
 
 
 def mono_log(t: Transmono) -> GermTerm:
@@ -295,7 +299,7 @@ def mono_cmp(a: Transmono, b: Transmono) -> int:
         res = -1 if tb[i][0].numerator > 0 else 1
     else:  # log is injective on canonical transmonomials
         res = 0 if i == n else (1 if ta[i][0] > tb[i][0] else -1)
-    _remember(_cmp_cache, a, b, res, -res)
+    _remember(_cmp_cache, {(a, b): res, (b, a): -res})
     return res
 
 
@@ -332,7 +336,7 @@ def mono_mul(a: Transmono, b: Transmono) -> Transmono:
         s = g_add(a.expart, b.expart)
         ex = None if s.is_zero() else s
     ab = Transmono(tuple(sorted(da.items())), ex)
-    _remember(_mul_memo, a, b, ab, ab)
+    _remember(_mul_memo, {(a, b): ab, (b, a): ab})
     return ab
 
 
@@ -880,11 +884,17 @@ def _log_iterate_of(g: GermTerm, k: int, logs: dict[int, GermTerm]) -> GermTerm:
 
 
 def _subst_mono(m: Transmono, g: GermTerm, logs: dict[int, GermTerm]) -> GermTerm:
+    """m o g, memoized in ``_subst_memo`` under (m, g) and read without the
+    lock; a refusal is raised again on every call and stores nothing."""
+    hit = _subst_memo.get((m, g))
+    if hit is not None:
+        return hit
     out = ONE
     for k, r in m.powers:
         out = g_mul(out, g_pow(_log_iterate_of(g, k, logs), r))
     if m.expart is not None:
         out = g_mul(out, g_exp(_compose(m.expart, g, logs)))
+    _remember(_subst_memo, {(m, g): out})
     return out
 
 
@@ -899,6 +909,10 @@ def _compose(f: GermTerm, g: GermTerm, logs: dict[int, GermTerm]) -> GermTerm:
 
 def compose_exact(f: GermTerm, g: GermTerm) -> GermTerm:
     """f o g, the substitution x -> g in f, in normal form.
+
+    Each monomial's substitution m o g is computed once per pair (m, g) and
+    kept in ``_subst_memo`` (see Transmono), which ``series.compose_right``
+    shares; a refused one is not kept and is refused again on every call.
 
     Raises NotIncreasing when g is not infinitely increasing, and NotInFragment,
     DepthLimitExceeded or NonHardyExpression when f o g has no normal form in

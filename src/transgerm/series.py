@@ -25,6 +25,7 @@ from .errors import (
     ArityMismatch,
     CutoffTooDeep,
     NotAScaleAfterShift,
+    NotInFragment,
     NotMarkedConvergent,
     DomainError,
     ScaleMismatch,
@@ -413,7 +414,9 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
 
 def lift_germ(scale: Scale, f: GermTerm) -> LaurentSeries:
     """A germ as a finite series, when each of its transmonomials lies in the
-    scale's monomial group."""
+    scale's monomial group.  A non-germ f raises NotInFragment."""
+    if not isinstance(f, GermTerm):
+        raise NotInFragment(f"{f!r} is not a germ")
     terms = {}
     for c, mono in f.terms:
         u = G.mono_log(mono)
@@ -544,16 +547,17 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
         raise WitnessViolated(
             f"witness class {witness_class} is not a class of the scale")
 
-    def checked(get: Callable[[int], object], what: str):
-        def at(nu: int):
-            m = get(nu)
-            if m is not None and m.scale != scale:
-                raise ScaleMismatch(f"{what} {nu} is over a different scale")
-            return m
-        return at
+    def lm(nu: int) -> Optional[Monomial]:
+        m = leading_monomials(nu)
+        if m is not None:
+            _check_monomial(scale, m)
+        return m
 
-    lm = checked(leading_monomials, "leading monomial")
-    member = checked(family, "family member")
+    def member(nu: int) -> Optional[LaurentSeries]:
+        f = family(nu)
+        if f is not None and f.scale != scale:
+            raise ScaleMismatch(f"family member {nu} is over a different scale")
+        return f
 
     seen: list[Monomial] = []
     mins: list[Optional[Fraction]] = [None] * scale.arity

@@ -287,6 +287,18 @@ def test_compose_and_inverse_refuse_outside_fragment(X, LOG):
         compose_exact(LOG, g_scale(X, 2))
     with pytest.raises(NotInFragment):
         inverse(g_add(X, LOG))
+    # a refused substitution is not memoized and is refused again; x o 2x,
+    # which answers on the way to log o 2x, is kept, as are the exp iterates
+    # on the way to exp4 o exp, which passes the exp depth bound
+    exp4 = g_exp(g_exp(g_exp(g_exp(X))))
+    for f, g, err in ((g_add(X, LOG), g_scale(X, 2), NotInFragment),
+                      (exp4, g_exp(X), DepthLimitExceeded)):
+        germ._subst_memo.clear()
+        for _ in range(2):
+            with pytest.raises(err):
+                compose_exact(f, g)
+            assert germ._subst_memo
+            assert (f.terms[-1][1], g) not in germ._subst_memo
 
 
 def test_compose_and_inverse_refuse_non_increasing(X):
@@ -384,27 +396,58 @@ def _forget_memos(f):
             _forget_memos(m.expart)
 
 
+def _agree_at(want, got, x0):
+    """The sympy expressions want and got agree to 30 digits at x = x0."""
+    want, got = (sympy.lambdify(_SX, e, "mpmath") for e in (want, got))
+    with mpmath.workdps(30):
+        w = want(mpmath.mpf(x0))
+        if w == 0:  # the derivative of a constant
+            return got(mpmath.mpf(x0)) == 0
+        # no exp argument exceeds |log want|: that many more digits keep
+        # every factor exact to 40
+        extra = int(mpmath.log10(1 + abs(mpmath.log(abs(w)))))
+    with mpmath.workdps(40 + extra):
+        w, g = want(mpmath.mpf(x0)), got(mpmath.mpf(x0))
+        return abs(w - g) <= mpmath.mpf(10) ** -30 * abs(w)
+
+
 def test_derivative_matches_sympy_diff():
     rng = random.Random(1806)
     checked = 0
-    with mpmath.workdps(30):
-        for _ in range(20):
-            f = _random_germ(rng, 2, False)
-            if f.is_zero():
-                continue
-            _forget_memos(f)
-            cold = derivative(f)
-            # a warm memo gives the same answer
-            assert derivative(f) == cold
-            want = sympy.lambdify(_SX, sympy.diff(_sym(f), _SX), "mpmath")
-            got = sympy.lambdify(_SX, _sym(cold), "mpmath")
-            for x0 in (3, 7):
-                w, g = want(mpmath.mpf(x0)), got(mpmath.mpf(x0))
-                # exp of an argument near L = log|w| keeps 30 - log10(L) digits
-                tol = mpmath.mpf(10) ** -27 * (1 + mpmath.log(1 + abs(w)))
-                assert abs(w - g) <= tol * max(abs(w), 1), (f, x0)
-            checked += 1
+    for _ in range(20):
+        f = _random_germ(rng, 2, False)
+        if f.is_zero():
+            continue
+        _forget_memos(f)
+        cold = derivative(f)
+        # a warm memo gives the same answer
+        assert derivative(f) == cold
+        want = sympy.diff(_sym(f), _SX)
+        for x0 in (3, 7):
+            assert _agree_at(want, _sym(cold), x0), (f, x0)
+        checked += 1
     assert checked >= 18
+
+
+def test_compose_exact_matches_sympy_subs(X, LOG):
+    rng = random.Random(1806)
+    inner = (g_pow(X, 2), g_pow(X, Q(1, 2)), LOG, g_exp(g_pow(X, Q(1, 2))),
+             g_exp(g_pow(LOG, 2)))
+    pairs = [(f, rng.choice(inner))
+             for f in (_random_germ(rng, 2, False) for _ in range(20))
+             if not f.is_zero()]
+    assert len(pairs) >= 18
+    # one memo shared by every pair, so a monomial meets several inner germs
+    germ._subst_memo.clear()
+    shared = [compose_exact(f, g) for f, g in pairs]
+    for (f, g), warm in zip(pairs, shared):
+        germ._subst_memo.clear()
+        cold = compose_exact(f, g)
+        assert cold == warm
+        assert compose_exact(f, copy.copy(g)) == cold  # an equal inner germ
+        want = _sym(f).subs(_SX, _sym(g))
+        for x0 in (3, 5):
+            assert _agree_at(want, _sym(cold), x0), (f, g, x0)
 
 
 def test_mono_cmp_pure_matches_dense_lex():
@@ -587,25 +630,36 @@ def test_mono_mul_memo_keeps_identity(germ_pool):
             assert germ.mono_mul(b, a) is cold
 
 
-def test_pair_memos_stay_under_bound(germ_pool, monkeypatch):
+def _subst(m, g):
+    """m o g for a monomial m, through compose_exact."""
+    return compose_exact(GermTerm(((Q(1), m),)), g)
+
+
+def test_pair_memos_stay_under_bound(germ_pool, monkeypatch, LOG):
     monos = _pool_monos(germ_pool)
     pairs = [(a, b) for a in monos for b in monos]
+    inner = (LOG, g_exp(g_x()))
     want_cmp = {p: mono_cmp(*p) for p in pairs}
     want_mul = {p: germ.mono_mul(*p) for p in pairs}
+    want_subst = {(a, g): _subst(a, g) for a in monos for g in inner}
     bound = 8
     monkeypatch.setattr(germ, "_PAIR_MEMO_MAX", bound)
-    germ._cmp_cache.clear()
-    germ._mul_memo.clear()
-    cleared = {"cmp": 0, "mul": 0}
-    for a, b in pairs:
-        sizes = len(germ._cmp_cache), len(germ._mul_memo)
+    memos = {"cmp": germ._cmp_cache, "mul": germ._mul_memo,
+             "subst": germ._subst_memo}
+    for memo in memos.values():
+        memo.clear()
+    cleared = dict.fromkeys(memos, 0)
+    for i, (a, b) in enumerate(pairs):
+        sizes = {k: len(memo) for k, memo in memos.items()}
         assert mono_cmp(a, b) == want_cmp[a, b]
         assert germ.mono_mul(a, b) is want_mul[a, b]
-        assert len(germ._cmp_cache) <= bound and len(germ._mul_memo) <= bound
-        cleared["cmp"] += len(germ._cmp_cache) < sizes[0]
-        cleared["mul"] += len(germ._mul_memo) < sizes[1]
-    # far more distinct pairs than the bound went through both memos
-    assert cleared["cmp"] >= 3 and cleared["mul"] >= 3
+        g = inner[i % 2]
+        assert _subst(a, g) == want_subst[a, g]
+        for k, memo in memos.items():
+            assert len(memo) <= bound
+            cleared[k] += len(memo) < sizes[k]
+    # far more distinct pairs than the bound went through every memo
+    assert min(cleared.values()) >= 3
 
 
 def test_pair_memos_free_monomials_once_cleared():
@@ -615,34 +669,39 @@ def test_pair_memos_free_monomials_once_cleared():
 
     p = germ.mono_mul(mono(0, 1, 3), mono(1, -2, 5))
     assert mono_cmp(p, mono(0, 1, 3)) != 0
-    dead = weakref.ref(p)
-    del p
+    # exp(x^(7/103)): an inner germ whose log has a unit coefficient
+    g = g_exp(GermTerm(((Q(1), Transmono(((0, Q(7, 103)),))),)))
+    _subst(p, g)
+    dead, dead_g = weakref.ref(p), weakref.ref(g)
+    del p, g
     gc.collect()
-    assert dead() is not None  # both memos hold the product
+    assert dead() is not None  # all three memos hold the product
     germ._mul_memo.clear()
     gc.collect()
     assert dead() is not None  # so does the comparison cache
     germ._cmp_cache.clear()
     gc.collect()
+    assert dead() is not None and dead_g() is not None  # and the subst memo
+    germ._subst_memo.clear()
+    gc.collect()
     assert dead() is None  # the intern table holds it weakly
+    assert dead_g() is None
 
 
-def test_derivative_memo_shared_across_threads(germ_pool):
-    for f in germ_pool:
-        _forget_memos(f)
-    want = [derivative(f) for f in germ_pool]
-    for f in germ_pool:
-        _forget_memos(f)
+def _race(call, n):
+    """call(i) for i < n, in a shuffled order on each of more threads than
+    cores, all released at once under a short switch interval; the answers
+    of each thread, in index order."""
     nthreads = 2 * (os.cpu_count() or 1) + 2
     start = threading.Barrier(nthreads, timeout=60)
     results = [None] * nthreads
 
     def work(k):
-        order = list(range(len(germ_pool)))
+        order = list(range(n))
         random.Random(k).shuffle(order)
         start.wait()
-        got = {i: derivative(germ_pool[i]) for i in order}
-        results[k] = [got[i] for i in range(len(germ_pool))]
+        got = {i: call(i) for i in order}
+        results[k] = [got[i] for i in range(n)]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -656,6 +715,35 @@ def test_derivative_memo_shared_across_threads(germ_pool):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_derivative_memo_shared_across_threads(germ_pool):
+    for f in germ_pool:
+        _forget_memos(f)
+    want = [derivative(f) for f in germ_pool]
+    for f in germ_pool:
+        _forget_memos(f)
+    results = _race(lambda i: derivative(germ_pool[i]), len(germ_pool))
+    assert all(got == want for got in results)
+
+
+def test_subst_memo_shared_across_threads(germ_pool, monkeypatch, X, LOG):
+    jobs = [(f, g) for f in germ_pool for g in (LOG, g_exp(X), g_pow(X, 2))]
+
+    def outcome(i):
+        try:
+            return compose_exact(*jobs[i])
+        except NotInFragment as exc:  # log2 o x^2 = log(2 log x), say
+            return type(exc)
+
+    germ._subst_memo.clear()
+    want = [outcome(i) for i in range(len(jobs))]
+    assert NotInFragment in want
+    # a small bound clears the memo while other threads read it
+    monkeypatch.setattr(germ, "_PAIR_MEMO_MAX", 16)
+    germ._subst_memo.clear()
+    results = _race(outcome, len(jobs))
     assert all(got == want for got in results)
 
 

@@ -632,7 +632,8 @@ def test_compose_right_refusal_keeps_its_cause(sl, X):
 def test_non_germ_argument_is_refused(sx, X, bad):
     for call in (lambda: G.compose_exact(X, bad),
                  lambda: G.compose_exact(bad, X),
-                 lambda: G.inverse(bad)):
+                 lambda: G.inverse(bad),
+                 lambda: lift_germ(sx, bad)):
         with pytest.raises(NotInFragment):
             call()
     with pytest.raises(NotAScaleAfterShift) as info:
@@ -1106,7 +1107,8 @@ def test_monomial_over_another_scale_is_refused(sx, sl):
                   lambda: truncate(f, (3,)),
                   lambda: sum_numeric(f, 2.0, (3,)),
                   lambda: make_laurent(sx, (0,), gps.geometric_in(1, (1,))),
-                  lambda: geometric(sx, (1,))):
+                  lambda: geometric(sx, (1,)),
+                  lambda: sum_family(sx, terms_x, 0, lambda nu: (nu,))):
         with pytest.raises(ScaleMismatch):
             build()
     assert from_terms(sl, {m: 1}).terms_to_cutoff(cut(sl, 2)) == [((1,), 1)]
