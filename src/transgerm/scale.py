@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import germ as G
-from .errors import ArityMismatch, NotAnAsymptoticScale, ScaleMismatch
+from .errors import ArityMismatch, NotAnAsymptoticScale, NotInFragment, ScaleMismatch
 from .germ import GermTerm, Q
 from .support import Vec, lex_positive, vadd, vec
 
@@ -95,8 +95,11 @@ def monomial_value(s: Scale, v: Vec, gen_value: Callable[[int], float]) -> float
 
 
 def _check_same(m: Monomial, n: Monomial) -> None:
-    if m.scale != n.scale:
-        raise ScaleMismatch("monomials over different scales")
+    """ScaleMismatch unless m and n are Monomials over one scale: a plain
+    vector is a monomial over no scale."""
+    if not (isinstance(m, Monomial) and isinstance(n, Monomial)) \
+            or m.scale != n.scale:
+        raise ScaleMismatch(f"{m!r} and {n!r} are not monomials over one scale")
 
 
 def monomial_cmp(m: Monomial, n: Monomial) -> int:
@@ -123,9 +126,13 @@ def make_scale(germs: Sequence[GermTerm]) -> Scale:
 
     Purely infinite inputs are first rewritten through basis extraction,
     which separates archimedean classes whenever the span allows it; the
-    result must then pass the admissibility check.
+    result must then pass the admissibility check.  A non-germ raises
+    NotInFragment.
     """
     germs = [g for g in germs]
+    for g in germs:
+        if not isinstance(g, GermTerm):
+            raise NotInFragment(f"{g!r} is not a germ")
     if not germs:
         raise NotAnAsymptoticScale("empty generator tuple")
     if all(G.is_infinitely_increasing(g) and G.is_purely_infinite(g)

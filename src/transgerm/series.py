@@ -40,7 +40,6 @@ from .support import (
     Q,
     SupportUniverse,
     Vec,
-    lex_positive,
     qadd,
     vadd,
     vec,
@@ -78,35 +77,21 @@ def _check_monomial(scale: Scale, m: Monomial) -> None:
 
 
 class LaurentSeries:
-    """Lazy generalized Laurent series over a Scale.  Its support universe is
-    built on the first read of ``_universe``, as ``universe`` of the universes
-    of the series ``reads``: None when any of those is, or ``universe`` is."""
+    """Lazy generalized Laurent series over a Scale.  ``skeleton(budget)``
+    is the universe whose lex enumeration, zeros included, is exactly the
+    stream, or None.  It is kept by make_laurent, from_terms, truncate,
+    invert (of a stream that ends within the budget), and their views,
+    scaled, shifted and subseries; not by sums, products, families or raw
+    streams."""
 
     def __init__(self, scale: Scale, factory: Callable[[], Iterator[Term]], *,
-                 universe: Optional[Callable] = None, reads: tuple = (),
+                 skeleton: Optional[Callable[[int], Optional[SupportUniverse]]] = None,
                  convergence: Optional[Convergence] = None, provenance: str = ""):
         self.scale = scale
         self.convergence = convergence
         self.provenance = provenance
-        self._build_universe, self._reads, self._uni = universe, reads, None
+        self._skeleton = skeleton
         self._memo = MemoStream(factory)
-
-    @property
-    def _universe(self) -> Optional[SupportUniverse]:
-        # the unbuilt universes read are built first, in post-order on an
-        # explicit stack, so a long chain of series does not recurse
-        stack = [(self, False)]
-        while stack:
-            s, ready = stack.pop()
-            build = s._build_universe
-            if build is not None and not ready:
-                stack.append((s, True))
-                stack += [(r, False) for r in s._reads]
-            elif build is not None:
-                us = [r._uni for r in s._reads]
-                s._uni = None if None in us else build(*us)
-                s._build_universe = None  # after _uni, for a racing reader
-        return self._uni
 
     # -- enumeration ------------------------------------------------------------
 
@@ -139,7 +124,6 @@ class LaurentSeries:
         self._check_series(other)
         return LaurentSeries(
             self.scale, _merge_factory([self, other]),
-            universe=SupportUniverse.union, reads=(self, other),
             convergence=_combine_convergence(self.convergence, other.convergence),
             provenance=f"({self.provenance}+{other.provenance})")
 
@@ -151,22 +135,27 @@ class LaurentSeries:
 
     def scaled(self, q) -> "LaurentSeries":
         q = Q(q)
-        return self._mapped(lambda v, c: (v, q * c), f"({q}*{self.provenance})")
+        return self._mapped(lambda v, c: (v, q * c), f"({q}*{self.provenance})",
+                            self._skeleton)
 
     def shifted(self, delta: Vec) -> "LaurentSeries":
         delta = vec(delta)
         if len(delta) != self.scale.arity:
             raise ArityMismatch(
                 f"shift {delta} has arity {len(delta)}, expected {self.scale.arity}")
+        sk, d = self._skeleton, delta
+        if isinstance(sk, functools.partial) and sk.func is _shifted_skeleton:
+            # a shift of a shift is one shift, so a chain of them does not recurse
+            sk, d = sk.args[0], vadd(sk.args[1], delta)
         return self._mapped(lambda v, c: (vadd(v, delta), c),
-                            f"shift({self.provenance})", lambda u: u.shifted(delta))
+                            f"shift({self.provenance})",
+                            sk and functools.partial(_shifted_skeleton, sk, d))
 
     def __mul__(self, other) -> "LaurentSeries":
         if isinstance(other, LaurentSeries):
             self._check_series(other)
             return LaurentSeries(
                 self.scale, _product_factory(self, other),
-                universe=SupportUniverse.sum, reads=(self, other),
                 convergence=_combine_convergence(self.convergence, other.convergence),
                 provenance=f"({self.provenance}*{other.provenance})")
         return self.scaled(other)
@@ -180,13 +169,13 @@ class LaurentSeries:
         a support of order type past omega, and each block is such a
         restriction."""
         return self._mapped(lambda v, c: (v, c if keep(v) else Q(0)),
-                            f"sub({self.provenance})")
+                            f"sub({self.provenance})", self._skeleton)
 
-    def _mapped(self, fn, provenance: str, universe=lambda u: u) -> "LaurentSeries":
-        """fn(v, c) of each term, with this tag and ``universe`` of this universe."""
+    def _mapped(self, fn, provenance: str, skeleton) -> "LaurentSeries":
+        """fn(v, c) of each term, with this tag and the given skeleton."""
         return LaurentSeries(
             self.scale, lambda: (fn(v, c) for v, c in self.iter_terms()),
-            universe=universe, reads=(self,), convergence=self.convergence,
+            skeleton=skeleton, convergence=self.convergence,
             provenance=provenance)
 
     # -- convergence -----------------------------------------------------------------
@@ -199,14 +188,18 @@ class LaurentSeries:
               provenance: str) -> "LaurentSeries":
         """The same terms under another scale or tag, sharing this memo, so
         each term is pulled once however many views read it."""
-        out = LaurentSeries(scale, self.iter_terms, universe=lambda u: u,
-                            reads=(self,), convergence=convergence,
-                            provenance=provenance)
+        out = LaurentSeries(scale, self.iter_terms, skeleton=self._skeleton,
+                            convergence=convergence, provenance=provenance)
         out._memo = self._memo
         return out
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.provenance or 'stream'} over {self.scale})"
+
+
+def _shifted_skeleton(skeleton, delta: Vec, budget: int) -> Optional[SupportUniverse]:
+    u = skeleton(budget)
+    return None if u is None else u.shifted(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +376,8 @@ def from_terms(scale: Scale, terms: dict, *,
 def _finite(scale: Scale, items: list, convergence: Optional[Convergence],
             provenance: str) -> LaurentSeries:
     """Distinct ascending terms, over the finite universe of their vectors."""
-    uni = lambda: SupportUniverse.finite(scale.arity, (v for v, _ in items))
-    return LaurentSeries(scale, lambda: iter(items), universe=uni,
+    sk = lambda b: SupportUniverse.finite(scale.arity, (v for v, _ in items))
+    return LaurentSeries(scale, lambda: iter(items), skeleton=sk,
                          convergence=convergence, provenance=provenance)
 
 
@@ -408,7 +401,7 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
         return ((v, at(v)) for v in pts)
 
     return LaurentSeries(scale, factory, convergence=convergence,
-                         universe=lambda: body.universe.shifted(delta),
+                         skeleton=lambda b: body.universe.shifted(delta),
                          provenance=f"laurent({body.provenance})")
 
 
@@ -511,13 +504,15 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
             push_next(-1, len(out) - 1)
             yield (v, c)
 
-    def universe(u: SupportUniverse) -> Optional[SupportUniverse]:
-        gens = [g for g in (vsub(p, lm) for p in u.explicit or ()) if any(g)]
-        if u.explicit is not None and all(map(lex_positive, gens)):
+    def skeleton(b: int) -> Optional[SupportUniverse]:
+        # inv_lm + monoid(u - lm) over f's points u after lm, zeros included,
+        # when f's own stream ends within the budget
+        if get(b) is None:
+            gens = (vsub(v, lm) for v, _ in itertools.islice(f._memo, first, None))
             return SupportUniverse.generated(f.scale.arity, gens, offset=inv_lm)
         return None
 
-    return LaurentSeries(f.scale, factory, universe=universe, reads=(f,),
+    return LaurentSeries(f.scale, factory, skeleton=skeleton,
                          convergence=f.convergence,
                          provenance=f"inv({f.provenance})")
 
@@ -657,6 +652,10 @@ class OrderTypeBound:
 def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     """Reverse order type of the support skeleton.
 
+    A stream that ends within the budget is finite.  Otherwise the type is
+    read from f's skeleton (see LaurentSeries); a series without one gets
+    the arity bound and no exact type.
+
     The bound exponent counts scale generators that occur in an infinite
     direction of the skeleton (each comparability class of occurring
     generators contributes one omega factor; for a validated scale the
@@ -666,20 +665,12 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     generator moves one coordinate, each of the k coordinates moved is a
     factor omega and every other one a single point, so the type is
     omega^k."""
-    witness = 0
-    exhausted = False
-    for n, (v, c) in enumerate(f.iter_terms()):
-        if n >= budget:
-            break
-        if c:
-            witness += 1
-    else:
-        exhausted = True
-
-    if exhausted:
+    head = list(itertools.islice(f.iter_terms(), budget + 1))
+    witness = sum(1 for _, c in head[:budget] if c)
+    if len(head) <= budget:
         return OrderTypeBound(1 if witness else 0,
                               OmegaPoly.finite(witness), witness)
-    uni = f._universe
+    uni = f._skeleton and f._skeleton(budget)
     if uni is None:
         return OrderTypeBound(f.scale.arity, None, witness)
     infinite = uni.infinite_coordinates()

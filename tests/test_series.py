@@ -27,6 +27,7 @@ from transgerm.germ import g_add, g_exp, g_logk, g_neg, g_pow, g_scale, g_x
 from transgerm.scale import (
     Monomial,
     make_scale,
+    monomial_cmp,
     monomial_value,
     project_class,
 )
@@ -117,7 +118,6 @@ def test_truncate_is_a_finite_tagged_series(sx):
     assert t.provenance == f"trunc({f.provenance},{n})"
     assert order_type(f).exact == OmegaPoly.omega_power(1)
     assert order_type(t).exact == OmegaPoly.finite(5)
-    assert t._universe.explicit == {(k,) for k in range(5)}
     assert t.terms_to_cutoff(cut(sx, 100)) == want
     assert truncate(t, n).terms_to_cutoff(cut(sx, 100)) == want
     # zeros on skeleton points are dropped from the result
@@ -125,7 +125,6 @@ def test_truncate_is_a_finite_tagged_series(sx):
         ((0,), Q(1)), ((1,), Q(0)), ((2,), Q(-3, 2)), ((5,), Q(2))]))
     tg = truncate(g, cut(sx, 3))
     assert tg.convergence == S.Convergence()
-    assert tg._universe.explicit == {(0,), (2,)}
     assert order_type(tg).exact == OmegaPoly.finite(2)
     assert truncate(tg, cut(sx, 3)).terms_to_cutoff(cut(sx, 9)) == [
         ((0,), 1), ((2,), Q(-3, 2))]
@@ -234,7 +233,11 @@ def test_invert_order_type(sx, sxl):
     for f, want in ((from_terms(sx, {(0,): 1, (1,): -1}), (1, "omega")),
                     (from_terms(sxl, {(0, 0): 1, (0, 1): -1, (1, 0): 1}),
                      (2, "omega^2")),
-                    (from_terms(sxl, {(0, 0): 1, (1, -1): -1}), (2, None))):
+                    (from_terms(sxl, {(0, 0): 1, (1, -1): -1}), (2, None)),
+                    # a zero before lm is skipped, and f's stream ends
+                    (S.LaurentSeries(sxl, lambda: iter([
+                        ((0, -1), Q(0)), ((0, 0), Q(1)), ((0, 1), Q(-1))])),
+                     (1, "omega"))):
         ot = order_type(invert(f))
         exact = None if ot.exact is None else str(ot.exact)
         assert (ot.bound_exponent, exact) == want
@@ -246,17 +249,17 @@ def _invert_sxl(sxl):
 
 
 def _check_shared_across_threads(build, c):
-    """Truncates one series built by ``build`` and reads its universe from
+    """Truncates one series built by ``build`` and reads its order type from
     2*nproc+2 threads at a short switch interval; each must get the
-    single-threaded answer and universe."""
+    single-threaded answers."""
     ref = build()
-    want = (_universe_key(ref._universe), ref.terms_to_cutoff(c))
+    want = (order_type(ref, budget=40), ref.terms_to_cutoff(c))
     shared = build()
     nthreads = 2 * (os.cpu_count() or 1) + 2
     results = [None] * nthreads
 
     def work(k):
-        results[k] = (_universe_key(shared._universe),
+        results[k] = (order_type(shared, budget=40),
                       shared.terms_to_cutoff(c))
 
     old = sys.getswitchinterval()
@@ -633,7 +636,8 @@ def test_non_germ_argument_is_refused(sx, X, bad):
     for call in (lambda: G.compose_exact(X, bad),
                  lambda: G.compose_exact(bad, X),
                  lambda: G.inverse(bad),
-                 lambda: lift_germ(sx, bad)):
+                 lambda: lift_germ(sx, bad),
+                 lambda: make_scale([bad])):
         with pytest.raises(NotInFragment):
             call()
     with pytest.raises(NotAScaleAfterShift) as info:
@@ -695,7 +699,7 @@ def test_product_matches_dict_convolution(sxl):
 
 def _own_memo(f):
     """A series equal to f that reads its terms through a memo of its own."""
-    return S.LaurentSeries(f.scale, f.iter_terms, universe=lambda: f._universe)
+    return S.LaurentSeries(f.scale, f.iter_terms)
 
 
 def _square_operands(sx, sxl):
@@ -780,117 +784,95 @@ def test_product_reads_each_operand_term_once(sx, monkeypatch):
     assert reads[fa._memo] == 31
 
 
-def test_universes_are_built_on_first_read(sx, monkeypatch):
-    calls = []
-    real_sum = SupportUniverse.sum
+def test_squarings_and_truncate_build_no_universe(sx, monkeypatch):
+    # a skeleton is a callable, so no universe is built until order_type
+    body = gps.from_terms(1, {(0,): 1, (1,): 1})
+    built = []
+    real_init = SupportUniverse.__init__
 
-    def counted_sum(self, other):
-        calls.append(1)
-        return real_sum(self, other)
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(SupportUniverse, "sum", counted_sum)
-    f = make_laurent(sx, sx.unit(), gps.from_terms(1, {(0,): 1, (1,): 1}))
+    monkeypatch.setattr(SupportUniverse, "__init__", counted_init)
+    f = make_laurent(sx, sx.unit(), body)
     for _ in range(6):
         f = f * f
     t = truncate(f, cut(sx, 64))
     assert t.terms_to_cutoff(cut(sx, 64)) == [
         ((i,), math.comb(64, i)) for i in range(65)]
-    assert calls == []
-    assert order_type(f).exact == OmegaPoly.finite(65)
-    assert f._universe.explicit == {(i,) for i in range(65)}
-    # one sum per squaring, each kept on its series for the next read
-    assert len(calls) == 6
-    assert f._universe is f._universe and len(calls) == 6
+    assert built == []
 
 
-def test_universe_of_a_long_chain_does_not_recurse(sx):
+def test_order_type_of_a_long_chain_does_not_recurse(sx):
     # each sum is pulled as it is built, so its stream reads a full memo;
-    # its universe, read once at the end, is built without recursion
+    # a sum carries no skeleton, so order_type reads only the stream
     f = from_terms(sx, {(0,): 1})
     for k in range(3 * sys.getrecursionlimit()):
         f = f + from_terms(sx, {(k % 7,): 1})
         list(f.iter_terms())
-    assert f._universe.explicit == {(k,) for k in range(7)}
+    assert order_type(f).exact == OmegaPoly.finite(7)
+    # g = 2x: one nonzero term in an unending stream of zeros
     g = f.shifted((1,)).scaled(2) * invert(f)
-    assert g._universe.offset == (1,) and len(g._universe.gens) == 6
+    assert order_type(g, budget=40) == S.OrderTypeBound(1, None, 1)
+    # a shifted chain reads its leaf's skeleton once, shifted by the sum
+    h = make_laurent(sx, sx.unit(), gps.geometric_in(1, (1,)))
+    for _ in range(3 * sys.getrecursionlimit()):
+        h = h.shifted((1,)).scaled(-1)
+        list(itertools.islice(h.iter_terms(), 6))
+    assert h._skeleton(5).offset == (3 * sys.getrecursionlimit(),)
+    assert order_type(h, budget=5) == S.OrderTypeBound(
+        1, OmegaPoly.omega_power(1), 5)
 
 
-def _universe_key(u):
-    if u is None:
-        return None
-    if u.explicit is not None:
-        return ("explicit", u.explicit)
-    return ("generated", u.offset, u.gens)
+def _skeleton_leaves(sxl):
+    """One series of each kind that records a skeleton, over (x, log x)."""
+    yield from_terms(sxl, {(0, -1): 2, (0, 1): -1, (1, -2): 3})
+    # zero on its even points, which the truncation drops
+    yield truncate(make_laurent(sxl, sxl.unit(),
+                                gps.geometric_in(2, (1, 1), Q(5, 2))
+                                - gps.geometric_in(2, (2, 2), Q(25, 4))),
+                   cut(sxl, 7, 7))
+    yield make_laurent(sxl, sxl.monomial([1, -1]),
+                       gps.from_terms(2, {(0, 0): 1, (1, 1): -2, (0, 3): 1}))
+    yield make_laurent(sxl, sxl.monomial([0, -1]),
+                       gps.geometric_in(2, (1, 0))
+                       * gps.geometric_in(2, (0, 1), Q(-1)))
+    yield make_laurent(sxl, sxl.unit(), gps.compose_ps(
+        lambda k: Q(1, k + 1), gps.from_terms(2, {(1, 0): 1, (0, 1): 1})))
+    yield geometric(sxl, cut(sxl, 0, 1), 3)
+    yield _invert_sxl(sxl)
+    # a zero before and after lm: both stay skeleton points
+    yield invert(S.LaurentSeries(sxl, lambda: iter([
+        ((0, -1), Q(0)), ((0, 0), Q(1)), ((0, 1), Q(0)), ((1, -1), Q(-1))])))
 
 
-def _universe_leaf(rng, sxl):
-    """A leaf series, its universe built by hand, and its sorted nonzero
-    keys (None for an infinite leaf)."""
-    kind = rng.choice(["terms", "finite body", "geometric", "raw"])
-    terms = {(rng.randint(0, 2), rng.randint(0, 2)):
-             Q(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
-             for _ in range(rng.randint(1, 3))}
-    keys = sorted(terms)
-    if kind == "terms":
-        return (from_terms(sxl, terms), SupportUniverse.finite(2, keys),
-                keys)
-    if kind == "raw":
-        raw = S.LaurentSeries(sxl, lambda: iter(sorted(terms.items())))
-        return raw, None, keys
-    delta = (rng.randint(-1, 1), rng.randint(-1, 1))
-    shift = sxl.monomial(delta)
-    if kind == "finite body":
-        body = gps.from_terms(2, terms)
-        keys = [tuple(a + d for a, d in zip(k, delta)) for k in keys]
-        return (make_laurent(sxl, shift, body),
-                SupportUniverse.finite(2, terms).shifted(delta), keys)
-    body = gps.geometric_in(2, rng.choice([(1, 0), (0, 1), (1, 1)]))
-    return (make_laurent(sxl, shift, body),
-            SupportUniverse.generated(2, body.universe.gens, offset=delta),
-            None)
+def test_skeleton_is_what_the_stream_enumerates(sxl, X):
+    # the first 60 skeleton points, in lex order, are the stream's vectors,
+    # zeros included, for each leaf and each map and view of it
+    maps = [lambda f: f, lambda f: f.shifted((1, -2)), lambda f: f.scaled(3),
+            lambda f: -f, lambda f: f.subseries(lambda v: v[0] != 1),
+            lambda f: f.assert_convergent(),
+            lambda f: compose_right(f, g_exp(X)),
+            lambda f: compose_right(f.shifted((0, 1)), X).scaled(0)]
+    for leaf in _skeleton_leaves(sxl):
+        for fn in maps:
+            f = fn(leaf)
+            skeleton = f._skeleton(512)
+            got = [v for v, _ in itertools.islice(f.iter_terms(), 60)]
+            assert list(itertools.islice(skeleton.lex_stream(), 60)) == got
 
 
-def _universe_expr(rng, sxl, depth):
-    """A seeded expression of +, *, shifted, scaled, subseries and invert
-    over leaves, with its universe by the SupportUniverse algebra."""
-    op = rng.choice(["leaf", "+", "*", "shift", "scale", "sub", "inv"]
-                    if depth else ["leaf", "inv"])
-    if op in ("leaf", "inv"):
-        f, uni, keys = _universe_leaf(rng, sxl)
-        if op == "leaf":
-            return f, uni
-        neg = lambda v: tuple(-a for a in v)
-        if keys is not None and len(keys) == 1:
-            return invert(f), SupportUniverse.finite(2, [neg(keys[0])])
-        if uni is not None and uni.explicit is not None:
-            lm = keys[0]
-            gens = [tuple(a - b for a, b in zip(p, lm)) for p in uni.explicit]
-            return invert(f), SupportUniverse.generated(2, gens,
-                                                        offset=neg(lm))
-        return invert(f), None
-    a, ua = _universe_expr(rng, sxl, depth - 1)
-    if op in ("+", "*"):
-        b, ub = _universe_expr(rng, sxl, depth - 1)
-        both = ua is not None and ub is not None
-        if op == "+":
-            return a + b, ua.union(ub) if both else None
-        return a * b, ua.sum(ub) if both else None
-    if op == "shift":
-        d = (rng.randint(-1, 1), rng.randint(-1, 1))
-        return a.shifted(d), None if ua is None else ua.shifted(d)
-    if op == "scale":
-        return a.scaled(Q(rng.choice([-3, 2]), 5)), ua
-    return a.subseries(lambda v: v[0] != 1), ua
-
-
-def test_universe_read_before_and_after_pull(sxl):
-    for seed in range(120):
-        lazy, want = _universe_expr(random.Random(seed), sxl, 3)
-        pulled, _ = _universe_expr(random.Random(seed), sxl, 3)
-        list(itertools.islice(pulled.iter_terms(), 40))
-        assert (_universe_key(lazy._universe)
-                == _universe_key(pulled._universe)
-                == _universe_key(want)), seed
+def test_sum_and_product_report_no_exact_type(sxl):
+    # the union and sum of two leaf universes over-approximate: each of
+    # these is of type omega, omega or omega*2, and none is omega^2
+    geo = make_laurent(sxl, sxl.unit(), gps.geometric_in(2, (1, 0)))
+    for f in (geo + geo.shifted((0, 5)),
+              from_terms(sxl, {(0, 0): 1, (0, 5): 1}) * geo,
+              geo + make_laurent(sxl, sxl.unit(),
+                                 gps.geometric_in(2, (0, 1))).shifted((1, 0))):
+        ot = order_type(f)
+        assert (ot.bound_exponent, ot.exact) == (2, None)
 
 
 def test_sum_numeric_powers(sl):
@@ -1108,7 +1090,10 @@ def test_monomial_over_another_scale_is_refused(sx, sl):
                   lambda: sum_numeric(f, 2.0, (3,)),
                   lambda: make_laurent(sx, (0,), gps.geometric_in(1, (1,))),
                   lambda: geometric(sx, (1,)),
-                  lambda: sum_family(sx, terms_x, 0, lambda nu: (nu,))):
+                  lambda: sum_family(sx, terms_x, 0, lambda nu: (nu,)),
+                  lambda: monomial_cmp(m, (1,)),
+                  lambda: monomial_cmp((1,), m),
+                  lambda: m * (1,)):
         with pytest.raises(ScaleMismatch):
             build()
     assert from_terms(sl, {m: 1}).terms_to_cutoff(cut(sl, 2)) == [((1,), 1)]
