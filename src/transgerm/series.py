@@ -80,9 +80,8 @@ class LaurentSeries:
     """Lazy generalized Laurent series over a Scale.  ``skeleton(budget)``
     is the universe whose lex enumeration, zeros included, is exactly the
     stream, or None.  It is kept by make_laurent, from_terms, truncate,
-    invert (of a stream that ends within the budget), and their views,
-    scaled, shifted and subseries; not by sums, products, families or raw
-    streams."""
+    invert (of a stream that ends within the budget), and their maps; not
+    by sums, products, families or raw streams."""
 
     def __init__(self, scale: Scale, factory: Callable[[], Iterator[Term]], *,
                  skeleton: Optional[Callable[[int], Optional[SupportUniverse]]] = None,
@@ -92,6 +91,7 @@ class LaurentSeries:
         self.provenance = provenance
         self._skeleton = skeleton
         self._memo = MemoStream(factory)
+        self._map = None
 
     # -- enumeration ------------------------------------------------------------
 
@@ -135,21 +135,14 @@ class LaurentSeries:
 
     def scaled(self, q) -> "LaurentSeries":
         q = Q(q)
-        return self._mapped(lambda v, c: (v, q * c), f"({q}*{self.provenance})",
-                            self._skeleton)
+        return _map(self, f"({q}*{self.provenance})", q=q)
 
     def shifted(self, delta: Vec) -> "LaurentSeries":
         delta = vec(delta)
         if len(delta) != self.scale.arity:
             raise ArityMismatch(
                 f"shift {delta} has arity {len(delta)}, expected {self.scale.arity}")
-        sk, d = self._skeleton, delta
-        if isinstance(sk, functools.partial) and sk.func is _shifted_skeleton:
-            # a shift of a shift is one shift, so a chain of them does not recurse
-            sk, d = sk.args[0], vadd(sk.args[1], delta)
-        return self._mapped(lambda v, c: (vadd(v, delta), c),
-                            f"shift({self.provenance})",
-                            sk and functools.partial(_shifted_skeleton, sk, d))
+        return _map(self, f"shift({self.provenance})", delta=delta)
 
     def __mul__(self, other) -> "LaurentSeries":
         if isinstance(other, LaurentSeries):
@@ -168,38 +161,44 @@ class LaurentSeries:
         in the dominant comparability class take one value form one block of
         a support of order type past omega, and each block is such a
         restriction."""
-        return self._mapped(lambda v, c: (v, c if keep(v) else Q(0)),
-                            f"sub({self.provenance})", self._skeleton)
-
-    def _mapped(self, fn, provenance: str, skeleton) -> "LaurentSeries":
-        """fn(v, c) of each term, with this tag and the given skeleton."""
-        return LaurentSeries(
-            self.scale, lambda: (fn(v, c) for v, c in self.iter_terms()),
-            skeleton=skeleton, convergence=self.convergence,
-            provenance=provenance)
+        return _map(self, f"sub({self.provenance})", keep=keep)
 
     # -- convergence -----------------------------------------------------------------
 
     def assert_convergent(self, threshold: Optional[float] = None) -> "LaurentSeries":
-        return self._view(self.scale, Convergence(threshold),
-                          self.provenance)
-
-    def _view(self, scale: Scale, convergence: Optional[Convergence],
-              provenance: str) -> "LaurentSeries":
-        """The same terms under another scale or tag, sharing this memo, so
-        each term is pulled once however many views read it."""
-        out = LaurentSeries(scale, self.iter_terms, skeleton=self._skeleton,
-                            convergence=convergence, provenance=provenance)
-        out._memo = self._memo
-        return out
+        return _map(self, self.provenance, convergence=Convergence(threshold))
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.provenance or 'stream'} over {self.scale})"
 
 
-def _shifted_skeleton(skeleton, delta: Vec, budget: int) -> Optional[SupportUniverse]:
-    u = skeleton(budget)
-    return None if u is None else u.shifted(delta)
+def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
+         q: Fraction = Q(1), keep: Optional[Callable[[Vec], bool]] = None,
+         scale: Optional[Scale] = None, convergence=...) -> LaurentSeries:
+    """f's terms moved by delta, scaled by q and kept where keep holds, over
+    scale and convergence when given (f's otherwise), as a map node (see
+    LaurentSeries); keeps is a linked list (keep, delta, rest)."""
+    out = object.__new__(LaurentSeries)  # a shallow copy of f
+    vars(out).update(vars(f), provenance=provenance, scale=scale or f.scale)
+    if convergence is not ...:
+        out.convergence = convergence
+    if (delta is None or not any(delta)) and q == 1 and keep is None:
+        return out
+    src, d, r, keeps = f._map or (f, vzero(f.scale.arity), Q(1), None)
+    d, r = (d if delta is None else vadd(d, delta)), r * q
+    keeps = keeps if keep is None else (keep, d, keeps)
+
+    def factory():
+        for v, c in src.iter_terms():
+            k = keeps  # stops at the first keep that fails, else at None
+            while k is not None and k[0](vadd(v, k[1])):
+                k = k[2]
+            yield vadd(v, d), (Q(0) if k else r * c)
+
+    sk = src._skeleton
+    out._memo, out._map = MemoStream(factory), (src, d, r, keeps)
+    out._skeleton = sk and (lambda b: (u := sk(b)) and u.shifted(d))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +602,8 @@ def compose_right(f: LaurentSeries, g: GermTerm) -> LaurentSeries:
         raise NotAScaleAfterShift(
             "basis extraction rewrote the composed generators; exponent "
             "vectors would not transfer")
-    return f._view(new_scale,
-                   None if f.convergence is None else Convergence(),
-                   f"({f.provenance} o {g})")
+    return _map(f, f"({f.provenance} o {g})", scale=new_scale,
+                convergence=None if f.convergence is None else Convergence())
 
 
 # ---------------------------------------------------------------------------
