@@ -16,6 +16,7 @@ import functools
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -79,9 +80,20 @@ def _check_monomial(scale: Scale, m: Monomial) -> None:
 class LaurentSeries:
     """Lazy generalized Laurent series over a Scale.  ``skeleton(budget)``
     is the universe whose lex enumeration, zeros included, is exactly the
-    stream, or None.  It is kept by make_laurent, from_terms, truncate,
-    invert (of a stream that ends within the budget), and their maps; not
-    by sums, products, families or raw streams."""
+    stream, or None.  It is kept by the leaves make_laurent, from_terms and
+    truncate, by invert of a stream that ends within the budget, and by
+    their maps; not by sums, products, families or raw streams.
+
+    scaled, shifted, negation, subseries, assert_convergent and
+    compose_right build through ``_map``.  A map node records ``(source,
+    delta, q, keeps)``: the source's term c at v is q*c at v + delta, or 0
+    unless every keep holds.  A map of a map folds onto the source, which
+    is never a map node: the deltas add, the scalars multiply, and each keep
+    is read at the source's vector plus the delta it was applied at.  So a
+    chain of any length pulls its source directly, and its skeleton is the
+    source's shifted by delta.  The identity map (no delta, q = 1, no keep)
+    is a view: it shares the operand's memo, skeleton and record, so views
+    pull each term once and a product of f and a view of f squares."""
 
     def __init__(self, scale: Scale, factory: Callable[[], Iterator[Term]], *,
                  skeleton: Optional[Callable[[int], Optional[SupportUniverse]]] = None,
@@ -114,9 +126,11 @@ class LaurentSeries:
                 out.append((v, c))
         return out
 
-    def _check_series(self, other: "LaurentSeries") -> None:
-        if self.scale != other.scale:
-            raise ScaleMismatch("series over different scales")
+    def _check_series(self, other) -> None:
+        """ScaleMismatch unless other is a series over this scale, as
+        _check_monomial refuses a plain vector."""
+        if not isinstance(other, LaurentSeries) or self.scale != other.scale:
+            raise ScaleMismatch(f"{other!r} is not a series over {self.scale}")
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -128,17 +142,18 @@ class LaurentSeries:
             provenance=f"({self.provenance}+{other.provenance})")
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
+        self._check_series(other)
         return self + (-other)
 
     def __neg__(self) -> "LaurentSeries":
         return self.scaled(Q(-1))
 
     def scaled(self, q) -> "LaurentSeries":
-        q = Q(q)
+        q = _exact(Q, q, "a rational scalar")
         return _map(self, f"({q}*{self.provenance})", q=q)
 
     def shifted(self, delta: Vec) -> "LaurentSeries":
-        delta = vec(delta)
+        delta = _exact(vec, delta, "an exponent vector")
         if len(delta) != self.scale.arity:
             raise ArityMismatch(
                 f"shift {delta} has arity {len(delta)}, expected {self.scale.arity}")
@@ -161,15 +176,32 @@ class LaurentSeries:
         in the dominant comparability class take one value form one block of
         a support of order type past omega, and each block is such a
         restriction."""
+        if not callable(keep):
+            raise NotInFragment(f"{keep!r} is not an exponent predicate")
         return _map(self, f"sub({self.provenance})", keep=keep)
 
     # -- convergence -----------------------------------------------------------------
 
     def assert_convergent(self, threshold: Optional[float] = None) -> "LaurentSeries":
+        """The same terms, tagged summable for x >= threshold, a finite real
+        (for every x when it is None).  nan would pass every threshold check
+        of sum_numeric, so it is refused here."""
+        if threshold is not None and not (isinstance(threshold, numbers.Real)
+                                          and math.isfinite(threshold)):
+            raise DomainError(f"threshold {threshold!r} is not a finite real")
         return _map(self, self.provenance, convergence=Convergence(threshold))
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.provenance or 'stream'} over {self.scale})"
+
+
+def _exact(convert, x, what: str):
+    """convert(x), or NotInFragment when x is not {what}, as lift_germ
+    refuses a non-germ."""
+    try:
+        return convert(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NotInFragment(f"{x!r} is not {what}") from exc
 
 
 def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
@@ -663,6 +695,8 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     generator moves one coordinate, each of the k coordinates moved is a
     factor omega and every other one a single point, so the type is
     omega^k."""
+    if budget < 0:
+        raise CutoffTooDeep(f"order_type needs a budget >= 0, not {budget}")
     head = list(itertools.islice(f.iter_terms(), budget + 1))
     witness = sum(1 for _, c in head[:budget] if c)
     if len(head) <= budget:

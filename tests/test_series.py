@@ -499,11 +499,15 @@ def test_sum_family_opening_budget(sx):
                                    "from_terms_long", "make_laurent",
                                    "box_points_short", "box_points_long",
                                    "gps_add", "gps_mul", "compose_ps_coeff",
-                                   "truncate_stream", "sum_numeric_stream"])
+                                   "truncate_stream", "sum_numeric_stream",
+                                   "mul_none", "mul_str", "scaled_str",
+                                   "shifted_monomial", "shifted_none",
+                                   "subseries_keep", "order_type_budget"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
-    # each public entry point that takes a vector or an index refuses one that
-    # does not fit the scale with a typed error, not an IndexError or a
-    # silently truncated answer
+    # each public entry point that takes a vector, an index, a scalar or a
+    # budget refuses one that does not fit with a typed error, not an
+    # IndexError, a bare TypeError or ValueError, or a silently truncated
+    # answer
     uni = SupportUniverse.generated(2, [(1, 0)])
     # a stream of arity-2 vectors under an arity-1 scale
     raw = S.LaurentSeries(sx, lambda: iter([((0, 1), Q(1))]), convergence=S.Convergence())
@@ -579,6 +583,23 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
         "truncate_stream": (ArityMismatch, lambda: truncate(raw, cut(sx, 3))),
         "sum_numeric_stream": (ArityMismatch,
                                lambda: sum_numeric(raw, 2.0, cut(sx, 3))),
+        # a scalar is a rational, as a germ argument is a germ
+        "mul_none": (NotInFragment, lambda: from_terms(sx, {(0,): 1}) * None),
+        "mul_str": (NotInFragment, lambda: from_terms(sx, {(0,): 1}) * "abc"),
+        "scaled_str": (NotInFragment,
+                       lambda: from_terms(sx, {(0,): 1}).scaled("abc")),
+        # a shift is an exponent vector, not a monomial
+        "shifted_monomial": (NotInFragment, lambda: from_terms(
+            sx, {(0,): 1}).shifted(cut(sx, 1))),
+        "shifted_none": (NotInFragment,
+                         lambda: from_terms(sx, {(0,): 1}).shifted(None)),
+        # a keep that is not callable used to fail only when the stream read it
+        "subseries_keep": (NotInFragment,
+                           lambda: from_terms(sx, {(0,): 1}).subseries(3)),
+        # islice used to raise a bare ValueError; terms_to_cutoff refuses a
+        # negative budget with CutoffTooDeep
+        "order_type_budget": (CutoffTooDeep, lambda: order_type(
+            geometric(sx, cut(sx, 1)), budget=-5)),
     }
     error, call = calls[entry]
     with pytest.raises(error):
@@ -825,6 +846,69 @@ def test_order_type_of_a_long_chain_does_not_recurse(sx):
         1, OmegaPoly.omega_power(1), 5)
 
 
+CHAIN = 10_000
+
+
+@pytest.mark.parametrize("op", ["shifted", "scaled", "neg", "subseries"])
+def test_a_long_unary_chain_answers(sx, op):
+    # built first and read once; each link used to nest one more generator
+    # pull, so a few hundred raised RecursionError.  The leaf is sum_j x^j
+    f = geometric(sx, cut(sx, 1))
+    for k in range(CHAIN):
+        if op == "shifted":
+            f = f.shifted((1,))
+        elif op == "scaled":
+            f = f.scaled(Q(k + 2, k + 1))  # the product telescopes to CHAIN + 1
+        elif op == "neg":
+            f = -f
+        else:
+            # drops the odd exponents below 20
+            f = f.subseries(lambda v, k=k: v[0] != 2 * (k % 10) + 1)
+    want = {"shifted": [((CHAIN + j,), 1) for j in range(25)],
+            "scaled": [((j,), CHAIN + 1) for j in range(25)],
+            "neg": [((j,), (-1) ** CHAIN) for j in range(25)],
+            "subseries": [((j,), 1) for j in range(25) if j % 2 == 0 or j >= 20]}
+    last = CHAIN + 24 if op == "shifted" else 24
+    assert f.terms_to_cutoff(cut(sx, last)) == want[op]
+
+
+def test_a_long_mixed_unary_chain_answers(sx, X):
+    # a seeded mix of the six unary operations, built first and read once,
+    # against each operation applied in turn to each term of sum_j x^j
+    rng = random.Random(13)
+    f, ops, shift = geometric(sx, cut(sx, 1)), [], 0
+    for _ in range(CHAIN):
+        op = rng.randrange(6)
+        if op == 0:
+            d = rng.randrange(-1, 3)
+            f, shift = f.shifted((d,)), shift + d
+            ops.append(lambda v, c, d=d: (v + d, c))
+        elif op == 1:
+            q = rng.choice([Q(-1), Q(2), Q(1, 2), Q(1)])
+            f = f.scaled(q)
+            ops.append(lambda v, c, q=q: (v, q * c))
+        elif op == 2:
+            f = -f
+            ops.append(lambda v, c: (v, -c))
+        elif op == 3:
+            t = shift + rng.randrange(-2000, 2000)
+            f = f.subseries(lambda v, t=t: v[0] != t)
+            ops.append(lambda v, c, t=t: (v, c if v != t else 0))
+        elif op == 4:
+            f = f.assert_convergent(rng.choice([None, 1.0]))
+        else:
+            f = compose_right(f, X)
+    want = []
+    for j in range(13):
+        v, c = j, Q(1)
+        for op in ops:
+            v, c = op(v, c)
+        if c:
+            want.append(((v,), c))
+    assert f.terms_to_cutoff(f.scale.monomial([shift + 12])) == want
+    assert 0 < len(want) < 13  # some keep bites, and not every one
+
+
 def _skeleton_leaves(sxl):
     """One series of each kind that records a skeleton, over (x, log x)."""
     yield from_terms(sxl, {(0, -1): 2, (0, 1): -1, (1, -2): 3})
@@ -1001,6 +1085,11 @@ def test_convergence_threshold_rule(sx, X):
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 sum_numeric(h, x, c)
+    # a nan threshold would pass every x < threshold check, so it is
+    # refused when asserted, as is a threshold that is not a number
+    for t in (math.nan, math.inf, "x"):
+        with pytest.raises(DomainError):
+            f.assert_convergent(t)
 
 
 def test_assert_convergent_tags_an_untagged_series(sx):
@@ -1093,7 +1182,11 @@ def test_monomial_over_another_scale_is_refused(sx, sl):
                   lambda: sum_family(sx, terms_x, 0, lambda nu: (nu,)),
                   lambda: monomial_cmp(m, (1,)),
                   lambda: monomial_cmp((1,), m),
-                  lambda: m * (1,)):
+                  lambda: m * (1,),
+                  # a number or a gps body is a series over no scale
+                  lambda: f + 1,
+                  lambda: f - 1,
+                  lambda: f + gps.geometric_in(1, (1,))):
         with pytest.raises(ScaleMismatch):
             build()
     assert from_terms(sl, {m: 1}).terms_to_cutoff(cut(sl, 2)) == [((1,), 1)]
