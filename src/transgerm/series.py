@@ -17,6 +17,7 @@ import heapq
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -41,7 +42,6 @@ from .support import (
     Q,
     SupportUniverse,
     Vec,
-    qadd,
     vadd,
     vec,
     vsub,
@@ -115,6 +115,7 @@ class LaurentSeries:
         """All (vector, coefficient) pairs for monomials >= cutoff, zeros
         dropped.  Raises CutoffTooDeep when the budget runs out first."""
         _check_monomial(self.scale, cutoff)
+        _check_budget(budget)
         out = []
         for n, (v, c) in enumerate(self.iter_terms()):
             if v > cutoff.vector:
@@ -144,6 +145,13 @@ class LaurentSeries:
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_series(other)
         return self + (-other)
+
+    __radd__ = __add__
+
+    def __rsub__(self, other) -> "LaurentSeries":
+        # reached only when other is not a series, which _check_series refuses
+        self._check_series(other)
+        return other - self
 
     def __neg__(self) -> "LaurentSeries":
         return self.scaled(Q(-1))
@@ -195,6 +203,15 @@ class LaurentSeries:
         return f"LaurentSeries({self.provenance or 'stream'} over {self.scale})"
 
 
+def _check_budget(budget) -> None:
+    """The one check of a term budget: DomainError unless it is an int, and
+    CutoffTooDeep when it is negative, since no enumeration fits in it."""
+    if not isinstance(budget, int):
+        raise DomainError(f"budget {budget!r} is not an int")
+    if budget < 0:
+        raise CutoffTooDeep(f"a budget of {budget} terms admits no enumeration")
+
+
 def _exact(convert, x, what: str):
     """convert(x), or NotInFragment when x is not {what}, as lift_germ
     refuses a non-germ."""
@@ -240,17 +257,23 @@ def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
 def _heap_sum(heap: list, popped: Callable[[int, int], None]
               ) -> Iterator[Term]:
     """The one series kernel: pop every entry (v, i, j, n, d) at the least
-    v, sum the ints n/d with qadd, call popped(i, j) for each popped entry,
-    and yield (v, Q(n, d)), reduced once.  The push rules live in popped and
-    in the caller, which may push more entries between yields; each pushed
-    v must come after the v just yielded."""
-    pop = heapq.heappop
+    v, sum the ints n/d, call popped(i, j) for each popped entry, and yield
+    (v, Q(n, d)), reduced once.  The first entry popped at v starts the sum
+    and each later one is added with qadd's formula, inline, so a pair costs
+    no Python call but popped.  The push rules live in popped and in the
+    caller, which may push more entries between yields; each pushed v must
+    come after the v just yielded."""
+    pop, gcd = heapq.heappop, math.gcd
     while heap:
-        v = heap[0][0]
-        n, d = 0, 1
+        v, i, j, n, d = pop(heap)
+        popped(i, j)
         while heap and heap[0][0] == v:
             _, i, j, p, q = pop(heap)
-            n, d = qadd(n, d, p, q)
+            if q == d:
+                n += p
+            else:
+                g = gcd(d, q)
+                n, d = n * (q // g) + p * (d // g), d // g * q
             popped(i, j)
         yield (v, Q(n, d))
 
@@ -304,7 +327,9 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
     pushed while its parent, of a smaller vector, is popped.  Square rule:
     when a and b share one memo (f*f, or f times a view of f), only the
     pairs i <= j are visited and an off-diagonal product counts twice.
-    Operand terms are read and unpacked to (v, n, d) once, in order."""
+    Operand terms are read and unpacked to (v, n, d) once, in order, and
+    None marks an operand's end; popped reads its operands from these
+    lists and asks a memo only for a term not yet read."""
     get_a, get_b = a._memo.get, b._memo.get
     square = a._memo is b._memo
 
@@ -312,28 +337,36 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
         heap: list = []
         a_terms: list = []
         b_terms = a_terms if square else []
+        push, add = heapq.heappush, operator.add
 
-        def read(ts: list, get, i: int):
-            if i == len(ts):
-                t = get(i)
-                ts.append(t and (t[0], t[1].numerator, t[1].denominator))
-            return ts[i]
-
-        def push(i: int, j: int):
-            ta, tb = read(a_terms, get_a, i), read(b_terms, get_b, j)
-            if ta is not None and tb is not None:
-                n = ta[1] * tb[1]
-                heapq.heappush(heap, (vadd(ta[0], tb[0]), i, j,
-                                      n + n if square and i != j else n,
-                                      ta[2] * tb[2]))
+        def read(ts: list, get):
+            t = get(len(ts))
+            ts.append(t and (t[0], t[1].numerator, t[1].denominator))
+            return ts[-1]
 
         def popped(i: int, j: int):
-            if not square or i < j:
-                push(i + 1, j)
-            if i == 0:
-                push(0, j + 1)
+            if not square or i < j:  # pair (i+1, j)
+                k = i + 1
+                ta = a_terms[k] if k < len(a_terms) else read(a_terms, get_a)
+                if ta is not None:
+                    tb = b_terms[j]
+                    n = ta[1] * tb[1]
+                    push(heap, (tuple(map(add, ta[0], tb[0])), k, j,
+                                n + n if square and k != j else n,
+                                ta[2] * tb[2]))
+            if i == 0:  # pair (0, j+1)
+                k = j + 1
+                tb = b_terms[k] if k < len(b_terms) else read(b_terms, get_b)
+                if tb is not None:
+                    ta = a_terms[0]
+                    n = ta[1] * tb[1]
+                    push(heap, (tuple(map(add, ta[0], tb[0])), 0, k,
+                                n + n if square else n, ta[2] * tb[2]))
 
-        push(0, 0)
+        ta = read(a_terms, get_a)
+        tb = a_terms[0] if square else read(b_terms, get_b)
+        if ta is not None and tb is not None:
+            push(heap, (vadd(ta[0], tb[0]), 0, 0, ta[1] * tb[1], ta[2] * tb[2]))
         yield from _heap_sum(heap, popped)
 
     return factory
@@ -394,7 +427,7 @@ def from_terms(scale: Scale, terms: dict, *,
             if k.scale != scale:
                 raise ScaleMismatch(f"monomial {k} is over a different scale")
             k = k.vector
-        v = vec(k)
+        v = _exact(vec, k, "an exponent vector")
         if len(v) != scale.arity:
             raise ArityMismatch(f"exponent vector {v} has wrong arity")
         if type(c) is not Fraction:
@@ -486,12 +519,19 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     emitted.  The sum is _heap_sum's: pair (i, j) is the remainder term
     -f_u/a at u - lm times c's term j, reached once, at (0, j) when c_j is
     emitted and at (i+1, j) when (i, j) pops.  Zero terms after lm stay
-    pairs, so the skeleton stays complete."""
-    # f's first two nonzero terms within the budget; one alone proves
-    # f = a*lm only when f's stream also ends within the budget
-    scan = itertools.takewhile(lambda t: t[0] < budget,
-                               enumerate(f.iter_terms()))
-    hits = list(itertools.islice((n for n, (_, c) in scan if c), 2))
+    pairs, so the skeleton stays complete.  Each term of f is read once,
+    and its end once."""
+    _check_budget(budget)
+    # f's terms up to its second nonzero one within the budget; one nonzero
+    # term alone proves f = a*lm only when f's stream also ends there
+    head: list[Term] = []
+    hits: list[int] = []
+    for t in itertools.islice(f.iter_terms(), budget):
+        if t[1]:
+            hits.append(len(head))
+        head.append(t)
+        if len(hits) == 2:
+            break
     get = f._memo.get
     if not hits:
         raise ZeroWithinBound(
@@ -501,7 +541,7 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
             f"the remainder after the leading term has no nonzero coefficient "
             f"within the first {budget} skeleton points, and the stream does "
             f"not end there")
-    lm, a = get(hits[0])
+    lm, a = head[hits[0]]
     inv_lm, inv_a = tuple(-x for x in lm), 1 / a
     if len(hits) == 1:
         out = from_terms(f.scale, {inv_lm: inv_a}, convergence=f.convergence)
@@ -509,24 +549,29 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
         return out
     first = hits[0] + 1
 
+    def remainder(t: Optional[Term]):
+        # f's term u as u - lm and -f_u/a as n, d; None at f's end
+        if t is None:
+            return None
+        e = -t[1] * inv_a
+        return vsub(t[0], lm), e.numerator, e.denominator
+
     def factory():
-        rem: list[tuple[Vec, int, int]] = []  # u - lm and -f_u/a as n, d
+        # each term of f is shifted and scaled once, when first read
+        rem = [remainder(t) for t in head[first:]]
         out: list[tuple[Vec, int, int]] = []  # c's terms as v, n, d
         heap: list = []
+        push, add = heapq.heappush, operator.add
 
         def push_next(i: int, j: int):
             # pair (i+1, j): when (i, j) pops, and (0, j) as push_next(-1, j)
             i += 1
             if i == len(rem):
-                # each term of f is shifted and scaled once, when first read
-                t = get(first + i)
-                if t is None:
-                    return
-                e = -t[1] * inv_a
-                rem.append((vsub(t[0], lm), e.numerator, e.denominator))
-            u, n, d = rem[i]
-            w, p, q = out[j]
-            heapq.heappush(heap, (vadd(u, w), i, j, n * p, d * q))
+                rem.append(remainder(get(first + i)))
+            r = rem[i]
+            if r is not None:  # f has not ended
+                w, p, q = out[j]
+                push(heap, (tuple(map(add, r[0], w)), i, j, r[1] * p, r[2] * q))
 
         # c's first term is 1/a at lm^-1; every later one is a heap sum
         for v, c in itertools.chain([(inv_lm, inv_a)],
@@ -695,8 +740,7 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     generator moves one coordinate, each of the k coordinates moved is a
     factor omega and every other one a single point, so the type is
     omega^k."""
-    if budget < 0:
-        raise CutoffTooDeep(f"order_type needs a budget >= 0, not {budget}")
+    _check_budget(budget)
     head = list(itertools.islice(f.iter_terms(), budget + 1))
     witness = sum(1 for _, c in head[:budget] if c)
     if len(head) <= budget:
@@ -732,6 +776,7 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
     if thr is not None and x < thr:
         raise DomainError(f"x={x} below the certified convergence threshold {thr}")
     _check_monomial(f.scale, cutoff)
+    _check_budget(budget)
     # each generator is evaluated once, when a term first needs it
     y = functools.cache(lambda i: G.eval_germ(f.scale.generators[i], x))
     total = []

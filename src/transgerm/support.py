@@ -28,9 +28,10 @@ Coefficients are exact: every coefficient a kernel stores or yields is a
 (``series._heap_sum``, the one series kernel under the merges, products,
 family sums and inverse; the gps convolution and power table) keeps each sum
 as a pair of ints, a numerator over a running denominator, and adds terms
-with ``qadd``; it builds ``Q(n, d)``, which reduces by one gcd, once per
-coefficient it emits.  The pair is not reduced
-on the way, but its denominator stays the lcm of the denominators added.
+by ``qadd``'s formula (the gps kernels call it, ``_heap_sum`` inlines it);
+it builds ``Q(n, d)``, which reduces by one gcd, once per coefficient it
+emits.  The pair is not reduced on the way, but its denominator stays the
+lcm of the denominators added.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ def coord(a) -> Coord:
 
 
 def vec(p: Iterable) -> Vec:
+    """An exact exponent vector; a str or bytes is refused with TypeError,
+    where iterating would read it as one coordinate per character."""
+    if isinstance(p, (str, bytes)):
+        raise TypeError(f"{p!r} is not an exponent vector")
     return tuple(map(coord, p))
 
 
@@ -366,7 +371,8 @@ class MemoStream:
 
     Read rule: stored items never change and the list only grows, so an
     index below its length is read without the lock; only a pull takes it,
-    re-checking the length under it, so each item is pulled once.
+    re-checking the length under it, so each item is pulled once.  A done
+    stream never grows, so a read past its end takes no lock either.
 
     An exception out of the factory's iterator ends that iterator, so it is
     kept and raised again by every later pull: a stream that failed never
@@ -384,9 +390,10 @@ class MemoStream:
         items = self._items
         if i < len(items):
             return items[i]
-        with self._lock:
-            while len(items) <= i and not self._done:
-                self._pull()
+        if not self._done:
+            with self._lock:
+                while len(items) <= i and not self._done:
+                    self._pull()
         return items[i] if i < len(items) else None
 
     def _pull(self):

@@ -94,3 +94,29 @@ def same(a: Model) -> Model:
 
 def truncate(a: Model, cutoff) -> Model:
     return finite(dict(a.to(cutoff)))
+
+
+def invert(a: Model, horizon) -> Model:
+    """1/a for a = c*m^L*(1 + r), where L is the least exponent of a's
+    terms, so a must have a term below its horizon.  1/(1 + r) = 1 - r/(1 + r)
+    gives q_0 = 1 and q_t = -sum_s r_s q_(t-s) over the sums t of r's
+    exponents, and 1/a = m^-L q / c.  q_t reads r up to t, so 1/a is exact
+    below a's horizon minus 2L; of a finite a, it is exact below horizon,
+    and finite when a is one term."""
+    low = min(a.terms)
+    c = a.terms[low]
+    if len(a.terms) == 1 and a.horizon == math.inf:
+        return finite({-low: 1 / c})
+    top = min(horizon, a.horizon - 2 * low)  # 1/a is exact below top
+    r = {e - low: x / c for e, x in a.terms.items() if e != low}
+    sums, todo = {0}, [0]  # the sums of r's exponents up to top + low
+    while todo:
+        t = todo.pop()
+        for s in r:
+            if t + s <= top + low and t + s not in sums:
+                sums.add(t + s)
+                todo.append(t + s)
+    q: dict = {}
+    for t in sorted(sums):
+        q[t] = 1 if t == 0 else -sum(x * q.get(t - s, 0) for s, x in r.items())
+    return Model({t - low: x / c for t, x in q.items()}, -low, top)

@@ -502,7 +502,13 @@ def test_sum_family_opening_budget(sx):
                                    "truncate_stream", "sum_numeric_stream",
                                    "mul_none", "mul_str", "scaled_str",
                                    "shifted_monomial", "shifted_none",
-                                   "subseries_keep", "order_type_budget"])
+                                   "subseries_keep", "order_type_budget",
+                                   "terms_to_cutoff_budget", "invert_budget",
+                                   "order_type_budget_float",
+                                   "truncate_budget_none",
+                                   "sum_numeric_budget_float",
+                                   "invert_budget_float", "shifted_str",
+                                   "shifted_bytes", "from_terms_str"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
     # each public entry point that takes a vector, an index, a scalar or a
     # budget refuses one that does not fit with a typed error, not an
@@ -600,6 +606,26 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
         # negative budget with CutoffTooDeep
         "order_type_budget": (CutoffTooDeep, lambda: order_type(
             geometric(sx, cut(sx, 1)), budget=-5)),
+        # every budget is checked by one rule: a negative one refuses even
+        # where no term is read, and one that is not an int is a DomainError
+        "terms_to_cutoff_budget": (CutoffTooDeep, lambda: from_terms(
+            sx, {(2,): 1}).terms_to_cutoff(cut(sx, 1), budget=-1)),
+        "invert_budget": (CutoffTooDeep, lambda: invert(
+            geometric(sx, cut(sx, 1)), budget=-1)),
+        "order_type_budget_float": (DomainError, lambda: order_type(
+            geometric(sx, cut(sx, 1)), budget=2.5)),
+        "truncate_budget_none": (DomainError, lambda: truncate(
+            geometric(sx, cut(sx, 1)), cut(sx, 3), budget=None)),
+        "sum_numeric_budget_float": (DomainError, lambda: sum_numeric(
+            geometric(sx, cut(sx, 1)), 2.0, cut(sx, 3), budget=1.5)),
+        "invert_budget_float": (DomainError, lambda: invert(
+            geometric(sx, cut(sx, 1)), budget=2.0)),
+        # a string used to be read one coordinate per character
+        "shifted_str": (NotInFragment,
+                        lambda: from_terms(sxl, {(0, 0): 1}).shifted("12")),
+        "shifted_bytes": (NotInFragment,
+                          lambda: from_terms(sxl, {(0, 0): 1}).shifted(b"12")),
+        "from_terms_str": (NotInFragment, lambda: from_terms(sx, {"3": 1})),
     }
     error, call = calls[entry]
     with pytest.raises(error):
@@ -803,6 +829,24 @@ def test_product_reads_each_operand_term_once(sx, monkeypatch):
     reads.clear()
     (fa * fa).terms_to_cutoff(cut(sx, 100))
     assert reads[fa._memo] == 31
+
+
+def test_invert_reads_each_term_of_f_once(sx, monkeypatch):
+    # the scan for f's leading terms and the division share f's terms, and
+    # a finished f is not read again: 2 terms and 1 end, for 40 terms of c
+    reads = []
+    real_get = S.MemoStream.get
+
+    def counted_get(self, i):
+        if self is f._memo:
+            reads.append(i)
+        return real_get(self, i)
+
+    f = from_terms(sx, {(0,): 1, (1,): Q(-1, 3)})
+    monkeypatch.setattr(S.MemoStream, "get", counted_get)
+    got = invert(f).terms_to_cutoff(cut(sx, 39))
+    assert got == [((k,), Q(1, 3 ** k)) for k in range(40)]
+    assert reads == [0, 1, 2]
 
 
 def test_squarings_and_truncate_build_no_universe(sx, monkeypatch):
@@ -1186,6 +1230,8 @@ def test_monomial_over_another_scale_is_refused(sx, sl):
                   # a number or a gps body is a series over no scale
                   lambda: f + 1,
                   lambda: f - 1,
+                  lambda: 1 + f,
+                  lambda: 1 - f,
                   lambda: f + gps.geometric_in(1, (1,))):
         with pytest.raises(ScaleMismatch):
             build()

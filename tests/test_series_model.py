@@ -3,8 +3,8 @@ dict model in tests/model.py.
 
 Each DAG is built twice, from transgerm's series and from the model, out of
 finite and geometric leaves, +, -, *, squares of a series and of a view of
-it, the six unary operations, truncate, and unary chains 300 to 500 links
-long.  Every node is compared on its nonzero terms down to a cutoff
+it, the six unary operations, truncate, invert, and unary chains 300 to
+500 links long.  Every node is compared on its nonzero terms down to a cutoff
 below the model's horizon."""
 
 import math
@@ -87,6 +87,11 @@ def _dag(seed: int, X, sx) -> list:
         elif r < 0.6:
             c = _cutoff(m)
             pool.append((S.truncate(f, sx.monomial([c])), M.truncate(m, c)))
+        elif r < 0.7:
+            # the model needs f's leading term, and the series refuses a
+            # lone term whose stream may not end
+            if len(m.terms) > 1 or (m.terms and m.horizon == math.inf):
+                pool.append((S.invert(f), M.invert(m, HORIZON)))
         else:
             pool.append(_unary(rng, X, f, m))
     return pool
