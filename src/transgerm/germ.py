@@ -36,6 +36,7 @@ from .errors import (
     NotIncreasing,
     Unclassifiable,
 )
+from .support import rational
 
 DEFAULT_EXP_DEPTH = 4
 
@@ -126,8 +127,7 @@ class Transmono(_Structural):
                     self = object.__new__(cls)
                     # an int exponent would make 1/r a float in inverse()
                     object.__setattr__(self, "powers", tuple(
-                        (k, r if type(r) is Fraction else Q(r))
-                        for k, r in powers))
+                        (k, rational(r)) for k, r in powers))
                     object.__setattr__(self, "expart", expart)
                     _interned[self._key()] = self
         return self
@@ -192,13 +192,19 @@ class GermTerm(_Structural):
         return f"GermTerm({germ_str(self)})"
 
 
+def check_germ(f) -> None:
+    """NotInFragment unless f is a germ."""
+    if not isinstance(f, GermTerm):
+        raise NotInFragment(f"{f!r} is not a germ")
+
+
 UNIT_MONO = Transmono()
 ZERO = GermTerm()
 ONE = GermTerm(((Q(1), UNIT_MONO),))
 
 
 def g_const(q) -> GermTerm:
-    q = Q(q)
+    q = rational(q)
     return GermTerm(((q, UNIT_MONO),)) if q else ZERO
 
 
@@ -391,7 +397,7 @@ def g_neg(f: GermTerm) -> GermTerm:
 
 
 def g_scale(f: GermTerm, q: Fraction) -> GermTerm:
-    q = Q(q)
+    q = rational(q)
     if not q:
         return ZERO
     return GermTerm(tuple((c * q, m) for c, m in f.terms))
@@ -459,7 +465,7 @@ def exact_root(c: Fraction, q: Fraction) -> Optional[Fraction]:
 
 
 def g_pow(f: GermTerm, q: Fraction) -> GermTerm:
-    q = Q(q)
+    q = rational(q)
     if q.denominator == 1:
         n = q.numerator
         if n == 0:
@@ -855,8 +861,7 @@ def inverse(g: GermTerm) -> GermTerm:
     iterate, DepthLimitExceeded past the exp depth bound).  Anything else,
     a non-germ argument included, raises NotInFragment; a germ that is not
     infinitely increasing raises NotIncreasing."""
-    if not isinstance(g, GermTerm):
-        raise NotInFragment(f"{g!r} is not a germ")
+    check_germ(g)
     if not is_infinitely_increasing(g):
         raise NotIncreasing(f"{g} is not infinitely increasing")
     if len(g.terms) == 1:
@@ -917,9 +922,8 @@ def compose_exact(f: GermTerm, g: GermTerm) -> GermTerm:
     Raises NotIncreasing when g is not infinitely increasing, and NotInFragment,
     DepthLimitExceeded or NonHardyExpression when f o g has no normal form in
     the fragment; NotInFragment also refuses an f or g that is not a germ."""
-    for a in (f, g):
-        if not isinstance(a, GermTerm):
-            raise NotInFragment(f"{a!r} is not a germ")
+    check_germ(f)
+    check_germ(g)
     if not is_infinitely_increasing(g):
         raise NotIncreasing(f"right-composition germ {g} is not infinitely increasing")
     return _compose(f, g, {0: g})

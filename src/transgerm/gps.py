@@ -23,9 +23,11 @@ from .support import (
     Q,
     SupportUniverse,
     Vec,
+    check_arity,
     grade,
     is_nonnegative,
     qadd,
+    rational,
     vec,
     vsub,
     vzero,
@@ -63,8 +65,7 @@ class GenSeries:
         if hit is not None:
             return hit
         v = vec(alpha)
-        if len(v) != self.arity:
-            raise ArityMismatch(f"point {v} has arity {len(v)}, expected {self.arity}")
+        check_arity(v, self.arity, "point")
         if self.universe.contains(v):
             return self._at(v)
         hit = memo[v] = Q(0)
@@ -166,15 +167,15 @@ def _natural_point(arity: int, p: Sequence) -> Vec:
     """p as a vector; ArityMismatch for a wrong arity, WitnessViolated for a
     negative coordinate (it would leave natural support)."""
     v = vec(p)
-    if len(v) != arity:
-        raise ArityMismatch(f"point {v} has arity {len(v)}, expected {arity}")
+    check_arity(v, arity, "point")
     if not is_nonnegative(v):
         raise WitnessViolated(f"point {v} has a negative coordinate")
     return v
 
 
 def from_terms(arity: int, terms: dict) -> GenSeries:
-    tbl = {_natural_point(arity, k): Q(c) for k, c in terms.items() if c}
+    tbl = {_natural_point(arity, k): q for k, c in terms.items()
+           if (q := rational(c))}
     uni = SupportUniverse.finite(arity, tbl.keys())
     return GenSeries(arity, uni, lambda v: tbl.get(v, Q(0)),
                      provenance="terms")
@@ -187,7 +188,7 @@ def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
     s = _natural_point(arity, step)
     if not any(s):
         raise WitnessViolated("geometric step is zero: the sum diverges")
-    r = Q(ratio)
+    r = rational(ratio)
     uni = SupportUniverse.generated(arity, [s])
     lead = next(i for i, a in enumerate(s) if a)
     s_lead = s[lead]
@@ -234,7 +235,7 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     if callable(p):
         pc = p
     else:
-        coeffs = [Q(a) for a in p]
+        coeffs = [rational(a) for a in p]
         pc = lambda n: coeffs[n] if n < len(coeffs) else Q(0)
 
     g_ord = g.order(budget)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import germ as G
-from .errors import ArityMismatch, NotAnAsymptoticScale, NotInFragment, ScaleMismatch
-from .germ import GermTerm, Q
-from .support import Vec, lex_positive, vadd, vec
+from .errors import ArityMismatch, NotAnAsymptoticScale, ScaleMismatch
+from .germ import GermTerm, check_germ
+from .support import Vec, check_arity, lex_positive, rational, vadd, vec
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,14 @@ class Monomial:
     vector: Vec  # int or Fraction coordinates, as support.vec makes them
 
     def __post_init__(self) -> None:
-        if len(self.vector) != self.scale.arity:
-            raise ArityMismatch(
-                f"monomial {self.vector} has arity {len(self.vector)}, "
-                f"expected {self.scale.arity}")
+        check_arity(self.vector, self.scale.arity, "monomial")
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_same(self, other)
+        check_monomial(other, self.scale)
         return Monomial(self.scale, vadd(self.vector, other.vector))
 
     def __pow__(self, q) -> "Monomial":
-        q = Q(q)
+        q = rational(q)
         return Monomial(self.scale, vec(a * q for a in self.vector))
 
     def is_small(self) -> bool:
@@ -82,8 +79,8 @@ class Monomial:
 
 def monomial_value(s: Scale, v: Vec, gen_value: Callable[[int], float]) -> float:
     """exp(-sum of a_i * gen_value(i) over v's nonzero a_i); inf on overflow."""
-    if len(v) != s.arity:
-        raise ArityMismatch(f"monomial {v} has arity {len(v)}, expected {s.arity}")
+    if len(v) != s.arity:  # inline: sum_numeric calls this once per term
+        check_arity(v, s.arity, "monomial")
     acc = 0.0
     for i, a in enumerate(v):
         if a:
@@ -94,19 +91,19 @@ def monomial_value(s: Scale, v: Vec, gen_value: Callable[[int], float]) -> float
         return math.inf
 
 
-def _check_same(m: Monomial, n: Monomial) -> None:
-    """ScaleMismatch unless m and n are Monomials over one scale: a plain
-    vector is a monomial over no scale."""
-    if not (isinstance(m, Monomial) and isinstance(n, Monomial)) \
-            or m.scale != n.scale:
-        raise ScaleMismatch(f"{m!r} and {n!r} are not monomials over one scale")
+def check_monomial(m: Monomial, s: Scale) -> None:
+    """ScaleMismatch unless m is a Monomial over the scale s: a plain vector
+    is over no scale, and another scale's reads the wrong generators."""
+    if not isinstance(m, Monomial) or m.scale != s:
+        raise ScaleMismatch(f"{m!r} is not a monomial over {s}")
 
 
 def monomial_cmp(m: Monomial, n: Monomial) -> int:
     """Total order: 1 when m > n.  The first nonzero coordinate of
     vector(m) - vector(n) being positive means the dominant generator gets a
     larger exponent, hence m is the *smaller* monomial."""
-    _check_same(m, n)
+    check_monomial(m, getattr(n, "scale", None))  # a vector n has none
+    check_monomial(n, m.scale)
     return (m.vector < n.vector) - (m.vector > n.vector)
 
 
@@ -131,8 +128,7 @@ def make_scale(germs: Sequence[GermTerm]) -> Scale:
     """
     germs = [g for g in germs]
     for g in germs:
-        if not isinstance(g, GermTerm):
-            raise NotInFragment(f"{g!r} is not a germ")
+        check_germ(g)
     if not germs:
         raise NotAnAsymptoticScale("empty generator tuple")
     if all(G.is_infinitely_increasing(g) and G.is_purely_infinite(g)
@@ -151,6 +147,7 @@ def project_class(s: Scale, j: int, m: Monomial) -> Monomial:
     """Zero out every exponent outside comparability class j."""
     if not 0 <= j < len(s.classes):
         raise ArityMismatch(f"class index {j} out of range")
+    check_monomial(m, s)
     lo, hi = s.classes[j]
     coords = tuple(a if lo <= i < hi else 0
                    for i, a in enumerate(m.vector))

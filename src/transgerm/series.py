@@ -36,12 +36,14 @@ from .errors import (
     ZeroWithinBound,
 )
 from .gps import DEFAULT_BUDGET, GenSeries
-from .scale import Monomial, Scale, make_scale, monomial_cmp, monomial_value
+from .scale import Monomial, Scale, check_monomial, make_scale, monomial_cmp, monomial_value
 from .support import (
     MemoStream,
     Q,
     SupportUniverse,
     Vec,
+    check_arity,
+    rational,
     vadd,
     vec,
     vsub,
@@ -68,13 +70,6 @@ def _combine_convergence(*tags: Optional[Convergence]) -> Optional[Convergence]:
         return None
     thr = max((t.threshold for t in tags if t.threshold is not None), default=None)
     return Convergence(thr)
-
-
-def _check_monomial(scale: Scale, m: Monomial) -> None:
-    """ScaleMismatch unless m is a Monomial over scale: a plain vector or
-    another scale's monomial would be read in the wrong generators."""
-    if not isinstance(m, Monomial) or m.scale != scale:
-        raise ScaleMismatch(f"{m!r} is not a monomial over {scale}")
 
 
 class LaurentSeries:
@@ -114,7 +109,7 @@ class LaurentSeries:
                         budget: int = DEFAULT_BUDGET) -> list[Term]:
         """All (vector, coefficient) pairs for monomials >= cutoff, zeros
         dropped.  Raises CutoffTooDeep when the budget runs out first."""
-        _check_monomial(self.scale, cutoff)
+        check_monomial(cutoff, self.scale)
         _check_budget(budget)
         out = []
         for n, (v, c) in enumerate(self.iter_terms()):
@@ -129,7 +124,7 @@ class LaurentSeries:
 
     def _check_series(self, other) -> None:
         """ScaleMismatch unless other is a series over this scale, as
-        _check_monomial refuses a plain vector."""
+        check_monomial refuses a plain vector."""
         if not isinstance(other, LaurentSeries) or self.scale != other.scale:
             raise ScaleMismatch(f"{other!r} is not a series over {self.scale}")
 
@@ -157,14 +152,12 @@ class LaurentSeries:
         return self.scaled(Q(-1))
 
     def scaled(self, q) -> "LaurentSeries":
-        q = _exact(Q, q, "a rational scalar")
+        q = rational(q)
         return _map(self, f"({q}*{self.provenance})", q=q)
 
     def shifted(self, delta: Vec) -> "LaurentSeries":
-        delta = _exact(vec, delta, "an exponent vector")
-        if len(delta) != self.scale.arity:
-            raise ArityMismatch(
-                f"shift {delta} has arity {len(delta)}, expected {self.scale.arity}")
+        delta = vec(delta)
+        check_arity(delta, self.scale.arity, "shift")
         return _map(self, f"shift({self.provenance})", delta=delta)
 
     def __mul__(self, other) -> "LaurentSeries":
@@ -210,15 +203,6 @@ def _check_budget(budget) -> None:
         raise DomainError(f"budget {budget!r} is not an int")
     if budget < 0:
         raise CutoffTooDeep(f"a budget of {budget} terms admits no enumeration")
-
-
-def _exact(convert, x, what: str):
-    """convert(x), or NotInFragment when x is not {what}, as lift_germ
-    refuses a non-germ."""
-    try:
-        return convert(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise NotInFragment(f"{x!r} is not {what}") from exc
 
 
 def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
@@ -424,15 +408,11 @@ def from_terms(scale: Scale, terms: dict, *,
     tbl = {}
     for k, c in terms.items():
         if isinstance(k, Monomial):
-            if k.scale != scale:
-                raise ScaleMismatch(f"monomial {k} is over a different scale")
+            check_monomial(k, scale)
             k = k.vector
-        v = _exact(vec, k, "an exponent vector")
-        if len(v) != scale.arity:
-            raise ArityMismatch(f"exponent vector {v} has wrong arity")
-        if type(c) is not Fraction:
-            c = Q(c)
-        if c:
+        v = vec(k)
+        check_arity(v, scale.arity, "exponent vector")
+        if c := rational(c):
             tbl[v] = tbl.get(v, 0) + c
     return _finite(scale, sorted(tbl.items()), convergence, "terms")
 
@@ -451,7 +431,7 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
     if body.arity != scale.arity:
         raise ArityMismatch(
             f"body arity {body.arity} does not match scale arity {scale.arity}")
-    _check_monomial(scale, shift)
+    check_monomial(shift, scale)
     delta = shift.vector
     if convergence is None and body.universe.explicit is not None:
         convergence = Convergence()
@@ -472,8 +452,7 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
 def lift_germ(scale: Scale, f: GermTerm) -> LaurentSeries:
     """A germ as a finite series, when each of its transmonomials lies in the
     scale's monomial group.  A non-germ f raises NotInFragment."""
-    if not isinstance(f, GermTerm):
-        raise NotInFragment(f"{f!r} is not a germ")
+    G.check_germ(f)
     terms = {}
     for c, mono in f.terms:
         u = G.mono_log(mono)
@@ -481,16 +460,15 @@ def lift_germ(scale: Scale, f: GermTerm) -> LaurentSeries:
         if coords is None:
             raise ScaleMismatch(
                 f"transmonomial {mono} is not a monomial of the scale {scale}")
-        vec = tuple(-q for q in coords)
-        terms[vec] = c
+        terms[tuple(-q for q in coords)] = c
     return from_terms(scale, terms)
 
 
 def geometric(scale: Scale, step: Monomial, ratio=1) -> LaurentSeries:
     """sum_nu ratio^nu step^nu = 1/(1 - ratio*step) for a small step."""
-    _check_monomial(scale, step)
+    check_monomial(step, scale)
     # from_terms tags the result convergent
-    f = from_terms(scale, {vzero(scale.arity): 1, step: -Q(ratio)})
+    f = from_terms(scale, {vzero(scale.arity): 1, step: -rational(ratio)})
     if not step.is_small():
         raise WitnessViolated(f"geometric step {step} is not small")
     out = invert(f)
@@ -507,7 +485,7 @@ def truncate(f: LaurentSeries, cutoff: Monomial,
     """The finite sub-sum over monomials >= cutoff, as an explicit series."""
     terms = f.terms_to_cutoff(cutoff, budget)
     for v in (v for v, _ in terms if len(v) != f.scale.arity):
-        raise ArityMismatch(f"exponent vector {v} has wrong arity")
+        check_arity(v, f.scale.arity, "exponent vector")
     return _finite(f.scale, terms, Convergence(), f"trunc({f.provenance},{cutoff})")
 
 
@@ -621,7 +599,7 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
     def lm(nu: int) -> Optional[Monomial]:
         m = leading_monomials(nu)
         if m is not None:
-            _check_monomial(scale, m)
+            check_monomial(m, scale)
         return m
 
     def member(nu: int) -> Optional[LaurentSeries]:
@@ -669,7 +647,8 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
 def compose_right(f: LaurentSeries, g: GermTerm) -> LaurentSeries:
     """Rewrite every generator f_i to f_i o g; exponent vectors carry over,
     so the result reads f's own memo.  Raises NotAScaleAfterShift, caused by
-    the refusal, when a composition or the composed scale is refused."""
+    the refusal, when a composition or the composed scale is refused.  A
+    threshold bounds f's x, not g's, so only a tag without one is kept."""
     try:
         composed = [G.compose_exact(gen, g) for gen in f.scale.generators]
         new_scale = make_scale(composed)
@@ -680,7 +659,7 @@ def compose_right(f: LaurentSeries, g: GermTerm) -> LaurentSeries:
             "basis extraction rewrote the composed generators; exponent "
             "vectors would not transfer")
     return _map(f, f"({f.provenance} o {g})", scale=new_scale,
-                convergence=None if f.convergence is None else Convergence())
+                convergence=f.convergence if f.convergence == Convergence() else None)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +754,7 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
     thr = f.convergence.threshold
     if thr is not None and x < thr:
         raise DomainError(f"x={x} below the certified convergence threshold {thr}")
-    _check_monomial(f.scale, cutoff)
+    check_monomial(cutoff, f.scale)
     _check_budget(budget)
     # each generator is evaluated once, when a term first needs it
     y = functools.cache(lambda i: G.eval_germ(f.scale.generators[i], x))

@@ -14,6 +14,10 @@ integers, so their arithmetic and hashing skip ``Fraction`` entirely.  The
 two forms compare, hash and print alike (``Fraction(2) == 2``,
 ``hash(Fraction(2)) == hash(2)``, ``str(Fraction(2)) == "2"``), so a sum of
 fractional coordinates that lands on an integer is still a correct key.
+A caller's argument is read by the one reader of its kind: ``rational`` (a
+number), ``vec`` and ``check_arity`` (a vector), ``scale.check_monomial``
+and ``germ.check_germ``.  A str, bytes, nan, inf or non-number is refused
+with NotInFragment, never parsed, and a wrong length with ArityMismatch.
 
 Read rule: a point that a universe's own ``lex_stream``, ``graded_stream``
 or ``box_points`` produced is a member of it as given, so a coefficient
@@ -44,7 +48,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import ArityMismatch, WitnessViolated
+from .errors import ArityMismatch, NotInFragment, WitnessViolated
 
 Q = Fraction
 Coord = Union[int, Fraction]
@@ -60,20 +64,40 @@ def qadd(n: int, d: int, a: int, b: int) -> tuple[int, int]:
     return n * (b // g) + a * (d // g), d // g * b
 
 
+def rational(x) -> Fraction:
+    """The one reader of a caller's number: a Fraction as it is, any other
+    real number exactly; NotInFragment for a str, bytes, nan, inf or a
+    non-number, where ``Fraction`` would parse the str."""
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, str):
+        try:
+            return Q(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise NotInFragment(f"{x!r} is not a finite real number")
+
+
 def coord(a) -> Coord:
     """An exact exponent coordinate: an int when integral, else a Fraction."""
     if type(a) is int:
         return a
-    q = Q(a)
+    q = rational(a)
     return q.numerator if q.denominator == 1 else q
 
 
 def vec(p: Iterable) -> Vec:
-    """An exact exponent vector; a str or bytes is refused with TypeError,
-    where iterating would read it as one coordinate per character."""
-    if isinstance(p, (str, bytes)):
-        raise TypeError(f"{p!r} is not an exponent vector")
+    """An exact exponent vector; NotInFragment for a non-iterable, and for a
+    str or bytes, which iterating would read one coordinate per character."""
+    if isinstance(p, (str, bytes)) or not hasattr(p, "__iter__"):
+        raise NotInFragment(f"{p!r} is not an exponent vector")
     return tuple(map(coord, p))
+
+
+def check_arity(v: Vec, n: int, what: str) -> None:
+    """ArityMismatch unless the vector v has n coordinates."""
+    if len(v) != n:
+        raise ArityMismatch(f"{what} {v} has arity {len(v)}, expected {n}")
 
 
 def vzero(arity: int) -> Vec:
@@ -127,15 +151,15 @@ class SupportUniverse:
         if explicit is not None:
             if explicit and set(map(len, explicit)) != {arity}:
                 bad = next(p for p in explicit if len(p) != arity)
-                self._check_arity(bad, "point")
+                check_arity(bad, self.arity, "point")
             self.offset = vzero(arity)
             self.gens = ()
             return
         self.offset = vzero(arity) if offset is None else vec(offset)
-        self._check_arity(self.offset, "offset")
+        check_arity(self.offset, self.arity, "offset")
         cleaned = set()
         for g in gens:
-            self._check_arity(g, "generator")
+            check_arity(g, self.arity, "generator")
             if any(g):
                 if not lex_positive(g):
                     raise WitnessViolated(
@@ -166,7 +190,7 @@ class SupportUniverse:
     # -- algebra ---------------------------------------------------------------
 
     def shifted(self, delta: Vec) -> "SupportUniverse":
-        self._check_arity(delta, "shift")
+        check_arity(delta, self.arity, "shift")
         if self.explicit is not None:
             return SupportUniverse.finite(
                 self.arity, (vadd(p, delta) for p in self.explicit))
@@ -174,7 +198,7 @@ class SupportUniverse:
                                gens=self.gens)
 
     def union(self, other: "SupportUniverse") -> "SupportUniverse":
-        self._check_arity(other.offset, "universe")
+        check_arity(other.offset, self.arity, "universe")
         if self.explicit is not None and other.explicit is not None:
             return SupportUniverse(self.arity,
                                    explicit=self.explicit | other.explicit)
@@ -187,7 +211,7 @@ class SupportUniverse:
         return SupportUniverse(self.arity, offset=off, gens=gens)
 
     def sum(self, other: "SupportUniverse") -> "SupportUniverse":
-        self._check_arity(other.offset, "universe")
+        check_arity(other.offset, self.arity, "universe")
         if self.explicit is not None and other.explicit is not None:
             pts = {vadd(p, q) for p in self.explicit for q in other.explicit}
             return SupportUniverse(self.arity, explicit=frozenset(pts))
@@ -245,18 +269,13 @@ class SupportUniverse:
         if self.explicit is not None:
             if v in self.explicit:
                 return True
-            self._check_arity(v, "point")
+            check_arity(v, self.arity, "point")
             return False
         hit = self._known.get(v)
         return self._member(v) if hit is None else hit
 
-    def _check_arity(self, v: Vec, what: str) -> None:
-        if len(v) != self.arity:
-            raise ArityMismatch(
-                f"{what} {v} has arity {len(v)}, expected {self.arity}")
-
     def _member(self, v: Vec) -> bool:
-        self._check_arity(v, "point")
+        check_arity(v, self.arity, "point")
         # depth-first search: a point is a member iff one of its predecessors
         # is; each stack entry is the one above it plus a generator, so a
         # member found at the top makes every point on the stack a member
@@ -334,7 +353,7 @@ class SupportUniverse:
     def box_points(self, bound: Vec) -> list[Vec]:
         """All universe points componentwise <= bound, sorted (grade, lex).
         Requires nonnegative generators and a bound of the universe's arity."""
-        self._check_arity(bound, "bound")
+        check_arity(bound, self.arity, "bound")
         if self.explicit is not None:
             pts = [p for p in self.explicit if leq_componentwise(p, bound)]
             return sorted(pts, key=lambda p: (grade(p), p))

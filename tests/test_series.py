@@ -508,8 +508,15 @@ def test_sum_family_opening_budget(sx):
                                    "truncate_budget_none",
                                    "sum_numeric_budget_float",
                                    "invert_budget_float", "shifted_str",
-                                   "shifted_bytes", "from_terms_str"])
-def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
+                                   "shifted_bytes", "from_terms_str",
+                                   "from_terms_nan", "gps_from_terms_nan",
+                                   "gps_from_terms_none",
+                                   "from_terms_str_coord",
+                                   "scaled_str_rational", "monomial_none",
+                                   "monomial_str", "geometric_in_none",
+                                   "coeff_none", "g_pow_str", "g_pow_none",
+                                   "monomial_pow_nan"])
+def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
     # each public entry point that takes a vector, an index, a scalar or a
     # budget refuses one that does not fit with a typed error, not an
     # IndexError, a bare TypeError or ValueError, or a silently truncated
@@ -626,6 +633,29 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, entry):
         "shifted_bytes": (NotInFragment,
                           lambda: from_terms(sxl, {(0, 0): 1}).shifted(b"12")),
         "from_terms_str": (NotInFragment, lambda: from_terms(sx, {"3": 1})),
+        # a number is read by support.rational: nan is no rational, and a
+        # str is refused, not parsed
+        "from_terms_nan": (NotInFragment,
+                           lambda: from_terms(sx, {(1,): math.nan})),
+        "gps_from_terms_nan": (NotInFragment,
+                               lambda: gps.from_terms(1, {(0,): math.nan})),
+        # None used to be skipped as a zero coefficient
+        "gps_from_terms_none": (NotInFragment,
+                                lambda: gps.from_terms(1, {(0,): None})),
+        "from_terms_str_coord": (NotInFragment,
+                                 lambda: from_terms(sx, {("3",): 1})),
+        "scaled_str_rational": (NotInFragment, lambda: from_terms(
+            sx, {(0,): 1}).scaled("1/3")),
+        "g_pow_str": (NotInFragment, lambda: g_pow(X, "a")),
+        "g_pow_none": (NotInFragment, lambda: g_pow(X, None)),
+        "monomial_pow_nan": (NotInFragment, lambda: cut(sx, 1) ** math.nan),
+        # a vector is read by support.vec: None and a str are no vectors
+        "monomial_none": (NotInFragment, lambda: sx.monomial(None)),
+        "monomial_str": (NotInFragment, lambda: sx.monomial("3")),
+        "geometric_in_none": (NotInFragment,
+                              lambda: gps.geometric_in(1, None)),
+        "coeff_none": (NotInFragment,
+                       lambda: gps.geometric_in(1, (1,)).coeff(None)),
     }
     error, call = calls[entry]
     with pytest.raises(error):
@@ -1094,7 +1124,8 @@ def test_sum_numeric_requires_tag(sx):
 
 def test_convergence_threshold_rule(sx, X):
     # + and * carry the largest threshold, an untagged operand untags the
-    # result, invert keeps the threshold and compose_right drops it
+    # result, invert keeps the threshold, and compose_right keeps only a tag
+    # without one: a threshold bounds x, and f o g reads f at g(x)
     f = from_terms(sx, {(0,): 1, (1,): 2}).assert_convergent(2.0)
     g = from_terms(sx, {(0,): 3, (2,): -1}).assert_convergent(3.0)
     bare = make_laurent(sx, sx.unit(), gps.geometric_in(1, (1,)))
@@ -1117,10 +1148,15 @@ def test_convergence_threshold_rule(sx, X):
     with pytest.raises(DomainError):
         sum_numeric(inv, 2.5, c)
     assert invert(f + bare).convergence is None
-    composed = compose_right(inv, X)
-    assert composed.convergence is not None
-    assert composed.convergence.threshold is None
+    assert compose_right(inv, X).convergence is None
+    assert compose_right(unit, X).convergence == S.Convergence()
     assert compose_right(f * bare, X).convergence is None
+    # f at x^2 = 1 is below f's threshold 5, so the composition is untagged
+    h = from_terms(sx, {(0,): 1, (1,): Q(1, 3)}).assert_convergent(5.0)
+    with pytest.raises(DomainError):
+        sum_numeric(h, 1.0, cut(sx, 3))
+    with pytest.raises(NotMarkedConvergent):
+        sum_numeric(compose_right(h, g_pow(X, 2)), 1.0, cut(sx, 3))
     # nan fails every comparison, so a threshold check alone lets it
     # through; an infinite x is no point to evaluate at either.  Both are
     # refused with a threshold and without one
@@ -1227,6 +1263,10 @@ def test_monomial_over_another_scale_is_refused(sx, sl):
                   lambda: monomial_cmp(m, (1,)),
                   lambda: monomial_cmp((1,), m),
                   lambda: m * (1,),
+                  # project_class used to relabel m[1] over (log x) as
+                  # m[1] over (x), and to raise AttributeError on a vector
+                  lambda: project_class(sx, 0, m),
+                  lambda: project_class(sx, 0, (1,)),
                   # a number or a gps body is a series over no scale
                   lambda: f + 1,
                   lambda: f - 1,

@@ -1,8 +1,10 @@
 import itertools
+import math
 import os
 import random
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transgerm import gps, support
-from transgerm.errors import OrderNotPositive, WitnessViolated
+from transgerm.errors import NotInFragment, OrderNotPositive, WitnessViolated
 from transgerm.germ import g_logk, g_x
 from transgerm.scale import make_scale, project_class
 from transgerm.series import from_terms, invert, make_laurent
@@ -321,3 +323,27 @@ def test_mixed_coordinates_match_an_all_fraction_copy(case):
     members = [ref.contains(t) for t in as_int]
     assert [u.contains(t) for t in as_fraction] == members
     assert all(members[targets.index(p)] for p in want)
+
+
+def test_rational_reads_a_real_exactly():
+    q = Q(1, 3)
+    assert support.rational(q) is q  # a Fraction as it is
+    for x, want in ((True, 1), (10**400, 10**400), (Decimal("0.1"), Q(1, 10)),
+                    (0.1, Q(3602879701896397, 36028797018963968))):
+        got = support.rational(x)
+        assert type(got) is Q and got == want
+    assert support.vec([Q(4, 2), 0.5, 3]) == (2, Q(1, 2), 3)
+    assert list(map(type, support.vec([Q(4, 2), 0.5]))) == [int, Q]
+
+
+@pytest.mark.parametrize("bad", ["3", "1/3", b"3", math.nan, math.inf,
+                                 -math.inf, Decimal("nan"), None, object(), 1j])
+def test_readers_refuse_what_is_no_finite_real(bad):
+    # a str is refused, not parsed by Fraction, as nan and inf are; the
+    # same rule holds for a coordinate of a vector
+    with pytest.raises(NotInFragment):
+        support.rational(bad)
+    with pytest.raises(NotInFragment):
+        support.vec([0, bad])
+    with pytest.raises(NotInFragment):
+        support.vec(bad)

@@ -1,0 +1,133 @@
+"""Check that the series model tests kill each listed mutation of the kernels.
+
+Each mutation is a named, exact text substitution (file, old, new) in
+``src/transgerm``.  For each one, in turn, the tool copies ``src``,
+``tests`` and ``pyproject.toml`` to a temporary directory, applies the
+substitution there and runs
+
+    pytest tests/test_series_model.py tests/test_kernel_oracles.py -x -q
+
+on the copy under a timeout of TIMEOUT_S seconds.  A run that fails or
+times out kills the mutant; a run that passes lets it survive.  The
+checkout itself is never edited.
+
+Before any mutant runs, every ``old`` text must occur exactly once in its
+file, so a refactor that changes one must update the list and can never
+skip an entry silently; and the unmutated copy must pass, so a kill is the
+mutation's doing.  Prints each mutant's outcome and time, and exits 1 when
+a text is not found exactly once, the unmutated copy fails, or a mutant
+survives.
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ("tests/test_series_model.py", "tests/test_kernel_oracles.py")
+TIMEOUT_S = 60
+
+
+class Mutation(NamedTuple):
+    name: str
+    file: str  # under src/transgerm
+    old: str
+    new: str
+
+
+MUTATIONS = (
+    Mutation("map keep read at the source's vector", "series.py",
+             "k[0](vadd(v, k[1]))", "k[0](v)"),
+    Mutation("map folded q replaced by the new one", "series.py",
+             "vadd(d, delta)), r * q", "vadd(d, delta)), q"),
+    Mutation("product square rule's factor 2 dropped", "series.py",
+             "n + n if square and k != j else n,", "n,"),
+    Mutation("invert ended-stream guard dropped", "series.py",
+             "if r is not None:  # f has not ended", "if True:"),
+    Mutation("invert seeded remainder term skipped", "series.py",
+             "for t in head[first:]]", "for t in head[first + 1:]]"),
+    Mutation("invert pair pushed at (i+2, j)", "series.py",
+             "            i += 1\n", "            i += 2\n"),
+    Mutation("invert remainder sign flipped", "series.py",
+             "e = -t[1] * inv_a", "e = t[1] * inv_a"),
+    Mutation("heap sum inline add doubled", "series.py",
+             "n += p\n", "n += p + p\n"),
+    # the pushed pair is labelled (i, j) in place of (i+1, j), so popping it
+    # pushes it again at the vector being summed and _heap_sum's inner loop
+    # never ends: the timeout kills this one
+    Mutation("invert pair labelled (i, j) for (i+1, j)", "series.py",
+             "w)), i, j, r[1] * p", "w)), i - 1, j, r[1] * p"),
+)
+
+
+def check(mutations: Sequence[Mutation]) -> list[str]:
+    """One line per mutation whose old text its file does not hold exactly
+    once."""
+    out = []
+    for m in mutations:
+        n = (ROOT / "src" / "transgerm" / m.file).read_text().count(m.old)
+        if n != 1:
+            out.append(f"{m.name}: old text found {n} times in {m.file}, "
+                       f"expected once")
+    return out
+
+
+def run(m: Optional[Mutation]) -> tuple[str, float]:
+    """The tests on a copy of the tree with m applied (none when m is None):
+    ("passed", "failed" or "timed out", seconds)."""
+    with tempfile.TemporaryDirectory(prefix="transgerm-mutant-") as tmp:
+        copy = Path(tmp)
+        for d in ("src", "tests"):
+            shutil.copytree(ROOT / d, copy / d,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if m is not None:
+            path = copy / "src" / "transgerm" / m.file
+            path.write_text(path.read_text().replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", *TESTS, "-x", "-q",
+                 "-p", "no:cacheprovider"],
+                cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+            outcome = "failed" if proc.returncode else "passed"
+        except subprocess.TimeoutExpired:
+            outcome = "timed out"
+        return outcome, time.perf_counter() - start
+
+
+def main(mutations: Sequence[Mutation] = MUTATIONS) -> int:
+    problems = check(mutations)
+    for line in problems:
+        print(line)
+    if problems:
+        return 1
+    outcome, secs = run(None)
+    print(f"unmutated: {outcome} in {secs:.1f} s")
+    if outcome != "passed":
+        return 1
+    survivors = 0
+    for m in mutations:
+        outcome, secs = run(m)
+        survived = outcome == "passed"
+        survivors += survived
+        verdict = "SURVIVED" if survived else f"killed ({outcome})"
+        print(f"{m.name}: {verdict} in {secs:.1f} s")
+    print(f"{len(mutations) - survivors} of {len(mutations)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
