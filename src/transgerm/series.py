@@ -648,7 +648,7 @@ def compose_right(f: LaurentSeries, g: GermTerm) -> LaurentSeries:
     """Rewrite every generator f_i to f_i o g; exponent vectors carry over,
     so the result reads f's own memo.  Raises NotAScaleAfterShift, caused by
     the refusal, when a composition or the composed scale is refused.  A
-    threshold bounds f's x, not g's, so only a tag without one is kept."""
+    threshold bounds f's argument, here g(x): a tag with one is dropped."""
     try:
         composed = [G.compose_exact(gen, g) for gen in f.scale.generators]
         new_scale = make_scale(composed)
