@@ -42,8 +42,9 @@ class GenSeries:
     ``coeff`` is the one public read: it normalises its point, checks the
     arity and answers 0 off the universe.  ``_at`` reads a point that this
     series' universe itself produced, or that ``coeff`` checked, with none
-    of those checks.  So the oracle is only ever asked at points of the
-    universe."""
+    of those checks; a point computed from exact, right-arity points, as
+    the product's v - beta, needs the membership test alone before ``_at``.
+    So the oracle is only ever asked at points of the universe."""
 
     def __init__(self, arity: int, universe: SupportUniverse,
                  oracle: Callable[[Vec], Fraction], provenance: str = ""):
@@ -120,16 +121,31 @@ class GenSeries:
         if a.universe.explicit is None and b.universe.explicit is not None:
             a, b = b, a
 
+        a_box, a_at = a.universe._box, a._at
+        b_memo, b_in, b_at = b._memo, b.universe.contains, b._at
+
         def conv(v: Vec) -> Fraction:
-            # beta is a box point of a's universe; v - beta need not be a
-            # point of b's, so only that read is checked
+            # beta is a point of a's universe and v one of the product's, so
+            # v - beta needs only b's membership test (support.py's read
+            # rule); the int pair is summed by qadd's formula, inline
             n, d = 0, 1
-            for beta in a.universe.box_points(v):
-                x = a._at(beta)
+            for beta in a_box(v):
+                x = a_at(beta)
                 if x:
-                    y = b.coeff(vsub(v, beta))
-                    n, d = qadd(n, d, x.numerator * y.numerator,
+                    w = vsub(v, beta)
+                    y = b_memo.get(w)
+                    if y is None:
+                        if not b_in(w):
+                            continue
+                        y = b_at(w)
+                    if y:
+                        p, q = (x.numerator * y.numerator,
                                 x.denominator * y.denominator)
+                        if q == d:
+                            n += p
+                        else:
+                            g = math.gcd(d, q)
+                            n, d = n * (q // g) + p * (d // g), d // g * q
             return Q(n, d)
 
         return GenSeries(self.arity, self.universe.sum(other.universe), conv,
@@ -231,7 +247,8 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     nonzero terms u <= w of G, which are pulled once, by point grade, in
     (grade, lex) order; entries (nu, w) outside the window are never made.
     Each sum is kept as ints with qadd and stored as a reduced int pair, so
-    the oracle builds one Fraction per coefficient (support.py)."""
+    the oracle builds one Fraction per coefficient (support.py); P's
+    coefficient at nu is read once, with ``rational``, as an int pair."""
     if callable(p):
         pc = p
     else:
@@ -275,19 +292,6 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
             return d == 0
         return nu * g_ord <= d and (top is None or d <= nu * top)
 
-    def factors(nu: int, w: Vec):
-        """(numerator, denominator of g_u, (nu-1, w-u)) for the nonzero
-        terms u <= w of G whose cofactor w-u lies in the window of nu-1."""
-        d = grade(w)
-        for du, terms in groups:
-            if du > d:
-                return
-            if reaches(nu - 1, d - du):
-                for u, a, b in terms:
-                    x = vsub(w, u)
-                    if is_nonnegative(x):
-                        yield a, b, (nu - 1, x)
-
     def power_coeff(nu: int, w: Vec) -> tuple[int, int]:
         stack = [(nu, w)]
         while stack:
@@ -295,28 +299,43 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
             if key in memo:
                 stack.pop()
                 continue
+            mu, x = key
+            dx = grade(x)
             n, d, missing = 0, 1, False
-            for a, b, sub in factors(*key):
-                hit = memo.get(sub)
-                if hit is None:
-                    stack.append(sub)
-                    missing = True
-                elif not missing:
-                    n, d = qadd(n, d, a * hit[0], b * hit[1])
+            for du, terms in groups:
+                if du > dx:
+                    break
+                if reaches(mu - 1, dx - du):
+                    for u, a, b in terms:
+                        y = vsub(x, u)
+                        if is_nonnegative(y):
+                            sub = (mu - 1, y)
+                            hit = memo.get(sub)
+                            if hit is None:
+                                stack.append(sub)
+                                missing = True
+                            elif not missing:
+                                n, d = qadd(n, d, a * hit[0], b * hit[1])
             if not missing:
                 k = math.gcd(n, d)
                 memo[key] = (n // k, d // k)
                 stack.pop()
         return memo[(nu, w)]
 
+    # nu -> P's coefficient as a (numerator, denominator) pair, read once
+    p_memo: dict[int, tuple[int, int]] = {}
+
     def oracle(v: Vec) -> Fraction:
         dv = grade(v)
         n, d = 0, 1
         for nu in grade_window(dv, g_ord, top):
-            a = pc(nu)
-            if a and reaches(nu, dv):
+            a = p_memo.get(nu)
+            if a is None:
+                c = rational(pc(nu))
+                a = p_memo[nu] = (c.numerator, c.denominator)
+            if a[0] and reaches(nu, dv):
                 cn, cd = power_coeff(nu, v)
-                n, d = qadd(n, d, a.numerator * cn, a.denominator * cd)
+                n, d = qadd(n, d, a[0] * cn, a[1] * cd)
         return Q(n, d)
 
     return GenSeries(g.arity, g.universe.closure(), oracle,

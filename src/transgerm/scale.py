@@ -33,7 +33,7 @@ class Scale:
         return Monomial(self, (0,) * self.arity)
 
     def monomial(self, coords: Sequence) -> "Monomial":
-        return Monomial(self, vec(coords))
+        return Monomial(self, coords)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -48,6 +48,8 @@ class Monomial:
     vector: Vec  # int or Fraction coordinates, as support.vec makes them
 
     def __post_init__(self) -> None:
+        # frozen, so the vector read by vec is stored past __setattr__
+        object.__setattr__(self, "vector", vec(self.vector))
         check_arity(self.vector, self.scale.arity, "monomial")
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -56,7 +58,7 @@ class Monomial:
 
     def __pow__(self, q) -> "Monomial":
         q = rational(q)
-        return Monomial(self.scale, vec(a * q for a in self.vector))
+        return Monomial(self.scale, [a * q for a in self.vector])
 
     def is_small(self) -> bool:
         return lex_positive(self.vector)

@@ -18,6 +18,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -197,10 +198,10 @@ class LaurentSeries:
 
 
 def _check_budget(budget) -> None:
-    """The one check of a term budget: DomainError unless it is an int, and
-    CutoffTooDeep when it is negative, since no enumeration fits in it."""
-    if not isinstance(budget, int):
-        raise DomainError(f"budget {budget!r} is not an int")
+    """The one check of a term budget: DomainError unless it is an int up to
+    sys.maxsize, islice's limit, and CutoffTooDeep when it is negative."""
+    if not isinstance(budget, int) or budget > sys.maxsize:
+        raise DomainError(f"budget {budget!r} is not an int up to sys.maxsize")
     if budget < 0:
         raise CutoffTooDeep(f"a budget of {budget} terms admits no enumeration")
 

@@ -22,8 +22,10 @@ with NotInFragment, never parsed, and a wrong length with ArityMismatch.
 Read rule: a point that a universe's own ``lex_stream``, ``graded_stream``
 or ``box_points`` produced is a member of it as given, so a coefficient
 read there (``GenSeries._at``) skips normalisation, the arity check and the
-membership test; any other point is read through ``GenSeries.coeff``, which
-does all three.  Such a point may hold an integral ``Fraction`` coordinate.
+membership test.  A point computed from exact, right-arity member points,
+such as the gps product's v - beta, needs only the membership test; any
+other point is read through ``GenSeries.coeff``, which does all three.
+Such a point may hold an integral ``Fraction`` coordinate.
 A series' oracle is asked only at members of its universe, so a series
 over another's universe (``-f``, ``partial_deriv``) reads it with ``_at``.
 
@@ -41,7 +43,6 @@ lcm of the denominators added.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import operator
 import threading
@@ -133,11 +134,11 @@ def _lead(u: Vec) -> int:
 
 
 def leq_componentwise(u: Vec, v: Vec) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(operator.le, u, v))
 
 
 def is_nonnegative(u: Vec) -> bool:
-    return all(a >= 0 for a in u)
+    return min(u, default=0) >= 0
 
 
 class SupportUniverse:
@@ -158,13 +159,13 @@ class SupportUniverse:
         self.offset = vzero(arity) if offset is None else vec(offset)
         check_arity(self.offset, self.arity, "offset")
         cleaned = set()
-        for g in gens:
+        for g in map(vec, gens):
             check_arity(g, self.arity, "generator")
             if any(g):
                 if not lex_positive(g):
                     raise WitnessViolated(
                         f"universe generator {g} is not lex-positive")
-                cleaned.add(vec(g))
+                cleaned.add(g)
         # sorted once, for every stream; the sign check that box_points and
         # graded_stream need is answered once too, and raised on each call
         self.gens = tuple(sorted(cleaned))
@@ -314,49 +315,32 @@ class SupportUniverse:
         """All universe points in strictly ascending lex order (decreasing
         monomial order), lazily."""
         if self.explicit is not None:
-            yield from sorted(self.explicit)
-            return
-        # a point reached along several generator paths is pushed once per
-        # path; the copies pop consecutively, so comparing with the previous
-        # point drops them
-        heap = [self.offset]
-        prev = None
-        gens = self.gens
-        while heap:
-            v = heapq.heappop(heap)
-            if v == prev:
-                continue
-            prev = v
-            yield v
-            for g in gens:
-                heapq.heappush(heap, vadd(v, g))
+            return iter(sorted(self.explicit))
+        return _merge(self.offset, self.gens)
 
     def graded_stream(self) -> Iterator[Vec]:
         """Points in ascending (total degree, lex) order.  Only valid when
         all generators are componentwise nonnegative."""
         if self.explicit is not None:
-            yield from sorted(self.explicit, key=lambda p: (grade(p), p))
-            return
+            return iter(sorted(self.explicit, key=lambda p: (grade(p), p)))
         self._need_nonnegative("graded")
-        heap = [(grade(self.offset), self.offset)]
-        seen = {self.offset}
-        gens = self.gens
-        while heap:
-            _, v = heapq.heappop(heap)
-            yield v
-            for g in gens:
-                w = vadd(v, g)
-                if w not in seen:
-                    seen.add(w)
-                    heapq.heappush(heap, (grade(w), w))
+        # (grade, lex) order is lex order with the grade put first, and a
+        # nonzero nonnegative generator stays lex-positive when so lifted
+        lift = lambda v: (grade(v), *v)
+        lifted = _merge(lift(self.offset), tuple(map(lift, self.gens)))
+        return (v[1:] for v in lifted)
 
     def box_points(self, bound: Vec) -> list[Vec]:
         """All universe points componentwise <= bound, sorted (grade, lex).
         Requires nonnegative generators and a bound of the universe's arity."""
         check_arity(bound, self.arity, "bound")
+        return sorted(self._box(bound), key=lambda p: (grade(p), p))
+
+    def _box(self, bound: Vec) -> list[Vec]:
+        """The points of box_points in no set order, for a bound of the
+        universe's arity."""
         if self.explicit is not None:
-            pts = [p for p in self.explicit if leq_componentwise(p, bound)]
-            return sorted(pts, key=lambda p: (grade(p), p))
+            return [p for p in self.explicit if leq_componentwise(p, bound)]
         self._need_nonnegative("box")
         if not leq_componentwise(self.offset, bound):
             return []
@@ -372,7 +356,7 @@ class SupportUniverse:
                 if w not in seen and leq_componentwise(w, bound):
                     seen.add(w)
                     stack.append(w)
-        return sorted(out, key=lambda p: (grade(p), p))
+        return out
 
     def _need_nonnegative(self, what: str) -> None:
         if not self._nonnegative:
@@ -383,6 +367,33 @@ class SupportUniverse:
         if self.explicit is not None:
             return f"SupportUniverse(explicit={len(self.explicit)} pts)"
         return f"SupportUniverse(offset={self.offset}, gens={list(self.gens)})"
+
+
+def _merge(offset: Vec, gens: tuple[Vec, ...]) -> Iterator[Vec]:
+    """offset + monoid(gens) in strictly ascending lex order, for
+    lex-positive gens: as translation keeps lex order, the merge of the
+    offset with the set's own copies shifted by each generator (Dijkstra's
+    Hamming exercise, *A Discipline of Programming*, 1976).  Copy i is read
+    from the points yielded, its head out[at[i]] + gens[i]; every head equal
+    to the least advances, so no point comes twice and no heap is needed."""
+    yield offset
+    if len(gens) == 1:
+        # a ray: each point is the last one plus the generator
+        g, = gens
+        v = offset
+        while True:
+            v = vadd(v, g)
+            yield v
+    out, at = [offset], [0] * len(gens)
+    heads = [vadd(offset, g) for g in gens]
+    while heads:
+        v = min(heads)
+        out.append(v)
+        yield v
+        for i, h in enumerate(heads):
+            if h == v:
+                at[i] += 1
+                heads[i] = vadd(out[at[i]], gens[i])
 
 
 class MemoStream:

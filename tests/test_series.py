@@ -515,7 +515,11 @@ def test_sum_family_opening_budget(sx):
                                    "scaled_str_rational", "monomial_none",
                                    "monomial_str", "geometric_in_none",
                                    "coeff_none", "g_pow_str", "g_pow_none",
-                                   "monomial_pow_nan"])
+                                   "monomial_pow_nan", "monomial_ctor_str",
+                                   "monomial_ctor_none", "generated_none",
+                                   "invert_budget_huge",
+                                   "order_type_budget_huge",
+                                   "compose_ps_p_none"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
     # each public entry point that takes a vector, an index, a scalar or a
     # budget refuses one that does not fit with a typed error, not an
@@ -656,6 +660,20 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
                               lambda: gps.geometric_in(1, None)),
         "coeff_none": (NotInFragment,
                        lambda: gps.geometric_in(1, (1,)).coeff(None)),
+        # the constructors read a vector with vec before its length: a str
+        # used to stand as a monomial's vector, None to fail in len
+        "monomial_ctor_str": (NotInFragment, lambda: Monomial(sx, "3")),
+        "monomial_ctor_none": (NotInFragment, lambda: Monomial(sx, None)),
+        "generated_none": (NotInFragment,
+                           lambda: SupportUniverse.generated(2, [None])),
+        # islice counts up to sys.maxsize and used to raise a bare ValueError
+        "invert_budget_huge": (DomainError, lambda: invert(
+            geometric(sx, cut(sx, 1)), budget=10**400)),
+        "order_type_budget_huge": (DomainError, lambda: order_type(
+            geometric(sx, cut(sx, 1)), budget=10**400)),
+        # P's coefficient is read with rational; None used to count as 0
+        "compose_ps_p_none": (NotInFragment, lambda: gps.compose_ps(
+            lambda k: None, gps.from_terms(1, {(1,): 1})).coeff((2,))),
     }
     error, call = calls[entry]
     with pytest.raises(error):

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import os
@@ -20,6 +21,7 @@ from transgerm.series import from_terms, invert, make_laurent
 from transgerm.support import (
     SupportUniverse,
     grade,
+    is_nonnegative,
     lex_positive,
     vadd,
     vzero,
@@ -88,6 +90,93 @@ def test_contains_matches_enumeration(name):
     assert streamed == sorted(set(streamed))
     fresh = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
     assert all(fresh.contains(v) for v in streamed)
+
+
+def _graded(v):
+    return grade(v), v
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_streams_are_complete(name):
+    # a stream that skips a point still ascends through members, so every
+    # brute-force member up to the last streamed point must be streamed too;
+    # the graded stream in (grade, lex) order, where the generators allow it
+    u, _, nmax = CASES[name]
+    members = brute_members(u, nmax)
+    orders = [(SupportUniverse.lex_stream, lambda v: v)]
+    if all(map(is_nonnegative, u.gens)):
+        orders.append((SupportUniverse.graded_stream, _graded))
+    for stream, key in orders:
+        fresh = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+        got = list(itertools.islice(stream(fresh), 60))
+        keys = list(map(key, got))
+        assert keys == sorted(set(keys))
+        below = {p for p in members if key(p) <= keys[-1]}
+        assert len(below) >= 5 and below <= set(got)
+    assert len(orders) == 2 or name in ("closure", "negative-trailing",
+                                        "offset")
+
+
+def heap_lex_stream(u):
+    """The lex stream as a heap of pushed points: a point reached along
+    several generator paths is pushed once per path, and since every push
+    follows the pop of a smaller point, its copies pop consecutively and
+    are dropped there."""
+    heap, prev = [u.offset], None
+    while heap:
+        v = heapq.heappop(heap)
+        if v != prev:
+            prev = v
+            yield v
+            for g in u.gens:
+                heapq.heappush(heap, vadd(v, g))
+
+
+def heap_graded_stream(u):
+    """The (grade, lex) stream as a heap with a set of the points pushed."""
+    heap, seen = [(grade(u.offset), u.offset)], {u.offset}
+    while heap:
+        _, v = heapq.heappop(heap)
+        yield v
+        for g in u.gens:
+            w = vadd(v, g)
+            if w not in seen:
+                seen.add(w)
+                heapq.heappush(heap, (grade(w), w))
+
+
+def random_universe(rnd):
+    """Lex-positive generators with negative trailing entries and
+    fractional coordinates, some of them sums or multiples of others, over
+    an offset that may be negative or fractional."""
+    arity = rnd.randint(1, 3)
+    pool = [-2, -1, Q(-1, 2), 0, 0, Q(1, 3), Q(1, 2), 1, 2, 3]
+    gens = []
+    while len(gens) < rnd.randint(1, 4):
+        g = tuple(rnd.choice(pool) for _ in range(arity))
+        if any(g):
+            gens.append(g if lex_positive(g) else tuple(-a for a in g))
+    if len(gens) > 1 and rnd.random() < 0.6:
+        a, b = rnd.sample(gens, 2)
+        gens.append(vadd(a, b) if rnd.random() < 0.5 else vadd(a, a))
+    offset = tuple(rnd.choice(pool) for _ in range(arity))
+    return SupportUniverse.generated(arity, gens, offset=offset)
+
+
+def test_streams_match_the_heap_streams():
+    rnd = random.Random(1806)
+    graded = 0
+    for _ in range(100):
+        u = random_universe(rnd)
+        ref = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+        n = 500
+        assert (list(itertools.islice(u.lex_stream(), n))
+                == list(itertools.islice(heap_lex_stream(ref), n))), u
+        if all(map(is_nonnegative, u.gens)):
+            graded += 1
+            assert (list(itertools.islice(u.graded_stream(), n))
+                    == list(itertools.islice(heap_graded_stream(ref), n))), u
+    assert graded > 10
 
 
 def test_universe_algebra_is_a_superset():

@@ -1,11 +1,12 @@
-"""Check that the series model tests kill each listed mutation of the kernels.
+"""Check that the kernel tests kill each listed mutation of the kernels.
 
 Each mutation is a named, exact text substitution (file, old, new) in
 ``src/transgerm``.  For each one, in turn, the tool copies ``src``,
 ``tests`` and ``pyproject.toml`` to a temporary directory, applies the
 substitution there and runs
 
-    pytest tests/test_series_model.py tests/test_kernel_oracles.py -x -q
+    pytest tests/test_series_model.py tests/test_kernel_oracles.py \
+        tests/test_support.py tests/test_gps.py -x -q
 
 on the copy under a timeout of TIMEOUT_S seconds.  A run that fails or
 times out kills the mutant; a run that passes lets it survive.  The
@@ -33,7 +34,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_series_model.py", "tests/test_kernel_oracles.py")
+TESTS = ("tests/test_series_model.py", "tests/test_kernel_oracles.py",
+         "tests/test_support.py", "tests/test_gps.py")
 TIMEOUT_S = 60
 
 
@@ -66,6 +68,18 @@ MUTATIONS = (
     # never ends: the timeout kills this one
     Mutation("invert pair labelled (i, j) for (i+1, j)", "series.py",
              "w)), i, j, r[1] * p", "w)), i - 1, j, r[1] * p"),
+    # the universe merge stream and the gps product's read of its factor
+    Mutation("merge advances only the first head equal to the least",
+             "support.py",
+             "                heads[i] = vadd(out[at[i]], gens[i])\n",
+             "                heads[i] = vadd(out[at[i]], gens[i])\n"
+             "                break\n"),
+    Mutation("merge reads each copy one point behind", "support.py",
+             "vadd(out[at[i]], gens[i])", "vadd(out[at[i] - 1], gens[i])"),
+    Mutation("gps product reads its factor without the membership test",
+             "gps.py",
+             "                        if not b_in(w):\n"
+             "                            continue\n", ""),
 )
 
 
