@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import sub
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -26,7 +27,6 @@ from .support import (
     check_arity,
     grade,
     is_nonnegative,
-    qadd,
     rational,
     vec,
     vsub,
@@ -127,7 +127,7 @@ class GenSeries:
         def conv(v: Vec) -> Fraction:
             # beta is a point of a's universe and v one of the product's, so
             # v - beta needs only b's membership test (support.py's read
-            # rule); the int pair is summed by qadd's formula, inline
+            # rule); the int pair is summed inline (support.py)
             n, d = 0, 1
             for beta in a_box(v):
                 x = a_at(beta)
@@ -242,13 +242,14 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
         ceil(|alpha| / maxdeg(G)) <= nu <= floor(|alpha| / ord(G))
 
     reach alpha; the lower end is used only for a finite skeleton of G, and
-    is 0 otherwise.  The coefficients [G^nu]_w come from one memo, filled on
-    an explicit stack by [G^nu]_w = sum_u g_u [G^(nu-1)]_(w-u) over the
-    nonzero terms u <= w of G, which are pulled once, by point grade, in
-    (grade, lex) order; entries (nu, w) outside the window are never made.
-    Each sum is kept as ints with qadd and stored as a reduced int pair, so
-    the oracle builds one Fraction per coefficient (support.py); P's
-    coefficient at nu is read once, with ``rational``, as an int pair."""
+    is 0 otherwise, where nu = 0 (G^0 = 1) reaches grade 0 alone.  The
+    coefficients [G^nu]_w come from one memo, filled on an explicit stack of
+    (nu, w, grade) by [G^nu]_w = sum_u g_u [G^(nu-1)]_(w-u) over the nonzero
+    terms u <= w of G, pulled once by grade and read by index; entries
+    outside the window are never made.  Sums are inline int pairs, stored
+    reduced (support.py); P's coefficient at a nu that reaches is read once,
+    with ``rational``.  The memo lives with the result, and the memos of its
+    interned universe, G's closure, per shape (support.py)."""
     if callable(p):
         pc = p
     else:
@@ -287,38 +288,36 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     # same value and no lock is needed
     memo: dict[tuple[int, Vec], tuple[int, int]] = {(0, vzero(g.arity)): (1, 1)}
 
-    def reaches(nu: int, d: Coord) -> bool:
-        if nu == 0:
-            return d == 0
-        return nu * g_ord <= d and (top is None or d <= nu * top)
-
-    def power_coeff(nu: int, w: Vec) -> tuple[int, int]:
-        stack = [(nu, w)]
+    def power_coeff(nu: int, w: Vec, dw: Coord) -> tuple[int, int]:
+        stack = [(nu, w, dw)]
         while stack:
-            key = stack[-1]
-            if key in memo:
+            mu, x, dx = stack[-1]
+            if (mu, x) in memo:
                 stack.pop()
                 continue
-            mu, x = key
-            dx = grade(x)
-            n, d, missing = 0, 1, False
-            for du, terms in groups:
-                if du > dx:
-                    break
-                if reaches(mu - 1, dx - du):
-                    for u, a, b in terms:
-                        y = vsub(x, u)
-                        if is_nonnegative(y):
-                            sub = (mu - 1, y)
-                            hit = memo.get(sub)
+            n, d, missing, i = 0, 1, False, 0
+            while (group := groups.get(i)) is not None and group[0] <= dx:
+                i += 1
+                e, j = dx - group[0], mu - 1  # G^j must reach grade e
+                if (e == 0 if j == 0 else
+                        j * g_ord <= e and (top is None or e <= j * top)):
+                    for u, a, b in group[1]:
+                        y = tuple(map(sub, x, u))
+                        if min(y) >= 0:
+                            hit = memo.get((j, y))
                             if hit is None:
-                                stack.append(sub)
+                                stack.append((j, y, e))
                                 missing = True
                             elif not missing:
-                                n, d = qadd(n, d, a * hit[0], b * hit[1])
+                                p, q = a * hit[0], b * hit[1]
+                                if q == d:
+                                    n += p
+                                else:
+                                    k = math.gcd(d, q)
+                                    n, d = n * (q // k) + p * (d // k), d // k * q
             if not missing:
                 k = math.gcd(n, d)
-                memo[key] = (n // k, d // k)
+                memo[(mu, x)] = (n // k, d // k)
                 stack.pop()
         return memo[(nu, w)]
 
@@ -329,13 +328,19 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
         dv = grade(v)
         n, d = 0, 1
         for nu in grade_window(dv, g_ord, top):
-            a = p_memo.get(nu)
+            # G^0 = 1 reaches grade 0 alone, and every other nu reaches dv
+            a = p_memo.get(nu) if nu or not dv else (0, 1)
             if a is None:
                 c = rational(pc(nu))
                 a = p_memo[nu] = (c.numerator, c.denominator)
-            if a[0] and reaches(nu, dv):
-                cn, cd = power_coeff(nu, v)
-                n, d = qadd(n, d, a[0] * cn, a[1] * cd)
+            if a[0]:
+                cn, cd = power_coeff(nu, v, dv)
+                s, t = a[0] * cn, a[1] * cd
+                if t == d:
+                    n += s
+                else:
+                    k = math.gcd(d, t)
+                    n, d = n * (t // k) + s * (d // k), d // k * t
         return Q(n, d)
 
     return GenSeries(g.arity, g.universe.closure(), oracle,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import germ as G
-from .errors import ArityMismatch, NotAnAsymptoticScale, ScaleMismatch
+from .errors import ArityMismatch, NotAnAsymptoticScale, NotInFragment, ScaleMismatch
 from .germ import GermTerm, check_germ
 from .support import Vec, check_arity, lex_positive, rational, vadd, vec
 
@@ -100,6 +100,12 @@ def check_monomial(m: Monomial, s: Scale) -> None:
         raise ScaleMismatch(f"{m!r} is not a monomial over {s}")
 
 
+def check_scale(s) -> None:
+    """NotInFragment unless s is a Scale, as make_scale makes one."""
+    if not isinstance(s, Scale):
+        raise NotInFragment(f"{s!r} is not a scale")
+
+
 def monomial_cmp(m: Monomial, n: Monomial) -> int:
     """Total order: 1 when m > n.  The first nonzero coordinate of
     vector(m) - vector(n) being positive means the dominant generator gets a
@@ -128,6 +134,8 @@ def make_scale(germs: Sequence[GermTerm]) -> Scale:
     result must then pass the admissibility check.  A non-germ raises
     NotInFragment.
     """
+    if not hasattr(germs, "__iter__"):
+        raise NotInFragment(f"{germs!r} is not a sequence of germs")
     germs = [g for g in germs]
     for g in germs:
         check_germ(g)
@@ -147,8 +155,8 @@ def make_scale(germs: Sequence[GermTerm]) -> Scale:
 
 def project_class(s: Scale, j: int, m: Monomial) -> Monomial:
     """Zero out every exponent outside comparability class j."""
-    if not 0 <= j < len(s.classes):
-        raise ArityMismatch(f"class index {j} out of range")
+    if not isinstance(j, int) or not 0 <= j < len(s.classes):
+        raise ArityMismatch(f"class index {j!r} is not one of {s}")
     check_monomial(m, s)
     lo, hi = s.classes[j]
     coords = tuple(a if lo <= i < hi else 0

@@ -37,7 +37,8 @@ from .errors import (
     ZeroWithinBound,
 )
 from .gps import DEFAULT_BUDGET, GenSeries
-from .scale import Monomial, Scale, check_monomial, make_scale, monomial_cmp, monomial_value
+from .scale import (Monomial, Scale, check_monomial, check_scale, make_scale,
+                    monomial_cmp, monomial_value)
 from .support import (
     MemoStream,
     Q,
@@ -123,30 +124,24 @@ class LaurentSeries:
                 out.append((v, c))
         return out
 
-    def _check_series(self, other) -> None:
-        """ScaleMismatch unless other is a series over this scale, as
-        check_monomial refuses a plain vector."""
-        if not isinstance(other, LaurentSeries) or self.scale != other.scale:
-            raise ScaleMismatch(f"{other!r} is not a series over {self.scale}")
-
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check_series(other)
+        check_series(other, self.scale)
         return LaurentSeries(
             self.scale, _merge_factory([self, other]),
             convergence=_combine_convergence(self.convergence, other.convergence),
             provenance=f"({self.provenance}+{other.provenance})")
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check_series(other)
+        check_series(other, self.scale)
         return self + (-other)
 
     __radd__ = __add__
 
     def __rsub__(self, other) -> "LaurentSeries":
-        # reached only when other is not a series, which _check_series refuses
-        self._check_series(other)
+        # reached only when other is not a series, which check_series refuses
+        check_series(other, self.scale)
         return other - self
 
     def __neg__(self) -> "LaurentSeries":
@@ -163,7 +158,7 @@ class LaurentSeries:
 
     def __mul__(self, other) -> "LaurentSeries":
         if isinstance(other, LaurentSeries):
-            self._check_series(other)
+            check_series(other, self.scale)
             return LaurentSeries(
                 self.scale, _product_factory(self, other),
                 convergence=_combine_convergence(self.convergence, other.convergence),
@@ -185,16 +180,24 @@ class LaurentSeries:
     # -- convergence -----------------------------------------------------------------
 
     def assert_convergent(self, threshold: Optional[float] = None) -> "LaurentSeries":
-        """The same terms, tagged summable for x >= threshold, a finite real
-        (for every x when it is None).  nan would pass every threshold check
-        of sum_numeric, so it is refused here."""
+        """The same terms, tagged summable for x >= threshold, a real within
+        float range (for every x when it is None).  nan would pass every
+        threshold check of sum_numeric, so it is refused here."""
         if threshold is not None and not (isinstance(threshold, numbers.Real)
-                                          and math.isfinite(threshold)):
-            raise DomainError(f"threshold {threshold!r} is not a finite real")
+                                          and abs(threshold) <= sys.float_info.max):
+            raise DomainError(f"threshold {threshold!r} is not a finite float")
         return _map(self, self.provenance, convergence=Convergence(threshold))
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.provenance or 'stream'} over {self.scale})"
+
+
+def check_series(f, scale: Optional[Scale] = None, kind: type = LaurentSeries) -> None:
+    """NotInFragment unless f is a series of the kind; given a scale, also
+    ScaleMismatch unless it is over that scale (a number or body is not)."""
+    if not isinstance(f, kind) or scale is not None and f.scale != scale:
+        raise (NotInFragment if scale is None else ScaleMismatch)(
+            f"{f!r} is not a {kind.__name__} over {scale}")
 
 
 def _check_budget(budget) -> None:
@@ -244,10 +247,10 @@ def _heap_sum(heap: list, popped: Callable[[int, int], None]
     """The one series kernel: pop every entry (v, i, j, n, d) at the least
     v, sum the ints n/d, call popped(i, j) for each popped entry, and yield
     (v, Q(n, d)), reduced once.  The first entry popped at v starts the sum
-    and each later one is added with qadd's formula, inline, so a pair costs
-    no Python call but popped.  The push rules live in popped and in the
-    caller, which may push more entries between yields; each pushed v must
-    come after the v just yielded."""
+    and each later one is added inline as support.py's int pair, so a pair
+    costs no Python call but popped.  The push rules live in popped and in
+    the caller, which may push more entries between yields; each pushed v
+    must come after the v just yielded."""
     pop, gcd = heapq.heappop, math.gcd
     while heap:
         v, i, j, n, d = pop(heap)
@@ -406,6 +409,7 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
 def from_terms(scale: Scale, terms: dict, *,
                convergence: Optional[Convergence] = Convergence()
                ) -> LaurentSeries:
+    check_scale(scale)
     tbl = {}
     for k, c in terms.items():
         if isinstance(k, Monomial):
@@ -429,6 +433,8 @@ def _finite(scale: Scale, items: list, convergence: Optional[Convergence],
 def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
                  *, convergence: Optional[Convergence] = None) -> LaurentSeries:
     """shift * body(m_0, ..., m_k), the model constructor of the series type."""
+    check_scale(scale)
+    check_series(body, kind=GenSeries)
     if body.arity != scale.arity:
         raise ArityMismatch(
             f"body arity {body.arity} does not match scale arity {scale.arity}")
@@ -484,6 +490,7 @@ def geometric(scale: Scale, step: Monomial, ratio=1) -> LaurentSeries:
 def truncate(f: LaurentSeries, cutoff: Monomial,
              budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     """The finite sub-sum over monomials >= cutoff, as an explicit series."""
+    check_series(f)
     terms = f.terms_to_cutoff(cutoff, budget)
     for v in (v for v, _ in terms if len(v) != f.scale.arity):
         check_arity(v, f.scale.arity, "exponent vector")
@@ -500,6 +507,7 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     emitted and at (i+1, j) when (i, j) pops.  Zero terms after lm stay
     pairs, so the skeleton stays complete.  Each term of f is read once,
     and its end once."""
+    check_series(f)
     _check_budget(budget)
     # f's terms up to its second nonzero one within the budget; one nonzero
     # term alone proves f = a*lm only when f's stream also ends there
@@ -650,6 +658,7 @@ def compose_right(f: LaurentSeries, g: GermTerm) -> LaurentSeries:
     so the result reads f's own memo.  Raises NotAScaleAfterShift, caused by
     the refusal, when a composition or the composed scale is refused.  A
     threshold bounds f's argument, here g(x): a tag with one is dropped."""
+    check_series(f)
     try:
         composed = [G.compose_exact(gen, g) for gen in f.scale.generators]
         new_scale = make_scale(composed)
@@ -720,6 +729,7 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     generator moves one coordinate, each of the k coordinates moved is a
     factor omega and every other one a single point, so the type is
     omega^k."""
+    check_series(f)
     _check_budget(budget)
     head = list(itertools.islice(f.iter_terms(), budget + 1))
     witness = sum(1 for _, c in head[:budget] if c)
@@ -746,12 +756,13 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
     """Evaluate the truncation above the cutoff at x, with the magnitude of
     the first omitted nonzero term as tail estimate, 0.0 if the stream ends.
     Raises CutoffTooDeep when the budget ends before both are found."""
+    check_series(f)
     if f.convergence is None:
         raise NotMarkedConvergent(
             "series has no convergence tag; use assert_convergent or a "
             "constructor that certifies convergence")
-    if not math.isfinite(x):
-        raise DomainError(f"x={x} is not a finite real")
+    if not (isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max):
+        raise DomainError(f"x={x!r} is not a finite float")
     thr = f.convergence.threshold
     if thr is not None and x < thr:
         raise DomainError(f"x={x} below the certified convergence threshold {thr}")

@@ -5,7 +5,11 @@ either an explicit finite set of vectors, or ``offset + monoid(gens)`` where
 every generator is lexicographically positive.  Lex-positive generation is
 exactly what keeps the induced monomial set reverse-well-ordered, so the
 ascending-lex stream below enumerates candidate support points in strictly
-decreasing monomial order.
+decreasing monomial order.  A generated universe is interned by its shape
+(arity, offset, sorted generators, coordinate types) in ``_universes``,
+which holds it strongly, so its membership memo and its lex and graded
+streams serve every series over the shape until the table is cleared on
+reaching ``_UNIVERSES_MAX``, read at call time.  An explicit one is not.
 
 A coordinate is an ``int`` when it is integral and a ``Fraction`` otherwise;
 ``coord`` and ``vec`` normalise to that form, and every constructor of a
@@ -33,17 +37,16 @@ Coefficients are exact: every coefficient a kernel stores or yields is a
 ``Fraction`` (``Q``).  Inside, a kernel that sums products of coefficients
 (``series._heap_sum``, the one series kernel under the merges, products,
 family sums and inverse; the gps convolution and power table) keeps each sum
-as a pair of ints, a numerator over a running denominator, and adds terms
-by ``qadd``'s formula (the gps kernels call it, ``_heap_sum`` inlines it);
-it builds ``Q(n, d)``, which reduces by one gcd, once per coefficient it
-emits.  The pair is not reduced on the way, but its denominator stays the
-lcm of the denominators added.
+as a pair of ints, a numerator over a running denominator, and adds a/b
+inline: n + a over d when b == d, else n*(b/g) + a*(d/g) over d/g*b with
+g = gcd(d, b); it builds ``Q(n, d)``, which reduces by one gcd, once per
+coefficient it emits.  The pair is not reduced on the way, but its
+denominator stays the lcm of the denominators added.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import threading
 from fractions import Fraction
@@ -54,15 +57,6 @@ from .errors import ArityMismatch, NotInFragment, WitnessViolated
 Q = Fraction
 Coord = Union[int, Fraction]
 Vec = tuple[Coord, ...]
-
-
-def qadd(n: int, d: int, a: int, b: int) -> tuple[int, int]:
-    """n/d + a/b as an unreduced (numerator, denominator) pair of ints, over
-    d itself when b == d and over lcm(d, b) otherwise (denominators > 0)."""
-    if b == d:
-        return n + a, d
-    g = math.gcd(d, b)
-    return n * (b // g) + a * (d // g), d // g * b
 
 
 def rational(x) -> Fraction:
@@ -141,41 +135,57 @@ def is_nonnegative(u: Vec) -> bool:
     return min(u, default=0) >= 0
 
 
-class SupportUniverse:
-    """offset + monoid(gens), or an explicit finite vector set."""
+_UNIVERSES_MAX = 1 << 10
+_universes: dict[tuple, "SupportUniverse"] = {}
 
-    def __init__(self, arity: int, *, offset: Optional[Vec] = None,
-                 gens: Iterable[Vec] = (),
-                 explicit: Optional[frozenset] = None):
-        self.arity = arity
-        self.explicit = explicit
+
+class SupportUniverse:
+    """offset + monoid(gens), interned by shape, or an explicit vector set."""
+
+    def __new__(cls, arity: int, *, offset: Optional[Vec] = None,
+                gens: Iterable[Vec] = (),
+                explicit: Optional[frozenset] = None):
+        self = object.__new__(cls)
+        self.arity, self.explicit = arity, explicit
         if explicit is not None:
             if explicit and set(map(len, explicit)) != {arity}:
                 bad = next(p for p in explicit if len(p) != arity)
-                check_arity(bad, self.arity, "point")
-            self.offset = vzero(arity)
-            self.gens = ()
-            return
-        self.offset = vzero(arity) if offset is None else vec(offset)
-        check_arity(self.offset, self.arity, "offset")
+                check_arity(bad, arity, "point")
+            self.offset, self.gens = vzero(arity), ()
+            return self
+        self.offset = offset = vzero(arity) if offset is None else vec(offset)
+        check_arity(offset, arity, "offset")
         cleaned = set()
         for g in map(vec, gens):
-            check_arity(g, self.arity, "generator")
+            check_arity(g, arity, "generator")
             if any(g):
                 if not lex_positive(g):
                     raise WitnessViolated(
                         f"universe generator {g} is not lex-positive")
                 cleaned.add(g)
-        # sorted once, for every stream; the sign check that box_points and
-        # graded_stream need is answered once too, and raised on each call
-        self.gens = tuple(sorted(cleaned))
-        self._nonnegative = all(map(is_nonnegative, self.gens))
+        self.gens = gens = tuple(sorted(cleaned))
+        # Fraction(2) == 2: the types keep an all-Fraction universe apart
+        key = (arity, offset, gens, tuple(type(a) for v in (offset, *gens) for a in v))
+        if (hit := _universes.get(key)) is not None:
+            return hit
+        # the sign check that box_points and graded_stream need is answered
+        # once, and raised on each call
+        self._nonnegative = all(map(is_nonnegative, gens))
         self._by_lead: dict[int, list[Vec]] = {}
-        for g in self.gens:
+        for g in gens:
             self._by_lead.setdefault(_lead(g), []).append(g)
-        # membership answers; every entry is a fact, so concurrent writers
-        # can only store the same value and no lock is needed
-        self._known: dict[Vec, bool] = {self.offset: True}
+        # every memo entry is a fact, so concurrent writers can only store
+        # the same value and no lock is needed
+        self._known: dict[Vec, bool] = {offset: True}
+        self._lex = _PointStream(lambda: _merge(offset, gens))
+        # (grade, lex) order is lex order with the grade put first, and a
+        # nonzero nonnegative generator stays lex-positive when so lifted
+        lift = lambda v: (grade(v), *v)
+        self._graded = _PointStream(lambda: (v[1:] for v in _merge(
+            lift(offset), tuple(map(lift, gens)))))
+        if len(_universes) >= _UNIVERSES_MAX:
+            _universes.clear()
+        return _universes.setdefault(key, self)  # one of racing constructors
 
     # -- constructors --------------------------------------------------------
 
@@ -260,8 +270,8 @@ class SupportUniverse:
         """Whether v is a point of the universe.
 
         A generated universe keeps every answer, those for the intermediate
-        points of a search included, in a memo that lives exactly as long as
-        the universe, so a repeated query is one dict lookup; a cold query
+        points of a search included, in a memo kept per shape until the
+        intern table clears, so a repeated query is one dict lookup; a cold query
         visits each point v - (sum of generators) at most once, which for a
         point reached along one generator chain is linear in its depth.  The
         search keeps an explicit stack, so depth is not limited by the
@@ -316,7 +326,7 @@ class SupportUniverse:
         monomial order), lazily."""
         if self.explicit is not None:
             return iter(sorted(self.explicit))
-        return _merge(self.offset, self.gens)
+        return iter(self._lex)
 
     def graded_stream(self) -> Iterator[Vec]:
         """Points in ascending (total degree, lex) order.  Only valid when
@@ -324,11 +334,7 @@ class SupportUniverse:
         if self.explicit is not None:
             return iter(sorted(self.explicit, key=lambda p: (grade(p), p)))
         self._need_nonnegative("graded")
-        # (grade, lex) order is lex order with the grade put first, and a
-        # nonzero nonnegative generator stays lex-positive when so lifted
-        lift = lambda v: (grade(v), *v)
-        lifted = _merge(lift(self.offset), tuple(map(lift, self.gens)))
-        return (v[1:] for v in lifted)
+        return iter(self._graded)
 
     def box_points(self, bound: Vec) -> list[Vec]:
         """All universe points componentwise <= bound, sorted (grade, lex).
@@ -375,7 +381,8 @@ def _merge(offset: Vec, gens: tuple[Vec, ...]) -> Iterator[Vec]:
     offset with the set's own copies shifted by each generator (Dijkstra's
     Hamming exercise, *A Discipline of Programming*, 1976).  Copy i is read
     from the points yielded, its head out[at[i]] + gens[i]; every head equal
-    to the least advances, so no point comes twice and no heap is needed."""
+    to the least advances, so no point comes twice and no heap is needed.
+    A universe runs it once per order, in a MemoStream kept per shape."""
     yield offset
     if len(gens) == 1:
         # a ray: each point is the last one plus the generator
@@ -404,16 +411,15 @@ class MemoStream:
     re-checking the length under it, so each item is pulled once.  A done
     stream never grows, so a read past its end takes no lock either.
 
-    An exception out of the factory's iterator ends that iterator, so it is
-    kept and raised again by every later pull: a stream that failed never
-    looks finished, and the items stored before the failure stay readable."""
+    An exception out of the factory's iterator ends it; the next pull starts
+    the factory again past the stored items, which stay readable: a refusal
+    comes again, and an interruption does not stay in a shared stream."""
 
     def __init__(self, factory):
         self._factory = factory
         self._items: list = []
         self._iter = None
         self._done = False
-        self._error: Optional[tuple[BaseException, object]] = None
         self._lock = threading.Lock()
 
     def get(self, i: int):
@@ -427,17 +433,16 @@ class MemoStream:
         return items[i] if i < len(items) else None
 
     def _pull(self):
-        if self._error is not None:
-            # with the first traceback, so that it does not grow per raise
-            raise self._error[0].with_traceback(self._error[1])
         try:
             if self._iter is None:
                 self._iter = self._factory()
+                for _ in self._items:  # after a failure, past what is stored
+                    next(self._iter)
             self._items.append(next(self._iter))
         except StopIteration:
             self._done = True
-        except BaseException as exc:
-            self._error = (exc, exc.__traceback__)
+        except BaseException:
+            self._iter = None
             raise
 
     def __iter__(self):
@@ -446,3 +451,9 @@ class MemoStream:
         while i < len(items) or self.get(i) is not None:
             yield items[i]
             i += 1
+
+
+class _PointStream(MemoStream):
+    """A universe's stream of points, not a series' stream of terms: its get
+    is bound here, so a wrapper of MemoStream.get sees series streams only."""
+    get = MemoStream.get

@@ -385,6 +385,25 @@ def test_compose_grade_window_differential():
         assert [(v, comp.coeff(v)) for v, _ in reversed(got)] == got[::-1]
 
 
+def test_compose_reads_p_where_a_power_reaches():
+    # over an infinite skeleton the grade window starts at nu = 0, but
+    # G^0 = 1 reaches grade 0 alone: P's constant term is read there only
+    asked = []
+
+    def p(n):
+        asked.append(n)
+        return Q(1, n + 1)
+
+    g = geometric_in(1, (1,), 2) - from_terms(1, {(0,): 1})  # 2x + 4x^2 + ...
+    comp = compose_ps(p, g)
+    want = _brute_compose([Q(1, n + 1) for n in range(6)],
+                          {(Q(k),): Q(2) ** k for k in range(1, 6)}, (5,), 1)
+    assert [comp.coeff((k,)) for k in range(5, 0, -1)] == [
+        want.get((Q(k),), 0) for k in range(5, 0, -1)]
+    assert sorted(asked) == [1, 2, 3, 4, 5]
+    assert comp.coeff((0,)) == 1 and sorted(asked) == [0, 1, 2, 3, 4, 5]
+
+
 def test_compose_infinite_zero_skeleton():
     # X over an infinite skeleton of zeros: g's terms are pulled by point
     # grade, so each coefficient terminates

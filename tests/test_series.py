@@ -519,7 +519,16 @@ def test_sum_family_opening_budget(sx):
                                    "monomial_ctor_none", "generated_none",
                                    "invert_budget_huge",
                                    "order_type_budget_huge",
-                                   "compose_ps_p_none"])
+                                   "compose_ps_p_none",
+                                   "assert_convergent_huge",
+                                   "sum_numeric_x_huge",
+                                   "project_class_str", "project_class_none",
+                                   "project_class_float", "invert_none",
+                                   "order_type_none", "truncate_none",
+                                   "sum_numeric_none", "compose_right_none",
+                                   "make_laurent_body_none",
+                                   "make_laurent_scale_none",
+                                   "make_scale_none", "from_terms_scale_none"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
     # each public entry point that takes a vector, an index, a scalar or a
     # budget refuses one that does not fit with a typed error, not an
@@ -674,6 +683,32 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
         # P's coefficient is read with rational; None used to count as 0
         "compose_ps_p_none": (NotInFragment, lambda: gps.compose_ps(
             lambda k: None, gps.from_terms(1, {(1,): 1})).coeff((2,))),
+        # an int past float range used to overflow math.isfinite
+        "assert_convergent_huge": (DomainError, lambda: from_terms(
+            sx, {(0,): 1}).assert_convergent(10**400)),
+        "sum_numeric_x_huge": (DomainError, lambda: sum_numeric(
+            geometric(sx, cut(sx, 1)), 10**400, cut(sx, 3))),
+        # a class index is an int; these used to raise a bare TypeError
+        "project_class_str": (ArityMismatch,
+                              lambda: project_class(sx, "0", cut(sx, 1))),
+        "project_class_none": (ArityMismatch,
+                               lambda: project_class(sx, None, cut(sx, 1))),
+        "project_class_float": (ArityMismatch,
+                                lambda: project_class(sx, 0.0, cut(sx, 1))),
+        # a series, scale or body argument is read by one reader of its
+        # kind; None used to raise AttributeError, or stand as a scale
+        "invert_none": (NotInFragment, lambda: invert(None)),
+        "order_type_none": (NotInFragment, lambda: order_type(None)),
+        "truncate_none": (NotInFragment, lambda: truncate(None, cut(sx, 1))),
+        "sum_numeric_none": (NotInFragment,
+                             lambda: sum_numeric(None, 1.0, cut(sx, 1))),
+        "compose_right_none": (NotInFragment, lambda: compose_right(None, X)),
+        "make_laurent_body_none": (NotInFragment,
+                                   lambda: make_laurent(sx, sx.unit(), None)),
+        "make_laurent_scale_none": (NotInFragment, lambda: make_laurent(
+            None, sx.unit(), gps.geometric_in(1, (1,)))),
+        "make_scale_none": (NotInFragment, lambda: make_scale(None)),
+        "from_terms_scale_none": (NotInFragment, lambda: from_terms(None, {})),
     }
     error, call = calls[entry]
     with pytest.raises(error):

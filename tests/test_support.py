@@ -40,6 +40,13 @@ def brute_members(u, nmax):
     return out
 
 
+def cold_copy(u):
+    """u's shape built on an emptied intern table, so that its membership
+    memo and streams start cold; u itself keeps its own."""
+    support._universes.clear()
+    return SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+
+
 def box(*ranges):
     return [tuple(Q(a) for a in p)
             for p in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))]
@@ -77,18 +84,18 @@ def test_contains_matches_enumeration(name):
     want = {t: t in members for t in targets}
     assert any(want.values()) and not all(want.values())
     # cold queries in two orders on fresh universes, then warm queries
-    cold = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    cold = cold_copy(u)
     assert {t: cold.contains(t) for t in targets} == want
-    rev = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    rev = cold_copy(u)
     assert {t: rev.contains(t) for t in reversed(targets)} == want
     shuffled = targets[:]
     random.Random(name).shuffle(shuffled)
     assert {t: cold.contains(t) for t in shuffled} == want
     # the stream is strictly ascending and every streamed point is a member
-    streaming = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    streaming = cold_copy(u)
     streamed = list(itertools.islice(streaming.lex_stream(), 40))
     assert streamed == sorted(set(streamed))
-    fresh = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    fresh = cold_copy(u)
     assert all(fresh.contains(v) for v in streamed)
 
 
@@ -107,7 +114,7 @@ def test_streams_are_complete(name):
     if all(map(is_nonnegative, u.gens)):
         orders.append((SupportUniverse.graded_stream, _graded))
     for stream, key in orders:
-        fresh = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+        fresh = cold_copy(u)
         got = list(itertools.islice(stream(fresh), 60))
         keys = list(map(key, got))
         assert keys == sorted(set(keys))
@@ -269,22 +276,27 @@ def test_deep_support_has_no_recursion_limit(r):
     terms = f.terms_to_cutoff(sc.monomial([n]))
     assert [v for v, _ in terms] == [(Q(k),) for k in range(n + 1)]
     assert [c for _, c in terms] == [r ** k for k in range(n + 1)]
+    support._universes.clear()  # the body's universe has this shape
     assert SupportUniverse.generated(1, [(1,)]).contains((Q(20000),))
 
 
 def test_shared_memo_under_threads():
+    # every thread builds the universe on an emptied intern table and queries
+    # it cold: all must get the one interned object and the right answers
     u = gen(2, [(2, -1), (3, 1), (0, 2), (0, 3)], offset=(1, 0))
     targets = box((0, 14), (-12, 12))
     ref = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
     want = [ref.contains(t) for t in targets]
     assert any(want) and not all(want)
-    shared = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    support._universes.clear()
     nthreads = 2 * (os.cpu_count() or 1) + 2
-    results = [None] * nthreads
+    results, built = [None] * nthreads, [None] * nthreads
 
     def work(k):
         order = list(range(len(targets)))
         random.Random(k).shuffle(order)
+        shared = built[k] = SupportUniverse.generated(u.arity, u.gens,
+                                                      offset=u.offset)
         got = [None] * len(targets)
         for i in order:
             got[i] = shared.contains(targets[i])
@@ -303,6 +315,136 @@ def test_shared_memo_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(got == want for got in results)
+    assert built[0] is not ref and all(b is built[0] for b in built)
+    assert built[0] is SupportUniverse.generated(u.arity, u.gens,
+                                                 offset=u.offset)
+
+
+# -- interning: one universe object per shape ------------------------------------
+
+
+def test_bodies_over_one_shape_share_one_universe():
+    # the product's universe and the composition's closure have one shape;
+    # the second body finds the first one's membership answers there
+    support._universes.clear()
+    a = gps.geometric_in(2, (1, 0), Q(1, 2)) * gps.geometric_in(2, (0, 1), 3)
+    pts = [(i, j) for i in range(5) for j in range(5)]
+    want = {p: Q(1, 2) ** p[0] * 3 ** p[1] for p in pts}
+    assert {p: a.coeff(p) for p in pts} == want
+    known = dict(a.universe._known)
+    assert len(known) > 1
+    b = gps.geometric_in(2, (0, 1), -1) * gps.geometric_in(2, (1, 0), 2)
+    comp = gps.compose_ps(lambda k: 1, gps.from_terms(2, {(1, 0): 1,
+                                                          (0, 1): 1}))
+    assert b.universe is a.universe is comp.universe
+    assert b.universe._known.items() >= known.items()
+    assert {p: b.coeff(p) for p in pts} == {
+        p: 2 ** p[0] * (-1) ** p[1] for p in pts}
+    assert {p: comp.coeff(p) for p in pts} == {
+        p: math.comb(p[0] + p[1], p[0]) for p in pts}
+    # the streams are shared too, and read alike by every series
+    assert (list(itertools.islice(a.universe.lex_stream(), 30))
+            == list(itertools.islice(heap_lex_stream(b.universe), 30)))
+    assert a.universe._lex is b.universe._lex
+
+
+def test_fraction_universe_is_not_its_int_twin():
+    # Fraction(2) == 2 and they hash alike, so only the coordinate types in
+    # the intern key keep an all-Fraction copy from being the int universe
+    u = SupportUniverse.generated(2, [(2, 1)], offset=(1, 0))
+    with mock.patch.object(support, "coord", Q):
+        ref = SupportUniverse.generated(2, [(2, 1)], offset=(1, 0))
+    assert ref is not u and (ref.offset, ref.gens) == (u.offset, u.gens)
+    assert [type(a) for a in (*ref.offset, *ref.gens[0])] == [Q] * 4
+    assert [type(a) for a in (*u.offset, *u.gens[0])] == [int] * 4
+    assert SupportUniverse.generated(2, [(TWO, Q(1))], offset=(1, 0)) is u
+
+
+def test_explicit_universes_are_not_shared():
+    a = SupportUniverse.finite(2, [(1, 0), (0, 1)])
+    assert a is not SupportUniverse.finite(2, [(1, 0), (0, 1)])
+    assert gps.from_terms(1, {(1,): 1}).universe is not gps.from_terms(
+        1, {(1,): 1}).universe
+    g = SupportUniverse.generated(2, [(1, 0)])
+    assert g is SupportUniverse.generated(2, [(1, 0), (0, 0)])  # 0 dropped
+    assert g is not SupportUniverse.generated(2, [(1, 0)], offset=(0, 1))
+
+
+def test_an_interrupted_pull_does_not_stay(monkeypatch):
+    # a universe's streams serve every series over its shape, so a pull cut
+    # short (a KeyboardInterrupt, a caller's time cap) must not be raised
+    # again to the next reader: the stream restarts past what it stored
+    class Interrupted(Exception):
+        pass
+
+    merge, runs = support._merge, []
+
+    def flaky(offset, gens):
+        runs.append(offset)
+        for k, v in enumerate(merge(offset, gens)):
+            if k == 7 and len(runs) == 1:
+                raise Interrupted
+            yield v
+
+    monkeypatch.setattr(support, "_merge", flaky)
+    u = cold_copy(gen(2, [(1, 0), (0, 1)]))
+    with pytest.raises(Interrupted):
+        list(itertools.islice(u.lex_stream(), 20))
+    body = gps.geometric_in(2, (1, 0)) * gps.geometric_in(2, (0, 1), 2)
+    assert body.universe is u
+    assert list(itertools.islice(u.lex_stream(), 20)) == list(
+        itertools.islice(heap_lex_stream(u), 20))
+    assert len(runs) == 2
+    sx = make_scale([g_x(), g_logk(1)])
+    f = make_laurent(sx, sx.unit(), body)
+    assert f.terms_to_cutoff(sx.monomial([0, 30])) == [
+        ((0, k), 2 ** k) for k in range(31)]
+
+
+def test_point_streams_stay_out_of_series_stream_reads(monkeypatch):
+    # a wrapper of MemoStream.get, as the benchmark's tracer installs to
+    # count series terms (it reads item[1]), sees terms only: a universe's
+    # shared point streams keep their own read
+    seen, get = [], support.MemoStream.get
+
+    def wrapped(stream, i):
+        seen.append(get(stream, i))
+        return seen[-1]
+
+    monkeypatch.setattr(support.MemoStream, "get", wrapped)
+    cold_copy(gen(1, [(1,)]))
+    sx = make_scale([g_x()])
+    f = make_laurent(sx, sx.unit(), gps.geometric_in(1, (1,), 3))
+    assert f.terms_to_cutoff(sx.monomial([5])) == [
+        ((k,), 3 ** k) for k in range(6)]
+    assert len(seen) >= 6 and all(len(t) == 2 and type(t[1]) is Q
+                                  for t in seen if t is not None)
+
+
+def test_answers_stay_right_when_the_table_fills(monkeypatch):
+    # a bound of 3 clears the table again and again; every universe, in the
+    # table or evicted from it, and every rebuilt one answers right
+    monkeypatch.setattr(support, "_UNIVERSES_MAX", 3)
+    support._universes.clear()
+    built = []
+    for name in sorted(CASES) * 2:
+        u, targets, nmax = CASES[name]
+        members = brute_members(u, nmax)
+        targets = [vadd(t, u.offset) for t in targets]
+        v = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+        assert len(support._universes) <= 3
+        built.append(v)
+        assert [v.contains(t) for t in targets] == [t in members
+                                                    for t in targets]
+        assert list(itertools.islice(v.lex_stream(), 40)) == list(
+            itertools.islice(heap_lex_stream(u), 40))
+    assert len({id(v) for v in built}) > len(CASES)
+    for v, name in zip(built, sorted(CASES) * 2):
+        u, targets, nmax = CASES[name]
+        members = brute_members(u, nmax)
+        assert all(v.contains(vadd(t, u.offset)) == (vadd(t, u.offset)
+                                                     in members)
+                   for t in targets)
 
 
 # -- exponent coordinates: int when integral, Fraction otherwise ---------------
@@ -408,6 +550,7 @@ def test_mixed_coordinates_match_an_all_fraction_copy(case):
     targets = sorted({vadd(p, s) for p in want[:12] for s in steps} | set(want))
     as_fraction = [tuple(map(Q, t)) for t in targets]
     as_int = [support.vec(t) for t in targets]
+    support._universes.clear()  # so that both memos below start cold
     u, ref = pair()
     members = [ref.contains(t) for t in as_int]
     assert [u.contains(t) for t in as_fraction] == members

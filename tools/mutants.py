@@ -80,6 +80,15 @@ MUTATIONS = (
              "gps.py",
              "                        if not b_in(w):\n"
              "                            continue\n", ""),
+    # the universe intern table and the compose oracle
+    Mutation("intern key without the coordinate types", "support.py",
+             "key = (arity, offset, gens, tuple(type(a) for v in (offset, "
+             "*gens) for a in v))", "key = (arity, offset, gens)"),
+    Mutation("compose oracle adds p without rescaling to the common "
+             "denominator", "gps.py",
+             "n * (t // k) + s * (d // k)", "n * (t // k) + s"),
+    Mutation("compose oracle keeps nu = 0 at every grade", "gps.py",
+             "p_memo.get(nu) if nu or not dv else (0, 1)", "p_memo.get(nu)"),
 )
 
 
