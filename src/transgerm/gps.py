@@ -248,8 +248,9 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     terms u <= w of G, pulled once by grade and read by index; entries
     outside the window are never made.  Sums are inline int pairs, stored
     reduced (support.py); P's coefficient at a nu that reaches is read once,
-    with ``rational``.  The memo lives with the result, and the memos of its
-    interned universe, G's closure, per shape (support.py)."""
+    with ``rational``.  The memo lives with the result; its universe, G's
+    closure, shares its membership memo with every series of its shape
+    (support.py)."""
     if callable(p):
         pc = p
     else:

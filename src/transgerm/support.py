@@ -6,10 +6,13 @@ every generator is lexicographically positive.  Lex-positive generation is
 exactly what keeps the induced monomial set reverse-well-ordered, so the
 ascending-lex stream below enumerates candidate support points in strictly
 decreasing monomial order.  A generated universe is interned by its shape
-(arity, offset, sorted generators, coordinate types) in ``_universes``,
-which holds it strongly, so its membership memo and its lex and graded
-streams serve every series over the shape until the table is cleared on
-reaching ``_UNIVERSES_MAX``, read at call time.  An explicit one is not.
+(arity, offset, sorted generators) in ``_universes``, which holds it
+strongly: the series over one shape share its membership memo, so where
+shapes repeat across queries a membership question is searched once.  A
+construction clears the table at ``_UNIVERSES_MAX`` shapes or past
+``_KNOWN_MAX`` memo entries in all (read at call time), so memos no live
+series holds stay within that.  Streams stay bare merges, cheaper cold than
+a shared memo of points.  An explicit universe is not interned.
 
 A coordinate is an ``int`` when it is integral and a ``Fraction`` otherwise;
 ``coord`` and ``vec`` normalise to that form, and every constructor of a
@@ -135,7 +138,7 @@ def is_nonnegative(u: Vec) -> bool:
     return min(u, default=0) >= 0
 
 
-_UNIVERSES_MAX = 1 << 10
+_UNIVERSES_MAX, _KNOWN_MAX = 1 << 6, 1 << 16
 _universes: dict[tuple, "SupportUniverse"] = {}
 
 
@@ -164,8 +167,11 @@ class SupportUniverse:
                         f"universe generator {g} is not lex-positive")
                 cleaned.add(g)
         self.gens = gens = tuple(sorted(cleaned))
-        # Fraction(2) == 2: the types keep an all-Fraction universe apart
-        key = (arity, offset, gens, tuple(type(a) for v in (offset, *gens) for a in v))
+        # vec made a coordinate an int when integral, so the types agree too
+        key = (arity, offset, gens)
+        if len(_universes) >= _UNIVERSES_MAX or sum(
+                len(u._known) for u in tuple(_universes.values())) > _KNOWN_MAX:
+            _universes.clear()
         if (hit := _universes.get(key)) is not None:
             return hit
         # the sign check that box_points and graded_stream need is answered
@@ -177,14 +183,6 @@ class SupportUniverse:
         # every memo entry is a fact, so concurrent writers can only store
         # the same value and no lock is needed
         self._known: dict[Vec, bool] = {offset: True}
-        self._lex = _PointStream(lambda: _merge(offset, gens))
-        # (grade, lex) order is lex order with the grade put first, and a
-        # nonzero nonnegative generator stays lex-positive when so lifted
-        lift = lambda v: (grade(v), *v)
-        self._graded = _PointStream(lambda: (v[1:] for v in _merge(
-            lift(offset), tuple(map(lift, gens)))))
-        if len(_universes) >= _UNIVERSES_MAX:
-            _universes.clear()
         return _universes.setdefault(key, self)  # one of racing constructors
 
     # -- constructors --------------------------------------------------------
@@ -270,13 +268,14 @@ class SupportUniverse:
         """Whether v is a point of the universe.
 
         A generated universe keeps every answer, those for the intermediate
-        points of a search included, in a memo kept per shape until the
-        intern table clears, so a repeated query is one dict lookup; a cold query
-        visits each point v - (sum of generators) at most once, which for a
-        point reached along one generator chain is linear in its depth.  The
-        search keeps an explicit stack, so depth is not limited by the
-        interpreter's recursion limit.  A point of the wrong arity raises
-        ArityMismatch; the check runs only when v is not a known point."""
+        points of a search included, in a memo shared by its shape until the
+        intern table clears, so a repeated query is one dict lookup; a cold
+        query visits each point v - (sum of generators) at most once, which
+        for a point reached along one generator chain is linear in its
+        depth.  The search keeps an explicit stack, so depth is not limited
+        by the interpreter's recursion limit.  A point of the wrong arity
+        raises ArityMismatch; the check runs only when v is not a known
+        point."""
         if self.explicit is not None:
             if v in self.explicit:
                 return True
@@ -326,7 +325,7 @@ class SupportUniverse:
         monomial order), lazily."""
         if self.explicit is not None:
             return iter(sorted(self.explicit))
-        return iter(self._lex)
+        return _merge(self.offset, self.gens)
 
     def graded_stream(self) -> Iterator[Vec]:
         """Points in ascending (total degree, lex) order.  Only valid when
@@ -334,7 +333,11 @@ class SupportUniverse:
         if self.explicit is not None:
             return iter(sorted(self.explicit, key=lambda p: (grade(p), p)))
         self._need_nonnegative("graded")
-        return iter(self._graded)
+        # (grade, lex) order is lex order with the grade put first, and a
+        # nonzero nonnegative generator stays lex-positive when so lifted
+        lift = lambda v: (grade(v), *v)
+        lifted = _merge(lift(self.offset), tuple(map(lift, self.gens)))
+        return (v[1:] for v in lifted)
 
     def box_points(self, bound: Vec) -> list[Vec]:
         """All universe points componentwise <= bound, sorted (grade, lex).
@@ -381,8 +384,7 @@ def _merge(offset: Vec, gens: tuple[Vec, ...]) -> Iterator[Vec]:
     offset with the set's own copies shifted by each generator (Dijkstra's
     Hamming exercise, *A Discipline of Programming*, 1976).  Copy i is read
     from the points yielded, its head out[at[i]] + gens[i]; every head equal
-    to the least advances, so no point comes twice and no heap is needed.
-    A universe runs it once per order, in a MemoStream kept per shape."""
+    to the least advances, so no point comes twice and no heap is needed."""
     yield offset
     if len(gens) == 1:
         # a ray: each point is the last one plus the generator
@@ -411,15 +413,16 @@ class MemoStream:
     re-checking the length under it, so each item is pulled once.  A done
     stream never grows, so a read past its end takes no lock either.
 
-    An exception out of the factory's iterator ends it; the next pull starts
-    the factory again past the stored items, which stay readable: a refusal
-    comes again, and an interruption does not stay in a shared stream."""
+    An exception out of the factory's iterator ends that iterator, so it is
+    kept and raised again by every later pull: a stream that failed never
+    looks finished, and the items stored before the failure stay readable."""
 
     def __init__(self, factory):
         self._factory = factory
         self._items: list = []
         self._iter = None
         self._done = False
+        self._error: Optional[tuple[BaseException, object]] = None
         self._lock = threading.Lock()
 
     def get(self, i: int):
@@ -433,16 +436,17 @@ class MemoStream:
         return items[i] if i < len(items) else None
 
     def _pull(self):
+        if self._error is not None:
+            # with the first traceback, so that it does not grow per raise
+            raise self._error[0].with_traceback(self._error[1])
         try:
             if self._iter is None:
                 self._iter = self._factory()
-                for _ in self._items:  # after a failure, past what is stored
-                    next(self._iter)
             self._items.append(next(self._iter))
         except StopIteration:
             self._done = True
-        except BaseException:
-            self._iter = None
+        except BaseException as exc:
+            self._error = (exc, exc.__traceback__)
             raise
 
     def __iter__(self):
@@ -451,9 +455,3 @@ class MemoStream:
         while i < len(items) or self.get(i) is not None:
             yield items[i]
             i += 1
-
-
-class _PointStream(MemoStream):
-    """A universe's stream of points, not a series' stream of terms: its get
-    is bound here, so a wrapper of MemoStream.get sees series streams only."""
-    get = MemoStream.get

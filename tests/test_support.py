@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import threading
+import weakref
 from decimal import Decimal
 from fractions import Fraction as Q
 from unittest import mock
@@ -92,7 +93,7 @@ def test_contains_matches_enumeration(name):
     random.Random(name).shuffle(shuffled)
     assert {t: cold.contains(t) for t in shuffled} == want
     # the stream is strictly ascending and every streamed point is a member
-    streaming = cold_copy(u)
+    streaming = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
     streamed = list(itertools.islice(streaming.lex_stream(), 40))
     assert streamed == sorted(set(streamed))
     fresh = cold_copy(u)
@@ -114,7 +115,7 @@ def test_streams_are_complete(name):
     if all(map(is_nonnegative, u.gens)):
         orders.append((SupportUniverse.graded_stream, _graded))
     for stream, key in orders:
-        fresh = cold_copy(u)
+        fresh = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
         got = list(itertools.islice(stream(fresh), 60))
         keys = list(map(key, got))
         assert keys == sorted(set(keys))
@@ -342,22 +343,8 @@ def test_bodies_over_one_shape_share_one_universe():
         p: 2 ** p[0] * (-1) ** p[1] for p in pts}
     assert {p: comp.coeff(p) for p in pts} == {
         p: math.comb(p[0] + p[1], p[0]) for p in pts}
-    # the streams are shared too, and read alike by every series
     assert (list(itertools.islice(a.universe.lex_stream(), 30))
             == list(itertools.islice(heap_lex_stream(b.universe), 30)))
-    assert a.universe._lex is b.universe._lex
-
-
-def test_fraction_universe_is_not_its_int_twin():
-    # Fraction(2) == 2 and they hash alike, so only the coordinate types in
-    # the intern key keep an all-Fraction copy from being the int universe
-    u = SupportUniverse.generated(2, [(2, 1)], offset=(1, 0))
-    with mock.patch.object(support, "coord", Q):
-        ref = SupportUniverse.generated(2, [(2, 1)], offset=(1, 0))
-    assert ref is not u and (ref.offset, ref.gens) == (u.offset, u.gens)
-    assert [type(a) for a in (*ref.offset, *ref.gens[0])] == [Q] * 4
-    assert [type(a) for a in (*u.offset, *u.gens[0])] == [int] * 4
-    assert SupportUniverse.generated(2, [(TWO, Q(1))], offset=(1, 0)) is u
 
 
 def test_explicit_universes_are_not_shared():
@@ -370,55 +357,24 @@ def test_explicit_universes_are_not_shared():
     assert g is not SupportUniverse.generated(2, [(1, 0)], offset=(0, 1))
 
 
-def test_an_interrupted_pull_does_not_stay(monkeypatch):
-    # a universe's streams serve every series over its shape, so a pull cut
-    # short (a KeyboardInterrupt, a caller's time cap) must not be raised
-    # again to the next reader: the stream restarts past what it stored
-    class Interrupted(Exception):
-        pass
-
-    merge, runs = support._merge, []
-
-    def flaky(offset, gens):
-        runs.append(offset)
-        for k, v in enumerate(merge(offset, gens)):
-            if k == 7 and len(runs) == 1:
-                raise Interrupted
-            yield v
-
-    monkeypatch.setattr(support, "_merge", flaky)
-    u = cold_copy(gen(2, [(1, 0), (0, 1)]))
-    with pytest.raises(Interrupted):
-        list(itertools.islice(u.lex_stream(), 20))
-    body = gps.geometric_in(2, (1, 0)) * gps.geometric_in(2, (0, 1), 2)
-    assert body.universe is u
-    assert list(itertools.islice(u.lex_stream(), 20)) == list(
-        itertools.islice(heap_lex_stream(u), 20))
-    assert len(runs) == 2
-    sx = make_scale([g_x(), g_logk(1)])
-    f = make_laurent(sx, sx.unit(), body)
-    assert f.terms_to_cutoff(sx.monomial([0, 30])) == [
-        ((0, k), 2 ** k) for k in range(31)]
-
-
-def test_point_streams_stay_out_of_series_stream_reads(monkeypatch):
-    # a wrapper of MemoStream.get, as the benchmark's tracer installs to
-    # count series terms (it reads item[1]), sees terms only: a universe's
-    # shared point streams keep their own read
-    seen, get = [], support.MemoStream.get
-
-    def wrapped(stream, i):
-        seen.append(get(stream, i))
-        return seen[-1]
-
-    monkeypatch.setattr(support.MemoStream, "get", wrapped)
-    cold_copy(gen(1, [(1,)]))
-    sx = make_scale([g_x()])
-    f = make_laurent(sx, sx.unit(), gps.geometric_in(1, (1,), 3))
-    assert f.terms_to_cutoff(sx.monomial([5])) == [
-        ((k,), 3 ** k) for k in range(6)]
-    assert len(seen) >= 6 and all(len(t) == 2 and type(t[1]) is Q
-                                  for t in seen if t is not None)
+def test_a_memo_no_series_holds_is_released(monkeypatch):
+    # a deep query fills one shape's memo past the bound; once no series
+    # holds that universe, the next construction of any shape frees it,
+    # while a table within the bound keeps its shapes and their answers
+    monkeypatch.setattr(support, "_KNOWN_MAX", 1000)
+    support._universes.clear()
+    f = gps.geometric_in(1, (1,), Q(1, 2))
+    assert f.universe.contains((Q(5000),)) and f.coeff((3,)) == Q(1, 8)
+    deep = weakref.ref(f.universe)
+    del f
+    assert deep() is not None  # the table holds it
+    SupportUniverse.generated(2, [(1, 0)])
+    assert deep() is None
+    kept = SupportUniverse.generated(1, [(1,)])
+    assert kept.contains((Q(900),)) and not kept.contains((Q(-1),))
+    assert SupportUniverse.generated(2, [(0, 1)]).contains((0, 7))
+    assert SupportUniverse.generated(1, [(1,)]) is kept
+    assert kept.contains((900,)) and len(kept._known) == 902
 
 
 def test_answers_stay_right_when_the_table_fills(monkeypatch):
@@ -536,8 +492,12 @@ def test_mixed_coordinates_match_an_all_fraction_copy(case):
     arity, gens, offset = case
 
     def pair():
+        # the all-Fraction copy has its int twin's key (Fraction(2) == 2),
+        # so each is built on an emptied table, with a cold memo
+        support._universes.clear()
         with mock.patch.object(support, "coord", Q):
             ref = SupportUniverse.generated(arity, gens, offset=offset)
+        support._universes.clear()
         return SupportUniverse.generated(arity, gens, offset=offset), ref
 
     u, ref = pair()
@@ -550,7 +510,6 @@ def test_mixed_coordinates_match_an_all_fraction_copy(case):
     targets = sorted({vadd(p, s) for p in want[:12] for s in steps} | set(want))
     as_fraction = [tuple(map(Q, t)) for t in targets]
     as_int = [support.vec(t) for t in targets]
-    support._universes.clear()  # so that both memos below start cold
     u, ref = pair()
     members = [ref.contains(t) for t in as_int]
     assert [u.contains(t) for t in as_fraction] == members

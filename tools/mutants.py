@@ -81,9 +81,9 @@ MUTATIONS = (
              "                        if not b_in(w):\n"
              "                            continue\n", ""),
     # the universe intern table and the compose oracle
-    Mutation("intern key without the coordinate types", "support.py",
-             "key = (arity, offset, gens, tuple(type(a) for v in (offset, "
-             "*gens) for a in v))", "key = (arity, offset, gens)"),
+    Mutation("intern table blind to its memo size", "support.py",
+             "len(u._known) for u in tuple(_universes.values())",
+             "0 for u in tuple(_universes.values())"),
     Mutation("compose oracle adds p without rescaling to the common "
              "denominator", "gps.py",
              "n * (t // k) + s * (d // k)", "n * (t // k) + s"),
