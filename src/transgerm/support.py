@@ -9,10 +9,11 @@ decreasing monomial order.  A generated universe is interned by its shape
 (arity, offset, sorted generators) in ``_universes``, which holds it
 strongly: the series over one shape share its membership memo, so where
 shapes repeat across queries a membership question is searched once.  A
-construction clears the table at ``_UNIVERSES_MAX`` shapes or past
-``_KNOWN_MAX`` memo entries in all (read at call time), so memos no live
-series holds stay within that.  Streams stay bare merges, cheaper cold than
-a shared memo of points.  An explicit universe is not interned.
+construction clears the table past ``_KNOWN_MAX`` memo entries in all, so
+memos no live series holds stay within that, or at ``_UNIVERSES_MAX``
+shapes, so that this sum stays short (both read at call time).  Streams
+stay bare merges, cheaper cold than a shared memo of points.  An explicit
+universe is not interned.
 
 A coordinate is an ``int`` when it is integral and a ``Fraction`` otherwise;
 ``coord`` and ``vec`` normalise to that form, and every constructor of a
