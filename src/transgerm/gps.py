@@ -118,7 +118,7 @@ class GenSeries:
         # walk the box of a finite factor when only one is finite: an
         # infinite factor's box under v grows with v
         a, b = self, other
-        if a.universe.explicit is None and b.universe.explicit is not None:
+        if a.universe.gens and not b.universe.gens:
             a, b = b, a
 
         a_box, a_at = a.universe._box, a._at
@@ -192,7 +192,7 @@ def _natural_point(arity: int, p: Sequence) -> Vec:
 def from_terms(arity: int, terms: dict) -> GenSeries:
     tbl = {_natural_point(arity, k): q for k, c in terms.items()
            if (q := rational(c))}
-    uni = SupportUniverse.finite(arity, tbl.keys())
+    uni = SupportUniverse(arity, tbl.keys())
     return GenSeries(arity, uni, lambda v: tbl.get(v, Q(0)),
                      provenance="terms")
 
@@ -205,7 +205,7 @@ def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
     if not any(s):
         raise WitnessViolated("geometric step is zero: the sum diverges")
     r = rational(ratio)
-    uni = SupportUniverse.generated(arity, [s])
+    uni = SupportUniverse(arity, [vzero(arity)], [s])
     lead = next(i for i, a in enumerate(s) if a)
     s_lead = s[lead]
 

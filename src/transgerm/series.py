@@ -139,10 +139,8 @@ class LaurentSeries:
 
     __radd__ = __add__
 
-    def __rsub__(self, other) -> "LaurentSeries":
-        # reached only when other is not a series, which check_series refuses
-        check_series(other, self.scale)
-        return other - self
+    # other is never a series here, and check_series refuses it
+    __rsub__ = __add__
 
     def __neg__(self) -> "LaurentSeries":
         return self.scaled(Q(-1))
@@ -425,7 +423,7 @@ def from_terms(scale: Scale, terms: dict, *,
 def _finite(scale: Scale, items: list, convergence: Optional[Convergence],
             provenance: str) -> LaurentSeries:
     """Distinct ascending terms, over the finite universe of their vectors."""
-    sk = lambda b: SupportUniverse.finite(scale.arity, (v for v, _ in items))
+    sk = lambda b: SupportUniverse(scale.arity, (v for v, _ in items))
     return LaurentSeries(scale, lambda: iter(items), skeleton=sk,
                          convergence=convergence, provenance=provenance)
 
@@ -440,7 +438,7 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
             f"body arity {body.arity} does not match scale arity {scale.arity}")
     check_monomial(shift, scale)
     delta = shift.vector
-    if convergence is None and body.universe.explicit is not None:
+    if convergence is None and not body.universe.gens:
         convergence = Convergence()
 
     def factory():
@@ -572,7 +570,7 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
         # when f's own stream ends within the budget
         if get(b) is None:
             gens = (vsub(v, lm) for v, _ in itertools.islice(f._memo, first, None))
-            return SupportUniverse.generated(f.scale.arity, gens, offset=inv_lm)
+            return SupportUniverse(f.scale.arity, [inv_lm], gens)
         return None
 
     return LaurentSeries(f.scale, factory, skeleton=skeleton,
@@ -742,7 +740,8 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     infinite = uni.infinite_coordinates()
     bound = max(1, len(infinite))
     exact = None
-    if uni.explicit is None and all(sum(map(bool, g)) == 1 for g in uni.gens):
+    if (len(uni.points) == 1 and uni.gens
+            and all(sum(map(bool, g)) == 1 for g in uni.gens)):
         exact = OmegaPoly.omega_power(len(infinite))
     return OrderTypeBound(bound, exact, witness)
 

@@ -1,19 +1,25 @@
 """Exponent-vector support skeletons and their enumeration streams.
 
-A SupportUniverse is a superset certificate for the support of a series:
-either an explicit finite set of vectors, or ``offset + monoid(gens)`` where
-every generator is lexicographically positive.  Lex-positive generation is
-exactly what keeps the induced monomial set reverse-well-ordered, so the
-ascending-lex stream below enumerates candidate support points in strictly
-decreasing monomial order.  A generated universe is interned by its shape
-(arity, offset, sorted generators) in ``_universes``, which holds it
-strongly: the series over one shape share its membership memo, so where
-shapes repeat across queries a membership question is searched once.  A
-construction clears the table past ``_KNOWN_MAX`` memo entries in all, so
-memos no live series holds stay within that, or at ``_UNIVERSES_MAX``
-shapes, so that this sum stays short (both read at call time).  Streams
-stay bare merges, cheaper cold than a shared memo of points.  An explicit
-universe is not interned.
+A SupportUniverse is a superset certificate for the support of a series,
+and there is one kind of it: ``points + monoid(gens)``, a finite set of
+vectors sharing one monoid of lexicographically positive generators, the
+grid-based sets that sums and products of natural series produce (J. van der
+Hoeven, *Transseries and Real Differential Algebra*, LNM 1888, 2006).  A
+finite set is the case with no generators, a coset ``offset + monoid(gens)``
+the case with one point.  Lex-positive generation is exactly what keeps the
+induced monomial set reverse-well-ordered, so the ascending-lex stream below
+enumerates candidate support points in strictly decreasing monomial order.
+``shifted``, ``sum`` and ``closure`` are exact; ``union`` is exact on the
+points, and a superset when the generator sets differ, since each side's
+points then take the other side's generators too.  A universe with
+generators is interned by its shape (arity, sorted points, sorted
+generators) in ``_universes``, which holds it strongly: the series over one
+shape share its membership memo, so where shapes repeat across queries a
+membership question is searched once.  A construction clears the table past
+``_KNOWN_MAX`` memo entries in all, so memos no live series holds stay
+within that, or at ``_UNIVERSES_MAX`` shapes, so that this sum stays short
+(both read at call time).  Streams stay bare merges, cheaper cold than a
+shared memo of points.  A universe with no generators is not interned.
 
 A coordinate is an ``int`` when it is integral and a ``Fraction`` otherwise;
 ``coord`` and ``vec`` normalise to that form, and every constructor of a
@@ -50,7 +56,7 @@ denominator stays the lcm of the denominators added.
 
 from __future__ import annotations
 
-import functools
+import math
 import operator
 import threading
 from fractions import Fraction
@@ -111,10 +117,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(map(operator.sub, u, v))
 
 
-def vmin(u: Vec, v: Vec) -> Vec:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
 def grade(u: Vec) -> Coord:
     return sum(u)
 
@@ -144,22 +146,20 @@ _universes: dict[tuple, "SupportUniverse"] = {}
 
 
 class SupportUniverse:
-    """offset + monoid(gens), interned by shape, or an explicit vector set."""
+    """points + monoid(gens): finitely many points sharing one monoid of
+    lex-positive generators, the one kind of universe.  A finite set is the
+    case with no generators, a coset the case with one point.  A universe
+    with generators is interned by its shape (arity, points, gens); one
+    without is not.  ``shifted``, ``sum`` and ``closure`` are exact;
+    ``union`` is exact on points, and a superset when the generator sets
+    differ, since each side's points take the other side's generators."""
 
-    def __new__(cls, arity: int, *, offset: Optional[Vec] = None,
-                gens: Iterable[Vec] = (),
-                explicit: Optional[frozenset] = None):
-        self = object.__new__(cls)
-        self.arity, self.explicit = arity, explicit
-        if explicit is not None:
-            if explicit and set(map(len, explicit)) != {arity}:
-                bad = next(p for p in explicit if len(p) != arity)
-                check_arity(bad, arity, "point")
-            self.offset, self.gens = vzero(arity), ()
-            return self
-        self.offset = offset = vzero(arity) if offset is None else vec(offset)
-        check_arity(offset, arity, "offset")
-        cleaned = set()
+    def __new__(cls, arity: int, points: Iterable[Vec],
+                gens: Iterable[Vec] = ()):
+        pts, cleaned = set(), set()
+        for p in map(vec, points):
+            check_arity(p, arity, "point")
+            pts.add(p)
         for g in map(vec, gens):
             check_arity(g, arity, "generator")
             if any(g):
@@ -167,92 +167,57 @@ class SupportUniverse:
                     raise WitnessViolated(
                         f"universe generator {g} is not lex-positive")
                 cleaned.add(g)
-        self.gens = gens = tuple(sorted(cleaned))
         # vec made a coordinate an int when integral, so the types agree too
-        key = (arity, offset, gens)
-        if len(_universes) >= _UNIVERSES_MAX or sum(
-                len(u._known) for u in tuple(_universes.values())) > _KNOWN_MAX:
-            _universes.clear()
-        if (hit := _universes.get(key)) is not None:
-            return hit
+        key = (arity, tuple(sorted(pts)), tuple(sorted(cleaned)))
+        if cleaned:
+            if len(_universes) >= _UNIVERSES_MAX or sum(
+                    len(u._known) for u in tuple(_universes.values())
+            ) > _KNOWN_MAX:
+                _universes.clear()
+            if (hit := _universes.get(key)) is not None:
+                return hit
+        self = object.__new__(cls)
+        self.arity, self.points, self.gens = key
         # the sign check that box_points and graded_stream need is answered
         # once, and raised on each call
-        self._nonnegative = all(map(is_nonnegative, gens))
+        self._nonnegative = all(map(is_nonnegative, self.gens))
         self._by_lead: dict[int, list[Vec]] = {}
-        for g in gens:
+        for g in self.gens:
             self._by_lead.setdefault(_lead(g), []).append(g)
         # every memo entry is a fact, so concurrent writers can only store
         # the same value and no lock is needed
-        self._known: dict[Vec, bool] = {offset: True}
-        return _universes.setdefault(key, self)  # one of racing constructors
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def finite(arity: int, points: Iterable[Vec]) -> "SupportUniverse":
-        return SupportUniverse(arity, explicit=frozenset(map(vec, points)))
-
-    @staticmethod
-    def generated(arity: int, gens: Iterable[Vec],
-                  offset: Optional[Vec] = None) -> "SupportUniverse":
-        return SupportUniverse(arity, offset=offset, gens=gens)
+        self._known: dict[Vec, bool] = dict.fromkeys(self.points, True)
+        # one of racing constructors wins the table
+        return _universes.setdefault(key, self) if cleaned else self
 
     # -- algebra ---------------------------------------------------------------
 
     def shifted(self, delta: Vec) -> "SupportUniverse":
         check_arity(delta, self.arity, "shift")
-        if self.explicit is not None:
-            return SupportUniverse.finite(
-                self.arity, (vadd(p, delta) for p in self.explicit))
-        return SupportUniverse(self.arity, offset=vadd(self.offset, delta),
-                               gens=self.gens)
+        return SupportUniverse(self.arity,
+                               (vadd(p, delta) for p in self.points), self.gens)
 
     def union(self, other: "SupportUniverse") -> "SupportUniverse":
-        check_arity(other.offset, self.arity, "universe")
-        if self.explicit is not None and other.explicit is not None:
-            return SupportUniverse(self.arity,
-                                   explicit=self.explicit | other.explicit)
-        a, b = self._as_generated(), other._as_generated()
-        off = vmin(a.offset, b.offset)
-        gens = set(a.gens) | set(b.gens)
-        for extra in (vsub(a.offset, off), vsub(b.offset, off)):
-            if any(extra):
-                gens.add(extra)
-        return SupportUniverse(self.arity, offset=off, gens=gens)
+        self._check(other)
+        return SupportUniverse(self.arity, self.points + other.points,
+                               self.gens + other.gens)
 
     def sum(self, other: "SupportUniverse") -> "SupportUniverse":
-        check_arity(other.offset, self.arity, "universe")
-        if self.explicit is not None and other.explicit is not None:
-            pts = {vadd(p, q) for p in self.explicit for q in other.explicit}
-            return SupportUniverse(self.arity, explicit=frozenset(pts))
-        a, b = self._as_generated(), other._as_generated()
-        return SupportUniverse(self.arity, offset=vadd(a.offset, b.offset),
-                               gens=set(a.gens) | set(b.gens))
+        self._check(other)
+        return SupportUniverse(
+            self.arity, (vadd(p, q) for p in self.points for q in other.points),
+            self.gens + other.gens)
 
     def closure(self) -> "SupportUniverse":
-        """Monoid closure: contains every finite sum of universe points."""
-        if self.explicit is not None:
-            gens = {p for p in self.explicit if any(p)}
-            return SupportUniverse(self.arity, gens=gens)
-        gens = set(self.gens)
-        if any(self.offset):
-            if not lex_positive(self.offset):
-                raise WitnessViolated(
-                    "closure of a universe with non-lex-positive offset")
-            gens.add(self.offset)
-        return SupportUniverse(self.arity, gens=gens)
+        """Monoid closure: contains every finite sum of universe points;
+        WitnessViolated for a nonzero point that is not lex-positive."""
+        return SupportUniverse(self.arity, [vzero(self.arity)],
+                               self.points + self.gens)
 
-    def _as_generated(self) -> "SupportUniverse":
-        if self.explicit is None:
-            return self
-        # explicit sets become offset+gens with the componentwise minimum as
-        # offset, so every generator is nonnegative (and, being nonzero,
-        # lex-positive); for a chain the minimum is the lex-least point
-        if not self.explicit:
-            return SupportUniverse(self.arity)
-        off = functools.reduce(vmin, self.explicit)
-        return SupportUniverse(self.arity, offset=off,
-                               gens=[vsub(p, off) for p in self.explicit])
+    def _check(self, other: "SupportUniverse") -> None:
+        if other.arity != self.arity:
+            raise ArityMismatch(f"universe of arity {other.arity} combined "
+                                f"with arity {self.arity}")
 
     # -- queries ----------------------------------------------------------------
 
@@ -268,20 +233,16 @@ class SupportUniverse:
     def contains(self, v: Vec) -> bool:
         """Whether v is a point of the universe.
 
-        A generated universe keeps every answer, those for the intermediate
-        points of a search included, in a memo shared by its shape until the
-        intern table clears, so a repeated query is one dict lookup; a cold
+        Every answer, those for the intermediate points of a search
+        included, is kept in one memo seeded with the points; a universe
+        with generators shares it with every series of its shape until the
+        intern table clears, so a repeated query is one dict lookup.  A cold
         query visits each point v - (sum of generators) at most once, which
         for a point reached along one generator chain is linear in its
         depth.  The search keeps an explicit stack, so depth is not limited
         by the interpreter's recursion limit.  A point of the wrong arity
         raises ArityMismatch; the check runs only when v is not a known
         point."""
-        if self.explicit is not None:
-            if v in self.explicit:
-                return True
-            check_arity(v, self.arity, "point")
-            return False
         hit = self._known.get(v)
         return self._member(v) if hit is None else hit
 
@@ -309,35 +270,34 @@ class SupportUniverse:
         return False
 
     def _predecessors(self, w: Vec) -> Iterator[Vec]:
-        """w - g for each generator g whose leading coordinate is that of
-        w - offset (w is not the offset).  A generator leading earlier would
-        take that coordinate below the offset's, and lex-positive generators
-        can never bring it back."""
-        tau = vsub(w, self.offset)
-        lead = _lead(tau)
-        if tau[lead] < 0:
-            return iter(())
-        return (vsub(w, g) for g in self._by_lead.get(lead, ()))
+        """w - g for each point p below w and each generator g whose leading
+        coordinate is that of w - p (w is no point).  A member p + s, s a
+        nonzero sum of generators, has a summand leading where s does; one
+        leading earlier would take that coordinate below p's, and
+        lex-positive generators can never bring it back."""
+        by_lead = self._by_lead
+        for p in self.points if by_lead else ():  # no generator, no search
+            if p >= w:
+                return
+            for g in by_lead.get(_lead(vsub(w, p)), ()):
+                yield vsub(w, g)
 
     # -- streams ----------------------------------------------------------------
 
     def lex_stream(self) -> Iterator[Vec]:
         """All universe points in strictly ascending lex order (decreasing
         monomial order), lazily."""
-        if self.explicit is not None:
-            return iter(sorted(self.explicit))
-        return _merge(self.offset, self.gens)
+        return _merge(self.points, self.gens)
 
     def graded_stream(self) -> Iterator[Vec]:
         """Points in ascending (total degree, lex) order.  Only valid when
         all generators are componentwise nonnegative."""
-        if self.explicit is not None:
-            return iter(sorted(self.explicit, key=lambda p: (grade(p), p)))
         self._need_nonnegative("graded")
         # (grade, lex) order is lex order with the grade put first, and a
         # nonzero nonnegative generator stays lex-positive when so lifted
         lift = lambda v: (grade(v), *v)
-        lifted = _merge(lift(self.offset), tuple(map(lift, self.gens)))
+        lifted = _merge(tuple(sorted(map(lift, self.points))),
+                        tuple(map(lift, self.gens)))
         return (v[1:] for v in lifted)
 
     def box_points(self, bound: Vec) -> list[Vec]:
@@ -349,14 +309,10 @@ class SupportUniverse:
     def _box(self, bound: Vec) -> list[Vec]:
         """The points of box_points in no set order, for a bound of the
         universe's arity."""
-        if self.explicit is not None:
-            return [p for p in self.explicit if leq_componentwise(p, bound)]
         self._need_nonnegative("box")
-        if not leq_componentwise(self.offset, bound):
-            return []
         out = []
-        stack = [self.offset]
-        seen = {self.offset}
+        stack = [p for p in self.points if leq_componentwise(p, bound)]
+        seen = set(stack)
         gens = self.gens
         while stack:
             v = stack.pop()
@@ -374,36 +330,46 @@ class SupportUniverse:
                 f"{what} enumeration needs nonnegative generators")
 
     def __repr__(self) -> str:
-        if self.explicit is not None:
-            return f"SupportUniverse(explicit={len(self.explicit)} pts)"
-        return f"SupportUniverse(offset={self.offset}, gens={list(self.gens)})"
+        return (f"SupportUniverse({len(self.points)} points, "
+                f"gens={list(self.gens)})")
 
 
-def _merge(offset: Vec, gens: tuple[Vec, ...]) -> Iterator[Vec]:
-    """offset + monoid(gens) in strictly ascending lex order, for
-    lex-positive gens: as translation keeps lex order, the merge of the
-    offset with the set's own copies shifted by each generator (Dijkstra's
-    Hamming exercise, *A Discipline of Programming*, 1976).  Copy i is read
-    from the points yielded, its head out[at[i]] + gens[i]; every head equal
-    to the least advances, so no point comes twice and no heap is needed."""
-    yield offset
-    if len(gens) == 1:
-        # a ray: each point is the last one plus the generator
-        g, = gens
-        v = offset
-        while True:
-            v = vadd(v, g)
-            yield v
-    out, at = [offset], [0] * len(gens)
-    heads = [vadd(offset, g) for g in gens]
-    while heads:
-        v = min(heads)
+_END = (math.inf,)  # after every vector in lex order
+
+
+def _merge(points: tuple[Vec, ...], gens: tuple[Vec, ...]) -> Iterator[Vec]:
+    """points + monoid(gens) in strictly ascending lex order, for points so
+    sorted and lex-positive gens: as translation keeps lex order, the merge
+    of the points with the set's own copies shifted by each generator
+    (Dijkstra's Hamming exercise, *A Discipline of Programming*, 1976).
+    Copy i is read from the points yielded, its head out[at[i]] + gens[i];
+    the next point is the last head, and every head equal to the least
+    advances, so no point comes twice and no heap is needed.  A lone copy
+    left when the points run out has nothing to merge with, so it reads on
+    from out alone: a ray costs one vadd per point."""
+    n = len(gens)
+    out, at, rest = [], [0] * n, iter(points)
+    heads = [vadd(p, g) for p in points[:1] for g in gens]
+    heads.append(next(rest, _END))
+    while (v := min(heads)) is not _END:
         out.append(v)
         yield v
         for i, h in enumerate(heads):
             if h == v:
-                at[i] += 1
-                heads[i] = vadd(out[at[i]], gens[i])
+                if i < n:
+                    at[i] += 1
+                    heads[i] = vadd(out[at[i]], gens[i])
+                else:
+                    heads[i] = next(rest, _END)
+        if n == 1 and heads[1] is _END:
+            break
+    for g in gens:  # the lone copy, if the loop left one
+        j = at[0]
+        while True:
+            v = vadd(out[j], g)
+            out.append(v)
+            yield v
+            j += 1
 
 
 class MemoStream:

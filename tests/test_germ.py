@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 from transgerm import germ
 from transgerm.errors import (
     DepthLimitExceeded,
+    DomainError,
     NonHardyExpression,
     NotDecreasing,
     NotInFragment,
     NotIncreasing,
     Unclassifiable,
+    WitnessViolated,
 )
 from transgerm.germ import (
     GermTerm,
@@ -52,6 +54,8 @@ from transgerm.germ import (
     mono_cmp,
     same_archimedean_class,
 )
+from transgerm.scale import make_scale
+from transgerm.series import geometric
 
 
 def test_exp_log_identity(X):
@@ -946,3 +950,45 @@ def test_str_roundtrippable_shapes(X, LOG):
     assert str(f) == "2*x - log(x)"
     assert str(g_pow(X, Q(3, 2))) == "x^(3/2)"
     assert str(g_exp(g_neg(X))) == "exp(-x)"
+
+
+def _geometric_of_a_large_step():
+    sx = make_scale([g_x()])
+    return geometric(sx, sx.monomial([-1]))
+
+
+_HALF = Q(1, 2)
+# (name, error, call): refusal branches of the germ layer and one of the
+# series layer that no other test reaches, each with its typed error
+REFUSALS = [
+    ("logk_negative", NotInFragment, lambda: g_logk(-1)),
+    ("pow_zero_to_zero", NonHardyExpression, lambda: g_pow(germ.ZERO, 0)),
+    ("pow_zero_root", NonHardyExpression, lambda: g_pow(germ.ZERO, _HALF)),
+    ("pow_multi_term_root", NotInFragment,
+     lambda: g_pow(g_add(g_x(), g_logk(1)), _HALF)),
+    ("pow_negative_root", NonHardyExpression,
+     lambda: g_pow(g_neg(g_x()), _HALF)),
+    ("invert_zero", NonHardyExpression, lambda: germ.g_invert_term(germ.ZERO)),
+    ("invert_multi_term", NotInFragment,
+     lambda: germ.g_invert_term(g_add(g_x(), g_logk(1)))),
+    ("exp_of_constant", NotInFragment, lambda: g_exp(g_const(3))),
+    ("log_zero", NonHardyExpression, lambda: g_log(germ.ZERO)),
+    ("compare_zero", NonHardyExpression, lambda: compare(germ.ZERO, g_x())),
+    ("leading_of_zero", NonHardyExpression, lambda: germ.ZERO.leading()),
+    ("admissible_empty", NotDecreasing, lambda: is_admissible([])),
+    ("basis_of_small_germ", NotInFragment,
+     lambda: extract_basis([g_pow(g_x(), -1)])),
+    ("eval_log2_below_e", DomainError, lambda: eval_germ(g_logk(2), 0.5)),
+    ("eval_root_of_negative_log", DomainError,
+     lambda: eval_germ(g_pow(g_logk(1), _HALF), 0.5)),
+    ("eval_inverse_log_at_1", DomainError,
+     lambda: eval_germ(g_pow(g_logk(1), -1), 1.0)),
+    ("geometric_step_not_small", WitnessViolated, _geometric_of_a_large_step),
+]
+
+
+@pytest.mark.parametrize("error, call", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refusal_branches_are_typed(error, call):
+    with pytest.raises(error):
+        call()

@@ -30,7 +30,7 @@ def geom(n):
 
 def test_natural_universe_block_counts():
     # B({(1/2,0),(0,3)}) meets [0,5)^2 in finitely many points, about b/(1/2)
-    uni = SupportUniverse.generated(2, [(Q(1, 2), 0), (0, 3)])
+    uni = SupportUniverse(2, [(0, 0)], [(Q(1, 2), 0), (0, 3)])
     pts = uni.box_points((Q(9, 2), Q(9, 2)))
     # brute force: i*(1/2,0) + j*(0,3) <= (4.5,4.5)
     expect = {(Q(i, 2), Q(3 * j)) for i in range(10) for j in range(2)}

@@ -1,4 +1,5 @@
-"""tools/mutants.py: its list stays applicable, and a stale entry fails it."""
+"""tools/mutants.py: its list stays applicable, and a stale entry or one
+that does not compile fails it."""
 
 import importlib.util
 from pathlib import Path
@@ -34,3 +35,17 @@ def test_an_old_text_not_found_once_fails_before_any_run(mutants, capsys,
         bad = mutants.Mutation(name, "series.py", old, "pass")
         assert mutants.main([*mutants.MUTATIONS, bad]) == 1
         assert capsys.readouterr().out.startswith(f"{name}: old text found")
+
+
+def test_a_mutant_that_does_not_compile_fails_before_any_run(mutants, capsys,
+                                                            monkeypatch):
+    # a syntax error would kill the mutant in every run, whatever the tests
+    def run(m):
+        raise AssertionError("no mutant may run")
+
+    monkeypatch.setattr(mutants, "run", run)
+    bad = mutants.Mutation("broken", "support.py", "heads[i] = next(rest, _END)",
+                           "heads[i] = next(rest, _END")
+    assert mutants.main([*mutants.MUTATIONS, bad]) == 1
+    assert capsys.readouterr().out.startswith(
+        "broken: mutated support.py does not compile")

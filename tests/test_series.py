@@ -534,7 +534,7 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
     # budget refuses one that does not fit with a typed error, not an
     # IndexError, a bare TypeError or ValueError, or a silently truncated
     # answer
-    uni = SupportUniverse.generated(2, [(1, 0)])
+    uni = SupportUniverse(2, [(0, 0)], [(1, 0)])
     # a stream of arity-2 vectors under an arity-1 scale
     raw = S.LaurentSeries(sx, lambda: iter([((0, 1), Q(1))]), convergence=S.Convergence())
     calls = {
@@ -544,20 +544,22 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
         "scale_monomial": (ArityMismatch, lambda: sx.monomial([1, 0])),
         # a miss used to raise a bare StopIteration from the lead search
         "contains": (ArityMismatch, lambda: uni.contains((1,))),
-        "contains_explicit": (ArityMismatch, lambda: SupportUniverse.finite(
+        "contains_explicit": (ArityMismatch, lambda: SupportUniverse(
             2, [(1, 0)]).contains((1,))),
         "universe_shifted": (ArityMismatch, lambda: uni.shifted((1,))),
         # the constructors and combinators used to keep the foreign vector
         "generated_short": (ArityMismatch,
-                            lambda: SupportUniverse.generated(2, [(1,)])),
+                            lambda: SupportUniverse(2, [(0, 0)], [(1,)])),
         "finite_short": (ArityMismatch,
-                         lambda: SupportUniverse.finite(2, [(1,)])),
-        "generated_offset": (ArityMismatch, lambda: SupportUniverse.generated(
-            2, [(1, 0)], offset=(0,))),
-        "universe_union": (ArityMismatch, lambda: SupportUniverse.generated(
-            2, [(0, 1)]).union(SupportUniverse.generated(3, [(0, 0, 1)]))),
-        "universe_sum": (ArityMismatch, lambda: SupportUniverse.generated(
-            2, [(0, 1)]).sum(SupportUniverse.generated(3, [(0, 0, 1)]))),
+                         lambda: SupportUniverse(2, [(1,)])),
+        "generated_offset": (ArityMismatch, lambda: SupportUniverse(
+            2, [(0,)], [(1, 0)])),
+        "universe_union": (ArityMismatch, lambda: SupportUniverse(
+            2, [(0, 0)], [(0, 1)]).union(SupportUniverse(3, [(0, 0, 0)],
+                                                         [(0, 0, 1)]))),
+        "universe_sum": (ArityMismatch, lambda: SupportUniverse(
+            2, [(0, 0)], [(0, 1)]).sum(SupportUniverse(3, [(0, 0, 0)],
+                                                       [(0, 0, 1)]))),
         "shifted": (ArityMismatch, lambda: from_terms(
             sx, {(0,): 1, (2,): 3}).shifted((1, 5))),
         "sum_family": (WitnessViolated, lambda: sum_family(
@@ -674,7 +676,7 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
         "monomial_ctor_str": (NotInFragment, lambda: Monomial(sx, "3")),
         "monomial_ctor_none": (NotInFragment, lambda: Monomial(sx, None)),
         "generated_none": (NotInFragment,
-                           lambda: SupportUniverse.generated(2, [None])),
+                           lambda: SupportUniverse(2, [(0, 0)], [None])),
         # islice counts up to sys.maxsize and used to raise a bare ValueError
         "invert_budget_huge": (DomainError, lambda: invert(
             geometric(sx, cut(sx, 1)), budget=10**400)),
@@ -968,7 +970,7 @@ def test_order_type_of_a_long_chain_does_not_recurse(sx):
     for _ in range(3 * sys.getrecursionlimit()):
         h = h.shifted((1,)).scaled(-1)
         list(itertools.islice(h.iter_terms(), 6))
-    assert h._skeleton(5).offset == (3 * sys.getrecursionlimit(),)
+    assert h._skeleton(5).points == ((3 * sys.getrecursionlimit(),),)
     assert order_type(h, budget=5) == S.OrderTypeBound(
         1, OmegaPoly.omega_power(1), 5)
 
@@ -1084,6 +1086,21 @@ def test_sum_and_product_report_no_exact_type(sxl):
                                  gps.geometric_in(2, (0, 1))).shifted((1, 0))):
         ot = order_type(f)
         assert (ot.bound_exponent, ot.exact) == (2, None)
+
+
+def test_gps_sum_and_product_of_a_finite_set_add_no_blocks(sxl):
+    # a finite set keeps its points beside a ray's generator, so the gps sum
+    # and product answer the terms of the series-level ones, where a point
+    # made a generator used to add an infinite block at first coordinate 0
+    geo = gps.geometric_in(2, (1, 0))
+    one = gps.from_terms(2, {(0, 5): 1})
+    two = gps.from_terms(2, {(0, 0): 1, (0, 5): 1})
+    lau = lambda body: make_laurent(sxl, sxl.unit(), body)
+    for body, series, cutoff, n in ((geo + one, lau(geo) + lau(one), [2, 0], 4),
+                                    (two * geo, lau(two) * lau(geo), [1, 0], 3)):
+        want = series.terms_to_cutoff(sxl.monomial(cutoff))
+        assert len(want) == n
+        assert lau(body).terms_to_cutoff(sxl.monomial(cutoff)) == want
 
 
 def test_sum_numeric_powers(sl):

@@ -30,22 +30,28 @@ from transgerm.support import (
 
 
 def brute_members(u, nmax):
-    """offset + sum n_i g_i over 0 <= n_i <= nmax, by plain enumeration."""
+    """p + sum n_i g_i over every point p and 0 <= n_i <= nmax, by plain
+    enumeration."""
     gens = sorted(u.gens)
     out = set()
-    for ns in itertools.product(range(nmax + 1), repeat=len(gens)):
-        v = u.offset
-        for n, g in zip(ns, gens):
-            v = vadd(v, tuple(n * a for a in g))
-        out.add(v)
+    for p in u.points:
+        for ns in itertools.product(range(nmax + 1), repeat=len(gens)):
+            v = p
+            for n, g in zip(ns, gens):
+                v = vadd(v, tuple(n * a for a in g))
+            out.add(v)
     return out
+
+
+def copy(u):
+    return SupportUniverse(u.arity, u.points, u.gens)
 
 
 def cold_copy(u):
     """u's shape built on an emptied intern table, so that its membership
     memo and streams start cold; u itself keeps its own."""
     support._universes.clear()
-    return SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    return copy(u)
 
 
 def box(*ranges):
@@ -54,12 +60,15 @@ def box(*ranges):
 
 
 def gen(arity, gens, offset=None):
-    return SupportUniverse.generated(
-        arity, [tuple(Q(a) for a in g) for g in gens],
-        offset=None if offset is None else tuple(Q(a) for a in offset))
+    """offset + monoid(gens), at offset 0 by default, with every coordinate
+    given as a Fraction."""
+    offset = (0,) * arity if offset is None else offset
+    return SupportUniverse(arity, [tuple(map(Q, offset))],
+                           [tuple(map(Q, g)) for g in gens])
 
 
-# (universe, target box, n_i bound that reaches every member in the box)
+# (universe, target box about its least point, n_i bound that reaches every
+# member in the box)
 CASES = {
     "dependent-1d": (gen(1, [(2,), (3,)]), box((-2, 25)), 13),
     "dependent-2d": (gen(2, [(1, 0), (0, 1), (1, 1)]), box((-1, 5), (-2, 5)), 6),
@@ -73,6 +82,9 @@ CASES = {
                 box((-1, 3), (-3, 8)), 4),
     "closure": (gen(2, [(0, 2), (1, -1)], offset=(0, 3)).closure(),
                 box((-1, 3), (-4, 7)), 11),
+    # a finite set plus a ray that leads after the points' own differences
+    "points-and-ray": (SupportUniverse(2, [(0, 1), (1, 3), (2, 0)], [(0, 2)]),
+                       box((-1, 3), (-2, 8)), 6),
 }
 
 
@@ -80,8 +92,8 @@ CASES = {
 def test_contains_matches_enumeration(name):
     u, targets, nmax = CASES[name]
     members = brute_members(u, nmax)
-    # boxes are relative to the offset, which can be fractional
-    targets = [vadd(t, u.offset) for t in targets]
+    # boxes are relative to the least point, which can be fractional
+    targets = [vadd(t, u.points[0]) for t in targets]
     want = {t: t in members for t in targets}
     assert any(want.values()) and not all(want.values())
     # cold queries in two orders on fresh universes, then warm queries
@@ -93,7 +105,7 @@ def test_contains_matches_enumeration(name):
     random.Random(name).shuffle(shuffled)
     assert {t: cold.contains(t) for t in shuffled} == want
     # the stream is strictly ascending and every streamed point is a member
-    streaming = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    streaming = copy(u)
     streamed = list(itertools.islice(streaming.lex_stream(), 40))
     assert streamed == sorted(set(streamed))
     fresh = cold_copy(u)
@@ -115,7 +127,7 @@ def test_streams_are_complete(name):
     if all(map(is_nonnegative, u.gens)):
         orders.append((SupportUniverse.graded_stream, _graded))
     for stream, key in orders:
-        fresh = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+        fresh = copy(u)
         got = list(itertools.islice(stream(fresh), 60))
         keys = list(map(key, got))
         assert keys == sorted(set(keys))
@@ -130,7 +142,7 @@ def heap_lex_stream(u):
     several generator paths is pushed once per path, and since every push
     follows the pop of a smaller point, its copies pop consecutively and
     are dropped there."""
-    heap, prev = [u.offset], None
+    heap, prev = sorted(u.points), None
     while heap:
         v = heapq.heappop(heap)
         if v != prev:
@@ -142,7 +154,7 @@ def heap_lex_stream(u):
 
 def heap_graded_stream(u):
     """The (grade, lex) stream as a heap with a set of the points pushed."""
-    heap, seen = [(grade(u.offset), u.offset)], {u.offset}
+    heap, seen = sorted((grade(p), p) for p in u.points), set(u.points)
     while heap:
         _, v = heapq.heappop(heap)
         yield v
@@ -156,7 +168,7 @@ def heap_graded_stream(u):
 def random_universe(rnd):
     """Lex-positive generators with negative trailing entries and
     fractional coordinates, some of them sums or multiples of others, over
-    an offset that may be negative or fractional."""
+    one to three points that may be negative or fractional."""
     arity = rnd.randint(1, 3)
     pool = [-2, -1, Q(-1, 2), 0, 0, Q(1, 3), Q(1, 2), 1, 2, 3]
     gens = []
@@ -167,8 +179,9 @@ def random_universe(rnd):
     if len(gens) > 1 and rnd.random() < 0.6:
         a, b = rnd.sample(gens, 2)
         gens.append(vadd(a, b) if rnd.random() < 0.5 else vadd(a, a))
-    offset = tuple(rnd.choice(pool) for _ in range(arity))
-    return SupportUniverse.generated(arity, gens, offset=offset)
+    points = [tuple(rnd.choice(pool) for _ in range(arity))
+              for _ in range(rnd.randint(1, 3))]
+    return SupportUniverse(arity, points, gens)
 
 
 def test_streams_match_the_heap_streams():
@@ -176,7 +189,7 @@ def test_streams_match_the_heap_streams():
     graded = 0
     for _ in range(100):
         u = random_universe(rnd)
-        ref = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+        ref = copy(u)
         n = 500
         assert (list(itertools.islice(u.lex_stream(), n))
                 == list(itertools.islice(heap_lex_stream(ref), n))), u
@@ -204,12 +217,12 @@ def test_universe_algebra_is_a_superset():
 def test_universes_outside_natural_support_are_typed():
     # each refusal of a public constructor's universe is a WitnessViolated
     with pytest.raises(WitnessViolated):
-        SupportUniverse.generated(1, [(-1,)])  # not lex-positive
-    below = gps.GenSeries(1, SupportUniverse.generated(1, [], offset=(-1,)),
+        SupportUniverse(1, [(0,)], [(-1,)])  # not lex-positive
+    below = gps.GenSeries(1, SupportUniverse(1, [(-1,)]),
                           lambda v: Q(1))
     with pytest.raises(WitnessViolated):
-        gps.compose_ps([0, 1], below)  # closure of a negative offset
-    skew = gps.GenSeries(2, SupportUniverse.generated(2, [(1, -1)]),
+        gps.compose_ps([0, 1], below)  # closure of a negative point
+    skew = gps.GenSeries(2, SupportUniverse(2, [(0, 0)], [(1, -1)]),
                          lambda v: Q(1))
     with pytest.raises(WitnessViolated):
         skew.enumerate((3, 3))  # box enumeration
@@ -220,7 +233,7 @@ def test_universes_outside_natural_support_are_typed():
 def test_sign_check_raises_on_every_call():
     # the generator signs are checked once per universe; the refusal must
     # still come on each call, not only the first
-    skew = SupportUniverse.generated(2, [(1, -1)])
+    skew = SupportUniverse(2, [(0, 0)], [(1, -1)])
     for _ in range(2):
         with pytest.raises(WitnessViolated):
             skew.box_points((3, 3))
@@ -231,9 +244,9 @@ def test_sign_check_raises_on_every_call():
 
 
 def test_explicit_non_chain_in_a_sum():
-    # {X0, X1} is no componentwise chain; as the offset of a generated
-    # universe it gives nonnegative generators, so enumeration and compose_ps
-    # answer instead of raising ValueError
+    # {X0, X1} is no componentwise chain; the sum keeps both as points
+    # beside the ray's generator, so enumeration and compose_ps answer
+    # instead of raising ValueError
     s = gps.from_terms(2, {(1, 0): 1, (0, 1): 1}) + gps.geometric_in(2, (1, 1))
     bound = (Q(4), Q(4))
     terms = {(Q(1), Q(0)): Q(1), (Q(0), Q(1)): Q(1)}
@@ -278,7 +291,7 @@ def test_deep_support_has_no_recursion_limit(r):
     assert [v for v, _ in terms] == [(Q(k),) for k in range(n + 1)]
     assert [c for _, c in terms] == [r ** k for k in range(n + 1)]
     support._universes.clear()  # the body's universe has this shape
-    assert SupportUniverse.generated(1, [(1,)]).contains((Q(20000),))
+    assert SupportUniverse(1, [(0,)], [(1,)]).contains((Q(20000),))
 
 
 def test_shared_memo_under_threads():
@@ -286,7 +299,7 @@ def test_shared_memo_under_threads():
     # it cold: all must get the one interned object and the right answers
     u = gen(2, [(2, -1), (3, 1), (0, 2), (0, 3)], offset=(1, 0))
     targets = box((0, 14), (-12, 12))
-    ref = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+    ref = copy(u)
     want = [ref.contains(t) for t in targets]
     assert any(want) and not all(want)
     support._universes.clear()
@@ -296,8 +309,7 @@ def test_shared_memo_under_threads():
     def work(k):
         order = list(range(len(targets)))
         random.Random(k).shuffle(order)
-        shared = built[k] = SupportUniverse.generated(u.arity, u.gens,
-                                                      offset=u.offset)
+        shared = built[k] = copy(u)
         got = [None] * len(targets)
         for i in order:
             got[i] = shared.contains(targets[i])
@@ -317,8 +329,7 @@ def test_shared_memo_under_threads():
     assert not any(t.is_alive() for t in threads)
     assert all(got == want for got in results)
     assert built[0] is not ref and all(b is built[0] for b in built)
-    assert built[0] is SupportUniverse.generated(u.arity, u.gens,
-                                                 offset=u.offset)
+    assert built[0] is copy(u)
 
 
 # -- interning: one universe object per shape ------------------------------------
@@ -348,13 +359,13 @@ def test_bodies_over_one_shape_share_one_universe():
 
 
 def test_explicit_universes_are_not_shared():
-    a = SupportUniverse.finite(2, [(1, 0), (0, 1)])
-    assert a is not SupportUniverse.finite(2, [(1, 0), (0, 1)])
+    a = SupportUniverse(2, [(1, 0), (0, 1)])
+    assert a is not SupportUniverse(2, [(1, 0), (0, 1)])
     assert gps.from_terms(1, {(1,): 1}).universe is not gps.from_terms(
         1, {(1,): 1}).universe
-    g = SupportUniverse.generated(2, [(1, 0)])
-    assert g is SupportUniverse.generated(2, [(1, 0), (0, 0)])  # 0 dropped
-    assert g is not SupportUniverse.generated(2, [(1, 0)], offset=(0, 1))
+    g = SupportUniverse(2, [(0, 0)], [(1, 0)])
+    assert g is SupportUniverse(2, [(0, 0)], [(1, 0), (0, 0)])  # 0 dropped
+    assert g is not SupportUniverse(2, [(0, 1)], [(1, 0)])
 
 
 def test_a_memo_no_series_holds_is_released(monkeypatch):
@@ -368,12 +379,12 @@ def test_a_memo_no_series_holds_is_released(monkeypatch):
     deep = weakref.ref(f.universe)
     del f
     assert deep() is not None  # the table holds it
-    SupportUniverse.generated(2, [(1, 0)])
+    SupportUniverse(2, [(0, 0)], [(1, 0)])
     assert deep() is None
-    kept = SupportUniverse.generated(1, [(1,)])
+    kept = SupportUniverse(1, [(0,)], [(1,)])
     assert kept.contains((Q(900),)) and not kept.contains((Q(-1),))
-    assert SupportUniverse.generated(2, [(0, 1)]).contains((0, 7))
-    assert SupportUniverse.generated(1, [(1,)]) is kept
+    assert SupportUniverse(2, [(0, 0)], [(0, 1)]).contains((0, 7))
+    assert SupportUniverse(1, [(0,)], [(1,)]) is kept
     assert kept.contains((900,)) and len(kept._known) == 902
 
 
@@ -386,8 +397,8 @@ def test_answers_stay_right_when_the_table_fills(monkeypatch):
     for name in sorted(CASES) * 2:
         u, targets, nmax = CASES[name]
         members = brute_members(u, nmax)
-        targets = [vadd(t, u.offset) for t in targets]
-        v = SupportUniverse.generated(u.arity, u.gens, offset=u.offset)
+        targets = [vadd(t, u.points[0]) for t in targets]
+        v = copy(u)
         assert len(support._universes) <= 3
         built.append(v)
         assert [v.contains(t) for t in targets] == [t in members
@@ -398,8 +409,8 @@ def test_answers_stay_right_when_the_table_fills(monkeypatch):
     for v, name in zip(built, sorted(CASES) * 2):
         u, targets, nmax = CASES[name]
         members = brute_members(u, nmax)
-        assert all(v.contains(vadd(t, u.offset)) == (vadd(t, u.offset)
-                                                     in members)
+        assert all(v.contains(vadd(t, u.points[0])) == (vadd(t, u.points[0])
+                                                        in members)
                    for t in targets)
 
 
@@ -417,10 +428,10 @@ H, TWO = Q(1, 2), Q(2)  # a fractional coordinate, an integral one as a Fraction
 def test_constructors_store_integral_coordinates_as_ints():
     mixed = [(TWO, H), (Q(3), Q(0)), (H, Q(1))]
     vecs = [vzero(3), (grade((2, 1)),)]
-    u = SupportUniverse.generated(2, mixed, offset=(Q(-1), TWO))
-    vecs += [u.offset, *u.gens, *SupportUniverse.finite(2, mixed).explicit]
+    u = SupportUniverse(2, [(Q(-1), TWO)], mixed)
+    vecs += [*u.points, *u.gens, *SupportUniverse(2, mixed).points]
     g = gps.from_terms(2, {p: 1 for p in mixed})
-    vecs += g.universe.explicit
+    vecs += g.universe.points
     vecs += gps.geometric_in(2, (TWO, H)).universe.gens
     body = gps.geometric_in(2, (Q(1), Q(0))) * gps.geometric_in(2, (0, TWO))
     vecs += [v for v, _ in body.enumerate((Q(3), Q(4)))]
@@ -464,7 +475,7 @@ def test_coefficient_memo_is_shared_across_coordinate_types():
         asked.append(v)
         return Q(5)
 
-    g = gps.GenSeries(2, SupportUniverse.generated(2, [(1, 0), (0, 1)]),
+    g = gps.GenSeries(2, SupportUniverse(2, [(0, 0)], [(1, 0), (0, 1)]),
                       oracle)
     assert g.coeff((TWO, 0)) == g.coeff((2, 0)) == g.coeff([2, Q(0)]) == 5
     assert asked == [(2, 0)] and exact_form(asked[0])
@@ -496,12 +507,12 @@ def test_mixed_coordinates_match_an_all_fraction_copy(case):
         # so each is built on an emptied table, with a cold memo
         support._universes.clear()
         with mock.patch.object(support, "coord", Q):
-            ref = SupportUniverse.generated(arity, gens, offset=offset)
+            ref = SupportUniverse(arity, [offset], gens)
         support._universes.clear()
-        return SupportUniverse.generated(arity, gens, offset=offset), ref
+        return SupportUniverse(arity, [offset], gens), ref
 
     u, ref = pair()
-    assert all(type(a) is Q for v in (ref.offset, *ref.gens) for a in v)
+    assert all(type(a) is Q for v in (*ref.points, *ref.gens) for a in v)
     want = list(itertools.islice(ref.lex_stream(), 30))
     assert list(itertools.islice(u.lex_stream(), 30)) == want
     assert want == sorted(set(want))

@@ -14,10 +14,11 @@ checkout itself is never edited.
 
 Before any mutant runs, every ``old`` text must occur exactly once in its
 file, so a refactor that changes one must update the list and can never
-skip an entry silently; and the unmutated copy must pass, so a kill is the
-mutation's doing.  Prints each mutant's outcome and time, and exits 1 when
-a text is not found exactly once, the unmutated copy fails, or a mutant
-survives.
+skip an entry silently; every mutated file must compile, so that no mutant
+is killed by a syntax error in place of a test; and the unmutated copy must
+pass, so a kill is the mutation's doing.  Prints each mutant's outcome and
+time, and exits 1 when a text is not found exactly once, a mutated file
+does not compile, the unmutated copy fails, or a mutant survives.
 
     python tools/mutants.py
 """
@@ -68,14 +69,23 @@ MUTATIONS = (
     # never ends: the timeout kills this one
     Mutation("invert pair labelled (i, j) for (i+1, j)", "series.py",
              "w)), i, j, r[1] * p", "w)), i - 1, j, r[1] * p"),
-    # the universe merge stream and the gps product's read of its factor
+    # the universe merge stream, its membership search and the gps
+    # product's read of its factor
     Mutation("merge advances only the first head equal to the least",
              "support.py",
-             "                heads[i] = vadd(out[at[i]], gens[i])\n",
-             "                heads[i] = vadd(out[at[i]], gens[i])\n"
-             "                break\n"),
+             "\n                    heads[i] = vadd(out[at[i]], gens[i])\n",
+             "\n                    heads[i] = vadd(out[at[i]], gens[i])\n"
+             "                    break\n"),
     Mutation("merge reads each copy one point behind", "support.py",
              "vadd(out[at[i]], gens[i])", "vadd(out[at[i] - 1], gens[i])"),
+    # a points head that never advanced would repeat its point forever, and
+    # compose_ps's scan of a finite series' grades would grow without bound
+    # before any assertion; this one ends the head at its first advance
+    Mutation("merge drops every point after the first", "support.py",
+             "heads[i] = next(rest, _END)", "heads[i] = _END"),
+    Mutation("membership searches from the least point only", "support.py",
+             "for p in self.points if by_lead else ():",
+             "for p in self.points[:1] if by_lead else ():"),
     Mutation("gps product reads its factor without the membership test",
              "gps.py",
              "                        if not b_in(w):\n"
@@ -94,13 +104,19 @@ MUTATIONS = (
 
 def check(mutations: Sequence[Mutation]) -> list[str]:
     """One line per mutation whose old text its file does not hold exactly
-    once."""
+    once, or whose mutated file does not compile."""
     out = []
     for m in mutations:
-        n = (ROOT / "src" / "transgerm" / m.file).read_text().count(m.old)
+        text = (ROOT / "src" / "transgerm" / m.file).read_text()
+        n = text.count(m.old)
         if n != 1:
             out.append(f"{m.name}: old text found {n} times in {m.file}, "
                        f"expected once")
+            continue
+        try:
+            compile(text.replace(m.old, m.new), m.file, "exec")
+        except SyntaxError as exc:
+            out.append(f"{m.name}: mutated {m.file} does not compile: {exc}")
     return out
 
 
