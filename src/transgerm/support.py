@@ -56,7 +56,7 @@ denominator stays the lcm of the denominators added.
 
 from __future__ import annotations
 
-import math
+import itertools
 import operator
 import threading
 from fractions import Fraction
@@ -167,9 +167,10 @@ class SupportUniverse:
                     raise WitnessViolated(
                         f"universe generator {g} is not lex-positive")
                 cleaned.add(g)
-        # vec made a coordinate an int when integral, so the types agree too
-        key = (arity, tuple(sorted(pts)), tuple(sorted(cleaned)))
-        if cleaned:
+        # vec made a coordinate an int when integral, so the types agree
+        # too; an empty set keeps no generators
+        key = (arity, tuple(sorted(pts)), tuple(sorted(cleaned)) if pts else ())
+        if key[2]:
             if len(_universes) >= _UNIVERSES_MAX or sum(
                     len(u._known) for u in tuple(_universes.values())
             ) > _KNOWN_MAX:
@@ -188,7 +189,7 @@ class SupportUniverse:
         # the same value and no lock is needed
         self._known: dict[Vec, bool] = dict.fromkeys(self.points, True)
         # one of racing constructors wins the table
-        return _universes.setdefault(key, self) if cleaned else self
+        return _universes.setdefault(key, self) if self.gens else self
 
     # -- algebra ---------------------------------------------------------------
 
@@ -310,18 +311,14 @@ class SupportUniverse:
         """The points of box_points in no set order, for a bound of the
         universe's arity."""
         self._need_nonnegative("box")
-        out = []
-        stack = [p for p in self.points if leq_componentwise(p, bound)]
-        seen = set(stack)
-        gens = self.gens
+        out, seen, stack, gens = [], set(), list(self.points), self.gens
         while stack:
             v = stack.pop()
-            out.append(v)
-            for g in gens:
-                w = vadd(v, g)
-                if w not in seen and leq_componentwise(w, bound):
-                    seen.add(w)
-                    stack.append(w)
+            if v not in seen and leq_componentwise(v, bound):
+                seen.add(v)
+                out.append(v)
+                for g in gens:
+                    stack.append(vadd(v, g))
         return out
 
     def _need_nonnegative(self, what: str) -> None:
@@ -334,24 +331,26 @@ class SupportUniverse:
                 f"gens={list(self.gens)})")
 
 
-_END = (math.inf,)  # after every vector in lex order
-
-
 def _merge(points: tuple[Vec, ...], gens: tuple[Vec, ...]) -> Iterator[Vec]:
     """points + monoid(gens) in strictly ascending lex order, for points so
     sorted and lex-positive gens: as translation keeps lex order, the merge
     of the points with the set's own copies shifted by each generator
     (Dijkstra's Hamming exercise, *A Discipline of Programming*, 1976).
     Copy i is read from the points yielded, its head out[at[i]] + gens[i];
-    the next point is the last head, and every head equal to the least
-    advances, so no point comes twice and no heap is needed.  A lone copy
-    left when the points run out has nothing to merge with, so it reads on
-    from out alone: a ray costs one vadd per point."""
-    n = len(gens)
-    out, at, rest = [], [0] * n, iter(points)
-    heads = [vadd(p, g) for p in points[:1] for g in gens]
-    heads.append(next(rest, _END))
-    while (v := min(heads)) is not _END:
+    the next point is one more head while the points last, and every head
+    equal to the least advances, so no point comes twice and no heap is
+    needed.  A lone copy left when the points run out has nothing to merge
+    with, so it reads on from out alone: a ray costs one vadd per point."""
+    if not gens:  # a finite set is its points
+        yield from points
+        return
+    first, n = points[0], len(gens)  # a universe with generators has a point
+    yield first
+    out, at, rest = [first], [0] * n, iter(points[1:])
+    heads = [vadd(first, g) for g in gens]
+    heads += itertools.islice(rest, 1)
+    while len(heads) > 1:
+        v = min(heads)
         out.append(v)
         yield v
         for i, h in enumerate(heads):
@@ -359,17 +358,16 @@ def _merge(points: tuple[Vec, ...], gens: tuple[Vec, ...]) -> Iterator[Vec]:
                 if i < n:
                     at[i] += 1
                     heads[i] = vadd(out[at[i]], gens[i])
+                elif (p := next(rest, None)) is None:
+                    heads.pop()
                 else:
-                    heads[i] = next(rest, _END)
-        if n == 1 and heads[1] is _END:
-            break
-    for g in gens:  # the lone copy, if the loop left one
-        j = at[0]
-        while True:
-            v = vadd(out[j], g)
-            out.append(v)
-            yield v
-            j += 1
+                    heads[i] = p
+    g, j = gens[0], at[0]
+    while True:
+        v = vadd(out[j], g)
+        out.append(v)
+        yield v
+        j += 1
 
 
 class MemoStream:

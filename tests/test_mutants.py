@@ -44,8 +44,8 @@ def test_a_mutant_that_does_not_compile_fails_before_any_run(mutants, capsys,
         raise AssertionError("no mutant may run")
 
     monkeypatch.setattr(mutants, "run", run)
-    bad = mutants.Mutation("broken", "support.py", "heads[i] = next(rest, _END)",
-                           "heads[i] = next(rest, _END")
+    bad = mutants.Mutation("broken", "support.py", "heads[i] = p\n",
+                           "heads[i] = (p\n")
     assert mutants.main([*mutants.MUTATIONS, bad]) == 1
     assert capsys.readouterr().out.startswith(
         "broken: mutated support.py does not compile")

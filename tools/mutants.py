@@ -79,10 +79,10 @@ MUTATIONS = (
     Mutation("merge reads each copy one point behind", "support.py",
              "vadd(out[at[i]], gens[i])", "vadd(out[at[i] - 1], gens[i])"),
     # a points head that never advanced would repeat its point forever, and
-    # compose_ps's scan of a finite series' grades would grow without bound
-    # before any assertion; this one ends the head at its first advance
+    # a consumer that scans a stream by grade, as compose_ps does, would
+    # grow without bound before any assertion; this one never starts it
     Mutation("merge drops every point after the first", "support.py",
-             "heads[i] = next(rest, _END)", "heads[i] = _END"),
+             "    heads += itertools.islice(rest, 1)\n", ""),
     Mutation("membership searches from the least point only", "support.py",
              "for p in self.points if by_lead else ():",
              "for p in self.points[:1] if by_lead else ():"),
