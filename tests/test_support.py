@@ -212,6 +212,12 @@ def test_universe_algebra_is_a_superset():
     assert not shifted.contains(vadd((Q(0), Q(0)), delta))
     sums = {vadd(p, q) for p in pts_a for q in pts_a}
     assert all(closure.contains(p) for p in pts_a | sums)
+    # a sum with the empty set is empty, and keeps no generators
+    empty = a.sum(SupportUniverse(2, []))
+    assert (empty.points, empty.gens) == ((), ())
+    assert list(empty.lex_stream()) == list(empty.graded_stream()) == []
+    assert empty.box_points((5, 5)) == [] and not empty.contains((0, 1))
+    assert closure.union(empty) is closure
 
 
 def test_universes_outside_natural_support_are_typed():
