@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from operator import sub
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import ArityMismatch, OrderNotPositive, WitnessViolated, ZeroWithinBound
+from .errors import (ArityMismatch, CutoffTooDeep, DomainError, NotInFragment,
+                     OrderNotPositive, WitnessViolated, ZeroWithinBound)
 from .support import (
     Coord,
     MemoStream,
@@ -34,6 +36,15 @@ from .support import (
 )
 
 DEFAULT_BUDGET = 10_000
+
+
+def _check_budget(budget) -> None:
+    """The one check of a term budget: DomainError unless it is an int up to
+    sys.maxsize, islice's limit, and CutoffTooDeep when it is negative."""
+    if not isinstance(budget, int) or budget > sys.maxsize:
+        raise DomainError(f"budget {budget!r} is not an int up to sys.maxsize")
+    if budget < 0:
+        raise CutoffTooDeep(f"a budget of {budget} terms admits no enumeration")
 
 
 class GenSeries:
@@ -96,6 +107,8 @@ class GenSeries:
     # -- ring ops -------------------------------------------------------------
 
     def _check(self, other: "GenSeries") -> None:
+        if not isinstance(other, GenSeries):
+            raise NotInFragment(f"{other!r} is not a GenSeries")
         if self.arity != other.arity:
             raise ArityMismatch(
                 f"series of arity {self.arity} combined with arity {other.arity}")
@@ -107,6 +120,7 @@ class GenSeries:
                          provenance=f"({self.provenance}+{other.provenance})")
 
     def __sub__(self, other: "GenSeries") -> "GenSeries":
+        self._check(other)
         return self + (-other)
 
     def __neg__(self) -> "GenSeries":
@@ -154,7 +168,7 @@ class GenSeries:
     def partial_deriv(self, i: int) -> "GenSeries":
         """Exponent-weighted derivative: the alpha coefficient becomes
         alpha_i * a_alpha; the skeleton is unchanged."""
-        if not 0 <= i < self.arity:
+        if type(i) is not int or not 0 <= i < self.arity:
             raise ArityMismatch(f"variable index {i} out of range")
         return GenSeries(self.arity, self.universe,
                          lambda v: v[i] * self._at(v),
@@ -166,6 +180,7 @@ class GenSeries:
         """Least total degree of a nonzero coefficient, found along the
         graded stream; ZeroWithinBound when the first ``budget`` points of
         the universe all have coefficient 0."""
+        _check_budget(budget)
         for v in itertools.islice(self.universe.graded_stream(), budget):
             if self._at(v):
                 return grade(v)
@@ -190,6 +205,8 @@ def _natural_point(arity: int, p: Sequence) -> Vec:
 
 
 def from_terms(arity: int, terms: dict) -> GenSeries:
+    if type(arity) is not int or arity < 0 or not isinstance(terms, dict):
+        raise NotInFragment(f"{arity!r}, {terms!r} is no arity and dict")
     tbl = {_natural_point(arity, k): q for k, c in terms.items()
            if (q := rational(c))}
     uni = SupportUniverse(arity, tbl.keys())
@@ -251,6 +268,9 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
     with ``rational``.  The memo lives with the result; its universe, G's
     closure, shares its membership memo with every series of its shape
     (support.py)."""
+    # a dict would be read by its keys
+    if not (isinstance(g, GenSeries) and (callable(p) or isinstance(p, Sequence))):
+        raise NotInFragment(f"{p!r} o {g!r} is no power series of a GenSeries")
     if callable(p):
         pc = p
     else:

@@ -36,7 +36,7 @@ from .errors import (
     WitnessViolated,
     ZeroWithinBound,
 )
-from .gps import DEFAULT_BUDGET, GenSeries
+from .gps import DEFAULT_BUDGET, GenSeries, _check_budget
 from .scale import (Monomial, Scale, check_monomial, check_scale, make_scale,
                     monomial_cmp, monomial_value)
 from .support import (
@@ -113,15 +113,17 @@ class LaurentSeries:
         dropped.  Raises CutoffTooDeep when the budget runs out first."""
         check_monomial(cutoff, self.scale)
         _check_budget(budget)
-        out = []
-        for n, (v, c) in enumerate(self.iter_terms()):
-            if v > cutoff.vector:
+        items, get, cut = self._memo._items, self._memo.get, cutoff.vector
+        out, n = [], 0
+        while (t := items[n] if n < len(items) else get(n)) is not None:
+            if t[0] > cut:
                 break
             if n >= budget:
                 raise CutoffTooDeep(
                     f"enumeration above {cutoff} needs more than {budget} terms")
-            if c:
-                out.append((v, c))
+            if t[1]:
+                out.append(t)
+            n += 1
         return out
 
     # -- arithmetic ---------------------------------------------------------------
@@ -196,15 +198,6 @@ def check_series(f, scale: Optional[Scale] = None, kind: type = LaurentSeries) -
     if not isinstance(f, kind) or scale is not None and f.scale != scale:
         raise (NotInFragment if scale is None else ScaleMismatch)(
             f"{f!r} is not a {kind.__name__} over {scale}")
-
-
-def _check_budget(budget) -> None:
-    """The one check of a term budget: DomainError unless it is an int up to
-    sys.maxsize, islice's limit, and CutoffTooDeep when it is negative."""
-    if not isinstance(budget, int) or budget > sys.maxsize:
-        raise DomainError(f"budget {budget!r} is not an int up to sys.maxsize")
-    if budget < 0:
-        raise CutoffTooDeep(f"a budget of {budget} terms admits no enumeration")
 
 
 def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
@@ -442,12 +435,14 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
         convergence = Convergence()
 
     def factory():
-        # the points come from the body's own stream, so they are read
-        # without coeff's checks; the unit shift moves none of them
-        at, pts = body._at, body.universe.lex_stream()
-        if any(delta):
-            return ((vadd(v, delta), at(v)) for v in pts)
-        return ((v, at(v)) for v in pts)
+        # points of the body's own stream, read as GenSeries._at reads them
+        # (inline, without coeff's checks); the unit shift moves none of them
+        memo, oracle, move = body._memo, body._oracle, any(delta)
+        for v in body.universe.lex_stream():
+            c = memo.get(v)
+            if c is None:
+                c = memo[v] = oracle(v)
+            yield (vadd(v, delta) if move else v), c
 
     return LaurentSeries(scale, factory, convergence=convergence,
                          skeleton=lambda b: body.universe.shifted(delta),
@@ -489,9 +484,9 @@ def truncate(f: LaurentSeries, cutoff: Monomial,
              budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     """The finite sub-sum over monomials >= cutoff, as an explicit series."""
     check_series(f)
-    terms = f.terms_to_cutoff(cutoff, budget)
-    for v in (v for v, _ in terms if len(v) != f.scale.arity):
-        check_arity(v, f.scale.arity, "exponent vector")
+    terms, arity = f.terms_to_cutoff(cutoff, budget), f.scale.arity
+    for v in (v for v, _ in terms if len(v) != arity):
+        check_arity(v, arity, "exponent vector")
     return _finite(f.scale, terms, Convergence(), f"trunc({f.provenance},{cutoff})")
 
 
@@ -729,7 +724,11 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     omega^k."""
     check_series(f)
     _check_budget(budget)
-    head = list(itertools.islice(f.iter_terms(), budget + 1))
+    items, get = f._memo._items, f._memo.get
+    n = min(len(items), budget + 1)  # stored; pulls only past them
+    while n <= budget and get(n) is not None:
+        n += 1
+    head = items[:n]
     witness = sum(1 for _, c in head[:budget] if c)
     if len(head) <= budget:
         return OrderTypeBound(1 if witness else 0,
@@ -769,9 +768,9 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
     _check_budget(budget)
     # each generator is evaluated once, when a term first needs it
     y = functools.cache(lambda i: G.eval_germ(f.scale.generators[i], x))
-    total = []
-    tail = 0.0
-    for n, (v, c) in enumerate(f.iter_terms()):
+    items, get, total, tail, n = f._memo._items, f._memo.get, [], 0.0, 0
+    while (t := items[n] if n < len(items) else get(n)) is not None:
+        v, c = t
         if c and v > cutoff.vector:
             tail = abs(float(c) * monomial_value(f.scale, v, y))
             break
@@ -779,4 +778,5 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
             raise CutoffTooDeep(f"summation above {cutoff} exceeds budget")
         if c:
             total.append(float(c) * monomial_value(f.scale, v, y))
+        n += 1
     return math.fsum(total), tail

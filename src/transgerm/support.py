@@ -14,12 +14,12 @@ points, and a superset when the generator sets differ, since each side's
 points then take the other side's generators too.  A universe with
 generators is interned by its shape (arity, sorted points, sorted
 generators) in ``_universes``, which holds it strongly: the series over one
-shape share its membership memo, so where shapes repeat across queries a
-membership question is searched once.  A construction clears the table past
-``_KNOWN_MAX`` memo entries in all, so memos no live series holds stay
-within that, or at ``_UNIVERSES_MAX`` shapes, so that this sum stays short
-(both read at call time).  Streams stay bare merges, cheaper cold than a
-shared memo of points.  A universe with no generators is not interned.
+shape share its membership memo and its stored lex points, so where shapes
+repeat across queries a membership question is searched once and a shape
+enumerated once.  A construction clears the table past ``_KNOWN_MAX`` memo
+entries and stored points in all, so those no live series holds stay within
+that, or at ``_UNIVERSES_MAX`` shapes, so that this sum stays short (both
+read at call time).  A universe with no generators is not interned.
 
 A coordinate is an ``int`` when it is integral and a ``Fraction`` otherwise;
 ``coord`` and ``vec`` normalise to that form, and every constructor of a
@@ -172,8 +172,8 @@ class SupportUniverse:
         key = (arity, tuple(sorted(pts)), tuple(sorted(cleaned)) if pts else ())
         if key[2]:
             if len(_universes) >= _UNIVERSES_MAX or sum(
-                    len(u._known) for u in tuple(_universes.values())
-            ) > _KNOWN_MAX:
+                    len(u._known) + len(u._pts)
+                    for u in tuple(_universes.values())) > _KNOWN_MAX:
                 _universes.clear()
             if (hit := _universes.get(key)) is not None:
                 return hit
@@ -188,6 +188,7 @@ class SupportUniverse:
         # every memo entry is a fact, so concurrent writers can only store
         # the same value and no lock is needed
         self._known: dict[Vec, bool] = dict.fromkeys(self.points, True)
+        self._pts, self._merging, self._lock = [], None, threading.Lock()
         # one of racing constructors wins the table
         return _universes.setdefault(key, self) if self.gens else self
 
@@ -287,8 +288,29 @@ class SupportUniverse:
 
     def lex_stream(self) -> Iterator[Vec]:
         """All universe points in strictly ascending lex order (decreasing
-        monomial order), lazily."""
-        return _merge(self.points, self.gens)
+        monomial order), lazily.  A universe with generators keeps the points
+        streamed in one list that its streams read by index without a lock;
+        an extension takes the lock, re-checks the length and pulls the next
+        i // 8 + 1 points (i stored) from one ``_merge``.  An exception out
+        of the merge (a timeout) drops it, and the next extension restarts
+        it past the stored points."""
+        return self._read() if self.gens else iter(self.points)
+
+    def _read(self) -> Iterator[Vec]:
+        pts, i = self._pts, 0
+        while True:
+            while i < len(pts):
+                yield pts[i]
+                i += 1
+            with self._lock:
+                if i == len(pts):
+                    try:
+                        self._merging = self._merging or itertools.islice(
+                            _merge(self.points, self.gens), i, None)
+                        pts.extend(itertools.islice(self._merging, i // 8 + 1))
+                    except BaseException:
+                        self._merging = None
+                        raise
 
     def graded_stream(self) -> Iterator[Vec]:
         """Points in ascending (total degree, lex) order.  Only valid when
@@ -374,9 +396,10 @@ class MemoStream:
     """Thread-safe materialized prefix over a restartable stream factory.
 
     Read rule: stored items never change and the list only grows, so an
-    index below its length is read without the lock; only a pull takes it,
-    re-checking the length under it, so each item is pulled once.  A done
-    stream never grows, so a read past its end takes no lock either.
+    index below its length is read without the lock, here or by a reader of
+    ``_items`` that calls ``get`` only past it; a pull takes the lock,
+    re-checks the length and appends in one loop, so each item is pulled
+    once.  A done stream never grows, so a read past its end takes no lock.
 
     An exception out of the factory's iterator ends that iterator, so it is
     kept and raised again by every later pull: a stream that failed never
@@ -396,27 +419,24 @@ class MemoStream:
             return items[i]
         if not self._done:
             with self._lock:
-                while len(items) <= i and not self._done:
-                    self._pull()
+                if self._error is not None:
+                    # with the first traceback, so that it does not grow
+                    raise self._error[0].with_traceback(self._error[1])
+                try:
+                    it = self._iter  # an ended one raises StopIteration again
+                    if it is None:
+                        it = self._iter = self._factory()
+                    while len(items) <= i:
+                        items.append(next(it))
+                except StopIteration:
+                    self._done = True
+                except BaseException as exc:
+                    self._error = (exc, exc.__traceback__)
+                    raise
         return items[i] if i < len(items) else None
 
-    def _pull(self):
-        if self._error is not None:
-            # with the first traceback, so that it does not grow per raise
-            raise self._error[0].with_traceback(self._error[1])
-        try:
-            if self._iter is None:
-                self._iter = self._factory()
-            self._items.append(next(self._iter))
-        except StopIteration:
-            self._done = True
-        except BaseException as exc:
-            self._error = (exc, exc.__traceback__)
-            raise
-
     def __iter__(self):
-        items = self._items
-        i = 0
+        items, i = self._items, 0
         while i < len(items) or self.get(i) is not None:
             yield items[i]
             i += 1

@@ -483,6 +483,31 @@ def test_sum_family_opening_budget(sx):
         family(gps.DEFAULT_BUDGET + 2).terms_to_cutoff(cut(sx, 0))
 
 
+def _zero_gps():
+    """A series that is zero on an infinite universe."""
+    return gps.geometric_in(1, (1,)) - gps.geometric_in(1, (1,))
+
+
+def _bounded(call, timeout=10):
+    """call() in a daemon thread, its exception raised again here: a call
+    that does not end in time fails the test, and leaves no thread that
+    holds up the interpreter's exit."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "the call did not end in time"
+    if raised:
+        raise raised[0]
+
+
 @pytest.mark.parametrize("entry", ["shifted", "sum_family", "project_class",
                                    "partial_deriv", "enumerate",
                                    "enumerate_finite", "equal_to_bound",
@@ -528,7 +553,19 @@ def test_sum_family_opening_budget(sx):
                                    "sum_numeric_none", "compose_right_none",
                                    "make_laurent_body_none",
                                    "make_laurent_scale_none",
-                                   "make_scale_none", "from_terms_scale_none"])
+                                   "make_scale_none", "from_terms_scale_none",
+                                   "gps_order_budget_none",
+                                   "compose_ps_budget_none",
+                                   "gps_order_budget_negative",
+                                   "gps_order_budget_float",
+                                   "gps_order_budget_huge",
+                                   "gps_mul_none", "gps_add_none",
+                                   "gps_mul_int", "gps_sub_none",
+                                   "compose_ps_none", "compose_ps_g_none",
+                                   "compose_ps_dict",
+                                   "gps_from_terms_dict_none",
+                                   "partial_deriv_str",
+                                   "gps_from_terms_arity_str"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
     # each public entry point that takes a vector, an index, a scalar or a
     # budget refuses one that does not fit with a typed error, not an
@@ -711,6 +748,41 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
             None, sx.unit(), gps.geometric_in(1, (1,)))),
         "make_scale_none": (NotInFragment, lambda: make_scale(None)),
         "from_terms_scale_none": (NotInFragment, lambda: from_terms(None, {})),
+        # a gps budget is checked as every term budget is; None used to
+        # search a zero series forever, and islice raised a bare ValueError
+        "gps_order_budget_none": (DomainError, lambda: _bounded(
+            lambda: _zero_gps().order(None))),
+        "compose_ps_budget_none": (DomainError, lambda: _bounded(
+            lambda: gps.compose_ps([1, 1], _zero_gps(), budget=None))),
+        "gps_order_budget_negative": (CutoffTooDeep,
+                                      lambda: _zero_gps().order(-1)),
+        "gps_order_budget_float": (DomainError,
+                                   lambda: _zero_gps().order(2.5)),
+        "gps_order_budget_huge": (DomainError,
+                                  lambda: _zero_gps().order(10**30)),
+        # a gps operand is a GenSeries; these used to raise AttributeError
+        # or a bare TypeError, or to answer over a str arity
+        "gps_mul_none": (NotInFragment,
+                         lambda: gps.geometric_in(1, (1,)) * None),
+        "gps_add_none": (NotInFragment,
+                         lambda: gps.geometric_in(1, (1,)) + None),
+        "gps_mul_int": (NotInFragment, lambda: gps.geometric_in(1, (1,)) * 2),
+        "gps_sub_none": (NotInFragment,
+                         lambda: gps.geometric_in(1, (1,)) - None),
+        "compose_ps_none": (NotInFragment, lambda: gps.compose_ps(
+            None, gps.geometric_in(1, (1,)))),
+        "compose_ps_g_none": (NotInFragment,
+                              lambda: gps.compose_ps([1], None)),
+        # P is a sequence of coefficients or a function of the index; a dict
+        # used to be read by its keys
+        "compose_ps_dict": (NotInFragment, lambda: gps.compose_ps(
+            {1: 2}, gps.from_terms(1, {(1,): 1}))),
+        "gps_from_terms_dict_none": (NotInFragment,
+                                     lambda: gps.from_terms(1, None)),
+        "partial_deriv_str": (ArityMismatch, lambda: gps.geometric_in(
+            1, (1,)).partial_deriv("0")),
+        "gps_from_terms_arity_str": (NotInFragment,
+                                     lambda: gps.from_terms("1", {})),
     }
     error, call = calls[entry]
     with pytest.raises(error):

@@ -420,6 +420,106 @@ def test_answers_stay_right_when_the_table_fills(monkeypatch):
                    for t in targets)
 
 
+# -- one point stream per shape ------------------------------------------------
+
+
+def test_bodies_over_one_shape_read_one_point_list():
+    # the first body's expansion enumerates the shape; a second body, and a
+    # shifted one, over the same shape read its stored points and extend
+    # them from the same merge, so none starts a merge of its own
+    support._universes.clear()
+    sc = make_scale([g_x()])
+    a, b = gps.geometric_in(1, (1,), Q(1, 2)), gps.geometric_in(1, (1,), 3)
+    assert a.universe is b.universe
+    got = make_laurent(sc, sc.unit(), a).terms_to_cutoff(sc.monomial([40]))
+    assert got == [((k,), Q(1, 2) ** k) for k in range(41)]
+    with mock.patch.object(support, "_merge", wraps=support._merge) as merge:
+        got = make_laurent(sc, sc.unit(), b).terms_to_cutoff(sc.monomial([60]))
+        shifted = make_laurent(sc, sc.monomial([2]), b).terms_to_cutoff(
+            sc.monomial([30]))
+    assert merge.call_count == 0
+    assert got == [((k,), Q(3) ** k) for k in range(61)]
+    assert shifted == [((k + 2,), Q(3) ** k) for k in range(29)]
+    # one list holds the points read, and a cold read pulls an eighth ahead
+    pts = a.universe._pts
+    assert pts[:62] == [(k,) for k in range(62)] and len(pts) <= 62 * 9 // 8
+
+
+class Alarm(BaseException):
+    """An interruption from outside the library, as a timeout's signal."""
+
+
+def test_an_interrupted_point_stream_restarts_past_its_stored_points():
+    # the merge raises once after 37 points; the points it gave stay stored,
+    # and the next read restarts the merge past them
+    u = gen(2, [(1, -1), (0, 2), (2, 3)], offset=(0, -2))
+    support._universes.clear()
+    shared, real, starts = copy(u), support._merge, []
+
+    def flaky(points, gens):
+        starts.append(len(starts))
+        for k, v in enumerate(real(points, gens)):
+            if k == 37 and len(starts) == 1:
+                raise Alarm
+            yield v
+
+    with mock.patch.object(support, "_merge", flaky):
+        with pytest.raises(Alarm):
+            list(itertools.islice(shared.lex_stream(), 200))
+        assert len(shared._pts) == 37
+        got = list(itertools.islice(shared.lex_stream(), 200))
+    assert starts == [0, 1]
+    assert got == list(itertools.islice(heap_lex_stream(u), 200))
+
+
+def test_shared_point_stream_under_threads():
+    # every thread builds the universe on an emptied intern table and reads
+    # its stream cold, to its own length: each must get the reference prefix
+    u = gen(2, [(2, -1), (3, 1), (0, 2), (0, 3)], offset=(1, 0))
+    want = list(itertools.islice(heap_lex_stream(u), 400))
+    support._universes.clear()
+    nthreads = 2 * (os.cpu_count() or 1) + 2
+    results, built = [None] * nthreads, [None] * nthreads
+
+    def work(k):
+        shared = built[k] = copy(u)
+        results[k] = list(itertools.islice(shared.lex_stream(), 400 - 13 * k))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == want[:400 - 13 * k] for k, got in enumerate(results))
+    assert all(b is built[0] for b in built) and built[0]._pts[:400] == want
+
+
+def test_a_point_list_no_series_holds_is_released(monkeypatch):
+    # a deep expansion stores over 1,500 points of one shape, and its
+    # membership memo holds one entry: the stored points alone pass the
+    # bound, so once no series holds the universe the next construction
+    # frees it
+    monkeypatch.setattr(support, "_KNOWN_MAX", 1000)
+    support._universes.clear()
+    sc = make_scale([g_x()])
+    f = gps.geometric_in(1, (1,), Q(1, 2))
+    got = make_laurent(sc, sc.unit(), f).terms_to_cutoff(sc.monomial([1500]))
+    assert len(got) == 1501 and len(f.universe._pts) > 1501
+    assert len(f.universe._known) == 1
+    deep = weakref.ref(f.universe)
+    del f
+    assert deep() is not None  # the table holds it
+    SupportUniverse(2, [(0, 0)], [(1, 0)])
+    assert deep() is None
+
+
 # -- exponent coordinates: int when integral, Fraction otherwise ---------------
 
 

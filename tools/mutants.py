@@ -92,8 +92,19 @@ MUTATIONS = (
              "                            continue\n", ""),
     # the universe intern table and the compose oracle
     Mutation("intern table blind to its memo size", "support.py",
-             "len(u._known) for u in tuple(_universes.values())",
-             "0 for u in tuple(_universes.values())"),
+             "len(u._known) + len(u._pts)", "len(u._pts)"),
+    Mutation("intern bound ignores the stored points", "support.py",
+             "len(u._known) + len(u._pts)", "len(u._known)"),
+    # the shared point stream and the series readers by index
+    Mutation("point stream restarts without skipping the stored points",
+             "support.py", "_merge(self.points, self.gens), i, None)",
+             "_merge(self.points, self.gens), 0, None)"),
+    Mutation("terms_to_cutoff reads one item past the stored end",
+             "series.py",
+             "n < len(items) else get(n)) is not None:\n"
+             "            if t[0] > cut:",
+             "n <= len(items) else get(n)) is not None:\n"
+             "            if t[0] > cut:"),
     Mutation("compose oracle adds p without rescaling to the common "
              "denominator", "gps.py",
              "n * (t // k) + s * (d // k)", "n * (t // k) + s"),
