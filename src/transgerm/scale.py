@@ -81,8 +81,12 @@ class Monomial:
 
 def monomial_value(s: Scale, v: Vec, gen_value: Callable[[int], float]) -> float:
     """exp(-sum of a_i * gen_value(i) over v's nonzero a_i); inf on overflow."""
-    if len(v) != s.arity:  # inline: sum_numeric calls this once per term
-        check_arity(v, s.arity, "monomial")
+    return _monomial_value(v, gen_value, s.arity)
+
+
+def _monomial_value(v: Vec, gen_value, arity: int) -> float:
+    if len(v) != arity:  # the arity is read once per sum_numeric call
+        check_arity(v, arity, "monomial")
     acc = 0.0
     for i, a in enumerate(v):
         if a:

@@ -17,7 +17,6 @@ import heapq
 import itertools
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .gps import DEFAULT_BUDGET, GenSeries, _check_budget
 from .scale import (Monomial, Scale, check_monomial, check_scale, make_scale,
-                    monomial_cmp, monomial_value)
+                    monomial_cmp, _monomial_value)
 from .support import (
     MemoStream,
     Q,
@@ -46,7 +45,7 @@ from .support import (
     Vec,
     check_arity,
     rational,
-    vadd,
+    vadder,
     vec,
     vsub,
     vzero,
@@ -213,15 +212,16 @@ def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
     if (delta is None or not any(delta)) and q == 1 and keep is None:
         return out
     src, d, r, keeps = f._map or (f, vzero(f.scale.arity), Q(1), None)
-    d, r = (d if delta is None else vadd(d, delta)), r * q
+    add = vadder(len(d))
+    d, r = (d if delta is None else add(d, delta)), r * q
     keeps = keeps if keep is None else (keep, d, keeps)
 
     def factory():
         for v, c in src.iter_terms():
             k = keeps  # stops at the first keep that fails, else at None
-            while k is not None and k[0](vadd(v, k[1])):
+            while k is not None and k[0](add(v, k[1])):
                 k = k[2]
-            yield vadd(v, d), (Q(0) if k else r * c)
+            yield add(v, d), (Q(0) if k else r * c)
 
     sk = src._skeleton
     out._memo, out._map = MemoStream(factory), (src, d, r, keeps)
@@ -233,38 +233,41 @@ def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
 # stream factories
 
 
-def _heap_sum(heap: list, popped: Callable[[int, int], None]
+def _heap_sum(heap: list, popped: Callable[[int, int], Optional[tuple]]
               ) -> Iterator[Term]:
-    """The one series kernel: pop every entry (v, i, j, n, d) at the least
-    v, sum the ints n/d, call popped(i, j) for each popped entry, and yield
-    (v, Q(n, d)), reduced once.  The first entry popped at v starts the sum
-    and each later one is added inline as support.py's int pair, so a pair
-    costs no Python call but popped.  The push rules live in popped and in
-    the caller, which may push more entries between yields; each pushed v
-    must come after the v just yielded."""
-    pop, gcd = heapq.heappop, math.gcd
+    """The one series kernel: take every entry (v, i, j, n, d) at the least
+    v, sum the ints n/d and yield (v, Q(n, d)), reduced once.  The first
+    entry at v starts the sum and each later one is added inline as
+    support.py's int pair, so a pair costs no Python call but popped.
+    popped(i, j), called while entry (i, j) is the root, returns the entry
+    that replaces it in one sift (heapreplace), or None to pop it; it may
+    push a second successor, and the caller may push between yields.  Each
+    entry so returned or pushed must lie past v (nothing checks it), so a
+    push leaves the root in place and each v is summed once."""
+    pop, replace, gcd = heapq.heappop, heapq.heapreplace, math.gcd
     while heap:
-        v, i, j, n, d = pop(heap)
-        popped(i, j)
+        v, i, j, n, d = heap[0]
+        replace(heap, e) if (e := popped(i, j)) else pop(heap)
         while heap and heap[0][0] == v:
-            _, i, j, p, q = pop(heap)
+            _, i, j, p, q = heap[0]
             if q == d:
                 n += p
             else:
                 g = gcd(d, q)
                 n, d = n * (q // g) + p * (d // g), d // g * q
-            popped(i, j)
+            replace(heap, e) if (e := popped(i, j)) else pop(heap)
         yield (v, Q(n, d))
 
 
-def _stream_pusher(heap: list, iters: list, hints: list):
-    """advance(k) pushes the next term of stream iters[k] as (v, k, 0, n, d),
-    skipping its terms above hints[k], its declared leading monomial: a
-    nonzero one there violates the witness, and more than DEFAULT_BUDGET
-    zeros refuse.  Streams ascend, so only a stream's first push skips.
-    advance is also _heap_sum's popped, which passes j as well."""
+def _stream_reader(iters: list, hints: list):
+    """advance(k) returns the next term of stream iters[k] as the entry
+    (v, k, 0, n, d), or None at its end, skipping its terms above hints[k],
+    its declared leading monomial: a nonzero one there violates the
+    witness, and more than DEFAULT_BUDGET zeros refuse.  Streams ascend, so
+    only a stream's first entry, which the caller pushes, skips.  advance
+    is also _heap_sum's popped, which passes j as well."""
 
-    def advance(k: int, _j: int = 0) -> None:
+    def advance(k: int, _j: int = 0) -> Optional[tuple]:
         it, h = iters[k], hints[k]
         t = next(it, None)
         skipped = 0
@@ -280,19 +283,18 @@ def _stream_pusher(heap: list, iters: list, hints: list):
                     "family member fast-forward budget exceeded")
         if t is not None:
             c = t[1]
-            heapq.heappush(heap, (t[0], k, 0, c.numerator, c.denominator))
+            return (t[0], k, 0, c.numerator, c.denominator)
 
     return advance
 
 
 def _merge_factory(children: Sequence[LaurentSeries]):
     def factory():
-        heap: list = []
         iters = [ch.iter_terms() for ch in children]
         # () precedes every vector, so nothing is skipped
-        advance = _stream_pusher(heap, iters, [()] * len(iters))
-        for k in range(len(iters)):
-            advance(k)
+        advance = _stream_reader(iters, [()] * len(iters))
+        heap = list(filter(None, map(advance, range(len(iters)))))
+        heapq.heapify(heap)
         yield from _heap_sum(heap, advance)
 
     return factory
@@ -301,22 +303,22 @@ def _merge_factory(children: Sequence[LaurentSeries]):
 def _product_factory(a: LaurentSeries, b: LaurentSeries):
     """Johnson's heap product over _heap_sum: entry (i, j) is term i of a
     times term j of b, as the unreduced ints n/d, so a pop reads no memo.
-    Each pair is reached once: popping (i, j) pushes (i+1, j), and popping
-    (0, j) also pushes (0, j+1).  Both streams ascend, so every pair is
-    pushed while its parent, of a smaller vector, is popped.  Square rule:
-    when a and b share one memo (f*f, or f times a view of f), only the
-    pairs i <= j are visited and an off-diagonal product counts twice.
-    Operand terms are read and unpacked to (v, n, d) once, in order, and
-    None marks an operand's end; popped reads its operands from these
-    lists and asks a memo only for a term not yet read."""
+    Each pair is reached once: (i+1, j) replaces (i, j) when it pops, and
+    popping (0, j) also pushes (0, j+1).  Both streams ascend, so every
+    pair enters the heap while its parent, of a smaller vector, pops.
+    Square rule: when a and b share one memo (f*f, or f times a view of
+    f), only the pairs i <= j are visited and an off-diagonal product
+    counts twice.  Operand terms are read and unpacked to (v, n, d) once,
+    in order, and None marks an operand's end; popped reads its operands
+    from these lists and asks a memo only for a term not yet read."""
     get_a, get_b = a._memo.get, b._memo.get
     square = a._memo is b._memo
+    add, push = vadder(a.scale.arity), heapq.heappush
 
     def factory():
         heap: list = []
         a_terms: list = []
         b_terms = a_terms if square else []
-        push, add = heapq.heappush, operator.add
 
         def read(ts: list, get):
             t = get(len(ts))
@@ -324,28 +326,27 @@ def _product_factory(a: LaurentSeries, b: LaurentSeries):
             return ts[-1]
 
         def popped(i: int, j: int):
-            if not square or i < j:  # pair (i+1, j)
-                k = i + 1
-                ta = a_terms[k] if k < len(a_terms) else read(a_terms, get_a)
-                if ta is not None:
-                    tb = b_terms[j]
-                    n = ta[1] * tb[1]
-                    push(heap, (tuple(map(add, ta[0], tb[0])), k, j,
-                                n + n if square and k != j else n,
-                                ta[2] * tb[2]))
-            if i == 0:  # pair (0, j+1)
+            if i == 0:  # pair (0, j+1), pushed under the root
                 k = j + 1
                 tb = b_terms[k] if k < len(b_terms) else read(b_terms, get_b)
                 if tb is not None:
                     ta = a_terms[0]
                     n = ta[1] * tb[1]
-                    push(heap, (tuple(map(add, ta[0], tb[0])), 0, k,
+                    push(heap, (add(ta[0], tb[0]), 0, k,
                                 n + n if square else n, ta[2] * tb[2]))
+            if not square or i < j:  # pair (i+1, j) replaces (i, j)
+                k = i + 1
+                ta = a_terms[k] if k < len(a_terms) else read(a_terms, get_a)
+                if ta is not None:
+                    tb = b_terms[j]
+                    n = ta[1] * tb[1]
+                    return (add(ta[0], tb[0]), k, j,
+                            n + n if square and k != j else n, ta[2] * tb[2])
 
         ta = read(a_terms, get_a)
         tb = a_terms[0] if square else read(b_terms, get_b)
         if ta is not None and tb is not None:
-            push(heap, (vadd(ta[0], tb[0]), 0, 0, ta[1] * tb[1], ta[2] * tb[2]))
+            push(heap, (add(ta[0], tb[0]), 0, 0, ta[1] * tb[1], ta[2] * tb[2]))
         yield from _heap_sum(heap, popped)
 
     return factory
@@ -361,7 +362,7 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
         heap: list = []
         iters: list = []
         hints: list = []
-        advance = _stream_pusher(heap, iters, hints)
+        advance = _stream_reader(iters, hints)
 
         def open_frontier(guard: int) -> bool:
             # open every member that could reach the frontier; False once ended
@@ -378,7 +379,8 @@ def _family_factory(member: Callable[[int], Optional[LaurentSeries]],
                     return False
                 hints.append(h)
                 iters.append(m.iter_terms())
-                advance(k)
+                if (e := advance(k)) is not None:
+                    heapq.heappush(heap, e)
                 guard += 1
                 if guard > DEFAULT_BUDGET:
                     raise CutoffTooDeep(
@@ -401,6 +403,8 @@ def from_terms(scale: Scale, terms: dict, *,
                convergence: Optional[Convergence] = Convergence()
                ) -> LaurentSeries:
     check_scale(scale)
+    if not isinstance(terms, dict):
+        raise NotInFragment(f"{terms!r} is not a dict of terms")
     tbl = {}
     for k, c in terms.items():
         if isinstance(k, Monomial):
@@ -430,7 +434,7 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
         raise ArityMismatch(
             f"body arity {body.arity} does not match scale arity {scale.arity}")
     check_monomial(shift, scale)
-    delta = shift.vector
+    delta, add = shift.vector, vadder(scale.arity)
     if convergence is None and not body.universe.gens:
         convergence = Convergence()
 
@@ -442,7 +446,7 @@ def make_laurent(scale: Scale, shift: Monomial, body: GenSeries,
             c = memo.get(v)
             if c is None:
                 c = memo[v] = oracle(v)
-            yield (vadd(v, delta) if move else v), c
+            yield (add(v, delta) if move else v), c
 
     return LaurentSeries(scale, factory, convergence=convergence,
                          skeleton=lambda b: body.universe.shifted(delta),
@@ -496,10 +500,10 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
     term of f, a*c_v = [v = lm^-1] - sum_u f_u c_(v-u+lm) over f's terms u
     after lm; each u - lm is lex-positive, so c_v needs only terms already
     emitted.  The sum is _heap_sum's: pair (i, j) is the remainder term
-    -f_u/a at u - lm times c's term j, reached once, at (0, j) when c_j is
-    emitted and at (i+1, j) when (i, j) pops.  Zero terms after lm stay
-    pairs, so the skeleton stays complete.  Each term of f is read once,
-    and its end once."""
+    -f_u/a at u - lm times c's term j, reached once: pushed at (0, j) when
+    c_j is emitted, and at (i+1, j) in place of (i, j) when that pops.
+    Zero terms after lm stay pairs, so the skeleton stays complete.  Each
+    term of f is read once, and its end once."""
     check_series(f)
     _check_budget(budget)
     # f's terms up to its second nonzero one within the budget; one nonzero
@@ -540,24 +544,24 @@ def invert(f: LaurentSeries, budget: int = DEFAULT_BUDGET) -> LaurentSeries:
         # each term of f is shifted and scaled once, when first read
         rem = [remainder(t) for t in head[first:]]
         out: list[tuple[Vec, int, int]] = []  # c's terms as v, n, d
-        heap: list = []
-        push, add = heapq.heappush, operator.add
+        heap, add = [], vadder(len(lm))
 
-        def push_next(i: int, j: int):
-            # pair (i+1, j): when (i, j) pops, and (0, j) as push_next(-1, j)
+        def next_pair(i: int, j: int):
+            # pair (i+1, j), (i, j)'s successor, and (0, j) as next_pair(-1, j)
             i += 1
             if i == len(rem):
                 rem.append(remainder(get(first + i)))
             r = rem[i]
             if r is not None:  # f has not ended
                 w, p, q = out[j]
-                push(heap, (tuple(map(add, r[0], w)), i, j, r[1] * p, r[2] * q))
+                return (add(r[0], w), i, j, r[1] * p, r[2] * q)
 
         # c's first term is 1/a at lm^-1; every later one is a heap sum
         for v, c in itertools.chain([(inv_lm, inv_a)],
-                                    _heap_sum(heap, push_next)):
+                                    _heap_sum(heap, next_pair)):
             out.append((v, c.numerator, c.denominator))
-            push_next(-1, len(out) - 1)
+            if (e := next_pair(-1, len(out) - 1)) is not None:
+                heapq.heappush(heap, e)
             yield (v, c)
 
     def skeleton(b: int) -> Optional[SupportUniverse]:
@@ -594,6 +598,10 @@ def sum_family(scale: Scale, family: Callable[[int], Optional[LaurentSeries]],
     naturality for supports like {(nu, 1/nu)})."""
     from .scale import project_class
 
+    if not (callable(family) and callable(leading_monomials)):
+        raise NotInFragment("a family and its leading monomials are functions")
+    if not isinstance(witness_class, int):
+        raise ArityMismatch(f"class index {witness_class!r} is not an int")
     if not 0 <= witness_class < len(scale.classes):
         raise WitnessViolated(
             f"witness class {witness_class} is not a class of the scale")
@@ -766,17 +774,19 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
         raise DomainError(f"x={x} below the certified convergence threshold {thr}")
     check_monomial(cutoff, f.scale)
     _check_budget(budget)
-    # each generator is evaluated once, when a term first needs it
+    # each generator is evaluated once, when a term first needs it; c's
+    # float is float(c)'s own correctly rounded int/int division
     y = functools.cache(lambda i: G.eval_germ(f.scale.generators[i], x))
     items, get, total, tail, n = f._memo._items, f._memo.get, [], 0.0, 0
+    value, arity = _monomial_value, f.scale.arity
     while (t := items[n] if n < len(items) else get(n)) is not None:
         v, c = t
         if c and v > cutoff.vector:
-            tail = abs(float(c) * monomial_value(f.scale, v, y))
+            tail = abs(c.numerator / c.denominator * value(v, y, arity))
             break
         if n >= budget:
             raise CutoffTooDeep(f"summation above {cutoff} exceeds budget")
         if c:
-            total.append(float(c) * monomial_value(f.scale, v, y))
+            total.append(c.numerator / c.denominator * value(v, y, arity))
         n += 1
     return math.fsum(total), tail

@@ -56,11 +56,12 @@ denominator stays the lcm of the denominators added.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import threading
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import ArityMismatch, NotInFragment, WitnessViolated
 
@@ -113,6 +114,13 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(map(operator.add, u, v))
 
 
+@functools.cache
+def vadder(arity: int) -> Callable[[Vec, Vec], Vec]:
+    """vadd for one arity, unrolled once into a tuple display of sums."""
+    return eval("lambda u, v: (" + "".join(
+        f"u[{i}] + v[{i}], " for i in range(arity)) + ")")
+
+
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(map(operator.sub, u, v))
 
@@ -157,6 +165,8 @@ class SupportUniverse:
     def __new__(cls, arity: int, points: Iterable[Vec],
                 gens: Iterable[Vec] = ()):
         pts, cleaned = set(), set()
+        if not all(hasattr(xs, "__iter__") for xs in (points, gens)):
+            raise NotInFragment(f"{points!r}, {gens!r} are no vector sets")
         for p in map(vec, points):
             check_arity(p, arity, "point")
             pts.add(p)
@@ -334,13 +344,14 @@ class SupportUniverse:
         universe's arity."""
         self._need_nonnegative("box")
         out, seen, stack, gens = [], set(), list(self.points), self.gens
+        add = vadder(self.arity)
         while stack:
             v = stack.pop()
             if v not in seen and leq_componentwise(v, bound):
                 seen.add(v)
                 out.append(v)
                 for g in gens:
-                    stack.append(vadd(v, g))
+                    stack.append(add(v, g))
         return out
 
     def _need_nonnegative(self, what: str) -> None:
@@ -362,14 +373,14 @@ def _merge(points: tuple[Vec, ...], gens: tuple[Vec, ...]) -> Iterator[Vec]:
     the next point is one more head while the points last, and every head
     equal to the least advances, so no point comes twice and no heap is
     needed.  A lone copy left when the points run out has nothing to merge
-    with, so it reads on from out alone: a ray costs one vadd per point."""
+    with, so it reads on from out alone: a ray costs one sum per point."""
     if not gens:  # a finite set is its points
         yield from points
         return
     first, n = points[0], len(gens)  # a universe with generators has a point
     yield first
-    out, at, rest = [first], [0] * n, iter(points[1:])
-    heads = [vadd(first, g) for g in gens]
+    out, at, rest, add = [first], [0] * n, iter(points[1:]), vadder(len(first))
+    heads = [add(first, g) for g in gens]
     heads += itertools.islice(rest, 1)
     while len(heads) > 1:
         v = min(heads)
@@ -379,14 +390,14 @@ def _merge(points: tuple[Vec, ...], gens: tuple[Vec, ...]) -> Iterator[Vec]:
             if h == v:
                 if i < n:
                     at[i] += 1
-                    heads[i] = vadd(out[at[i]], gens[i])
+                    heads[i] = add(out[at[i]], gens[i])
                 elif (p := next(rest, None)) is None:
                     heads.pop()
                 else:
                     heads[i] = p
     g, j = gens[0], at[0]
     while True:
-        v = vadd(out[j], g)
+        v = add(out[j], g)
         out.append(v)
         yield v
         j += 1

@@ -565,7 +565,10 @@ def _bounded(call, timeout=10):
                                    "compose_ps_dict",
                                    "gps_from_terms_dict_none",
                                    "partial_deriv_str",
-                                   "gps_from_terms_arity_str"])
+                                   "gps_from_terms_arity_str",
+                                   "from_terms_dict_none", "sum_family_none",
+                                   "sum_family_class_str",
+                                   "universe_points_none"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
     # each public entry point that takes a vector, an index, a scalar or a
     # budget refuses one that does not fit with a typed error, not an
@@ -783,6 +786,16 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
             1, (1,)).partial_deriv("0")),
         "gps_from_terms_arity_str": (NotInFragment,
                                      lambda: gps.from_terms("1", {})),
+        # these used to raise AttributeError or a bare TypeError; a class
+        # index is refused as project_class refuses it
+        "from_terms_dict_none": (NotInFragment, lambda: from_terms(sx, None)),
+        "sum_family_none": (NotInFragment,
+                            lambda: sum_family(sx, None, 0, None)),
+        "sum_family_class_str": (ArityMismatch, lambda: sum_family(
+            sx, lambda nu: from_terms(sx, {(nu,): 1}), "0",
+            lambda nu: cut(sx, nu))),
+        "universe_points_none": (NotInFragment,
+                                 lambda: SupportUniverse(2, None)),
     }
     error, call = calls[entry]
     with pytest.raises(error):
@@ -1225,6 +1238,11 @@ def test_sum_numeric_matches_monomial_eval(X, LOG, gens):
         terms = {(0, 0): 1, (2, -2000): Q(-1, 2)}
         assert sum_numeric(from_terms(s, terms), x, cutoff) == by_hand(terms)
         assert by_hand(terms) == (1.0, math.inf)
+    # a ratio of two ints past float range is one correctly rounded float,
+    # the one float(c) gives
+    ratio = {(0,) * s.arity: Q(10 ** 400 + 1, 3 * 10 ** 400)}
+    assert sum_numeric(from_terms(s, ratio), x, cutoff) == by_hand(ratio)
+    assert by_hand(ratio) == (1 / 3, 0.0)
     # a coefficient too large for a float raises as float() does
     huge = {(0,) * s.arity: Q(10 ** 400)}
     with pytest.raises(OverflowError):

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import operator
 import os
 import random
 import sys
@@ -631,6 +632,32 @@ def test_mixed_coordinates_match_an_all_fraction_copy(case):
     members = [ref.contains(t) for t in as_int]
     assert [u.contains(t) for t in as_fraction] == members
     assert all(members[targets.index(p)] for p in want)
+
+
+@st.composite
+def addend_pairs(draw):
+    k = draw(st.integers(1, 6))
+    coords = st.one_of(st.integers(-10**20, 10**20),
+                       st.fractions(max_denominator=6))
+    vecs = st.lists(coords, min_size=k, max_size=k).map(tuple)
+    return draw(vecs), draw(vecs)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(addend_pairs())
+def test_vadder_adds_as_map_add(pair):
+    # the same value and the same type of each coordinate, from one cached
+    # function per arity
+    u, v = pair
+    add = support.vadder(len(u))
+    want = tuple(map(operator.add, u, v))
+    got = add(u, v)
+    assert got == want and list(map(type, got)) == list(map(type, want))
+    assert support.vadder(len(u)) is add
+    # an integral Fraction sum stays a Fraction, as map(add) keeps it
+    got = support.vadder(2)((Q(1, 2), -3), (Q(1, 2), Q(5, 3)))
+    assert got == (1, Q(-4, 3)) and type(got[0]) is Q
+    assert support.vadder(0)((), ()) == ()
 
 
 def test_rational_reads_a_real_exactly():

@@ -49,9 +49,9 @@ class Mutation(NamedTuple):
 
 MUTATIONS = (
     Mutation("map keep read at the source's vector", "series.py",
-             "k[0](vadd(v, k[1]))", "k[0](v)"),
+             "k[0](add(v, k[1]))", "k[0](v)"),
     Mutation("map folded q replaced by the new one", "series.py",
-             "vadd(d, delta)), r * q", "vadd(d, delta)), q"),
+             "add(d, delta)), r * q", "add(d, delta)), q"),
     Mutation("product square rule's factor 2 dropped", "series.py",
              "n + n if square and k != j else n,", "n,"),
     Mutation("invert ended-stream guard dropped", "series.py",
@@ -64,20 +64,37 @@ MUTATIONS = (
              "e = -t[1] * inv_a", "e = t[1] * inv_a"),
     Mutation("heap sum inline add doubled", "series.py",
              "n += p\n", "n += p + p\n"),
-    # the pushed pair is labelled (i, j) in place of (i+1, j), so popping it
-    # pushes it again at the vector being summed and _heap_sum's inner loop
-    # never ends: the timeout kills this one
+    # the successor is labelled (i, j) in place of (i+1, j), so when it pops
+    # its own successor lies at the vector being summed and _heap_sum's
+    # inner loop never ends: the timeout kills this one
     Mutation("invert pair labelled (i, j) for (i+1, j)", "series.py",
-             "w)), i, j, r[1] * p", "w)), i - 1, j, r[1] * p"),
+             "w), i, j, r[1] * p", "w), i - 1, j, r[1] * p"),
+    # the kernel's successor protocol: the first entry at v, pushed over
+    # and left in the heap, is summed twice (done at both sites, the inner
+    # loop would never leave v and the heap would grow without bound); a
+    # product that returns (0, j+1) as the successor drops every (i+1, j)
+    Mutation("heapreplace done as a plain heappush", "series.py",
+             "\n        replace(heap, e) if",
+             "\n        heapq.heappush(heap, e) if"),
+    Mutation("product returns (0, j+1) and drops (i+1, j)", "series.py",
+             "push(heap, (add(ta[0], tb[0]), 0, k,\n"
+             "                                n + n if square else n, "
+             "ta[2] * tb[2]))",
+             "return (add(ta[0], tb[0]), 0, k,\n"
+             "                                n + n if square else n, "
+             "ta[2] * tb[2])"),
+    Mutation("unrolled adder drops its last coordinate", "support.py",
+             "for i in range(arity)) + \")\")",
+             "for i in range(arity - 1)) + \")\")"),
     # the universe merge stream, its membership search and the gps
     # product's read of its factor
     Mutation("merge advances only the first head equal to the least",
              "support.py",
-             "\n                    heads[i] = vadd(out[at[i]], gens[i])\n",
-             "\n                    heads[i] = vadd(out[at[i]], gens[i])\n"
+             "\n                    heads[i] = add(out[at[i]], gens[i])\n",
+             "\n                    heads[i] = add(out[at[i]], gens[i])\n"
              "                    break\n"),
     Mutation("merge reads each copy one point behind", "support.py",
-             "vadd(out[at[i]], gens[i])", "vadd(out[at[i] - 1], gens[i])"),
+             "add(out[at[i]], gens[i])", "add(out[at[i] - 1], gens[i])"),
     # a points head that never advanced would repeat its point forever, and
     # a consumer that scans a stream by grade, as compose_ps does, would
     # grow without bound before any assertion; this one never starts it
