@@ -36,7 +36,7 @@ from .errors import (
     NotIncreasing,
     Unclassifiable,
 )
-from .support import rational
+from .support import frac, rational
 
 DEFAULT_EXP_DEPTH = 4
 
@@ -366,13 +366,15 @@ def mono_inv(a: Transmono) -> Transmono:
 
 
 def g_add(f: GermTerm, g: GermTerm) -> GermTerm:
-    if f.is_zero():
+    check_germ(f)
+    check_germ(g)
+    ft, gt = f.terms, g.terms
+    if not ft:
         return g
-    if g.is_zero():
+    if not gt:
         return f
     out: list[tuple[Fraction, Transmono]] = []
     i = j = 0
-    ft, gt = f.terms, g.terms
     while i < len(ft) and j < len(gt):
         c = mono_cmp(ft[i][1], gt[j][1])
         if c > 0:
@@ -382,9 +384,10 @@ def g_add(f: GermTerm, g: GermTerm) -> GermTerm:
             out.append(gt[j])
             j += 1
         else:
-            s = ft[i][0] + gt[j][0]
-            if s:
-                out.append((s, ft[i][1]))
+            a, b = ft[i][0], gt[j][0]
+            n = a.numerator * b.denominator + b.numerator * a.denominator
+            if n:
+                out.append((frac(n, a.denominator * b.denominator), ft[i][1]))
             i += 1
             j += 1
     out.extend(ft[i:])
@@ -393,14 +396,18 @@ def g_add(f: GermTerm, g: GermTerm) -> GermTerm:
 
 
 def g_neg(f: GermTerm) -> GermTerm:
+    check_germ(f)
     return GermTerm(tuple((-c, m) for c, m in f.terms))
 
 
 def g_scale(f: GermTerm, q: Fraction) -> GermTerm:
+    check_germ(f)
     q = rational(q)
     if not q:
         return ZERO
-    return GermTerm(tuple((c * q, m) for c, m in f.terms))
+    qn, qd = q.numerator, q.denominator
+    return GermTerm(tuple((frac(c.numerator * qn, c.denominator * qd), m)
+                          for c, m in f.terms))
 
 
 def _sum_runs(runs: list[GermTerm]) -> GermTerm:
@@ -415,6 +422,8 @@ def _sum_runs(runs: list[GermTerm]) -> GermTerm:
 
 
 def g_mul(f: GermTerm, g: GermTerm) -> GermTerm:
+    check_germ(f)
+    check_germ(g)
     # one run c*m*g per term of the shorter factor
     if len(f.terms) > len(g.terms):
         f, g = g, f
@@ -427,7 +436,9 @@ def _mul_term(c: Fraction, m: Transmono, g: GermTerm) -> GermTerm:
     distinct: the product is in normal form with no sort."""
     if c == 1 and m is UNIT_MONO:
         return g
-    return GermTerm(tuple((c * cg, mono_mul(m, mg)) for cg, mg in g.terms))
+    cn, cd = c.numerator, c.denominator
+    return GermTerm(tuple((frac(cn * cg.numerator, cd * cg.denominator),
+                           mono_mul(m, mg)) for cg, mg in g.terms))
 
 
 def _iroot(n: int, r: int) -> Optional[int]:
@@ -465,6 +476,7 @@ def exact_root(c: Fraction, q: Fraction) -> Optional[Fraction]:
 
 
 def g_pow(f: GermTerm, q: Fraction) -> GermTerm:
+    check_germ(f)
     q = rational(q)
     if q.denominator == 1:
         n = q.numerator
@@ -592,6 +604,8 @@ def compare(f: GermTerm, g: GermTerm) -> ComparisonResult:
     of 1 are mutually comparable; otherwise both must be large or both small
     with asymptotically equivalent logarithms.
     """
+    check_germ(f)
+    check_germ(g)
     if f.is_zero() or g.is_zero():
         raise NonHardyExpression("compare requires nonzero germs")
     mf, mg = leading_mono(f), leading_mono(g)
@@ -845,6 +859,7 @@ def mono_dlog(m: Transmono) -> GermTerm:
 
 def derivative(f: GermTerm) -> GermTerm:
     """Exact d/dx; the fragment is closed under differentiation."""
+    check_germ(f)
     # (c m)' = c m (log m)'
     return _sum_runs([_mul_term(c, m, mono_dlog(m)) for c, m in f.terms])
 

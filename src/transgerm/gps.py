@@ -27,6 +27,7 @@ from .support import (
     SupportUniverse,
     Vec,
     check_arity,
+    frac,
     grade,
     is_nonnegative,
     rational,
@@ -160,7 +161,7 @@ class GenSeries:
                         else:
                             g = math.gcd(d, q)
                             n, d = n * (q // g) + p * (d // g), d // g * q
-            return Q(n, d)
+            return frac(n, d)
 
         return GenSeries(self.arity, self.universe.sum(other.universe), conv,
                          provenance=f"({self.provenance}*{other.provenance})")
@@ -222,6 +223,7 @@ def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
     if not any(s):
         raise WitnessViolated("geometric step is zero: the sum diverges")
     r = rational(ratio)
+    rn, rd = r.numerator, r.denominator
     uni = SupportUniverse(arity, [vzero(arity)], [s])
     lead = next(i for i, a in enumerate(s) if a)
     s_lead = s[lead]
@@ -229,7 +231,8 @@ def geometric_in(arity: int, step: Sequence, ratio=1) -> GenSeries:
     def oracle(v: Vec) -> Fraction:
         # only points of uni reach the oracle, and each is nu * s; floor
         # division gives the int nu for int and Fraction coordinates alike
-        return r ** (v[lead] // s_lead)
+        k = v[lead] // s_lead
+        return frac(rn ** k, rd ** k)
 
     return GenSeries(arity, uni, oracle, provenance="geometric")
 
@@ -362,7 +365,7 @@ def compose_ps(p: Union[Sequence, Callable[[int], Fraction]], g: GenSeries,
                 else:
                     k = math.gcd(d, t)
                     n, d = n * (t // k) + s * (d // k), d // k * t
-        return Q(n, d)
+        return frac(n, d)
 
     return GenSeries(g.arity, g.universe.closure(), oracle,
                      provenance=f"(P o {g.provenance})")

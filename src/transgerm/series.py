@@ -44,6 +44,7 @@ from .support import (
     SupportUniverse,
     Vec,
     check_arity,
+    frac,
     rational,
     vadder,
     vec,
@@ -236,7 +237,8 @@ def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
 def _heap_sum(heap: list, popped: Callable[[int, int], Optional[tuple]]
               ) -> Iterator[Term]:
     """The one series kernel: take every entry (v, i, j, n, d) at the least
-    v, sum the ints n/d and yield (v, Q(n, d)), reduced once.  The first
+    v, sum the ints n/d and yield (v, frac(n, d)), reduced once; each d is
+    a positive int, as frac needs and does not check.  The first
     entry at v starts the sum and each later one is added inline as
     support.py's int pair, so a pair costs no Python call but popped.
     popped(i, j), called while entry (i, j) is the root, returns the entry
@@ -256,7 +258,7 @@ def _heap_sum(heap: list, popped: Callable[[int, int], Optional[tuple]]
                 g = gcd(d, q)
                 n, d = n * (q // g) + p * (d // g), d // g * q
             replace(heap, e) if (e := popped(i, j)) else pop(heap)
-        yield (v, Q(n, d))
+        yield (v, frac(n, d))
 
 
 def _stream_reader(iters: list, hints: list):

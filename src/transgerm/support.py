@@ -49,15 +49,19 @@ Coefficients are exact: every coefficient a kernel stores or yields is a
 family sums and inverse; the gps convolution and power table) keeps each sum
 as a pair of ints, a numerator over a running denominator, and adds a/b
 inline: n + a over d when b == d, else n*(b/g) + a*(d/g) over d/g*b with
-g = gcd(d, b); it builds ``Q(n, d)``, which reduces by one gcd, once per
+g = gcd(d, b); it builds ``frac(n, d)``, which reduces by one gcd, once per
 coefficient it emits.  The pair is not reduced on the way, but its
-denominator stays the lcm of the denominators added.
+denominator stays the lcm of the denominators added.  ``frac`` takes ints
+with d > 0 and checks neither on this hot path; it sets the two slots of a
+``Fraction`` directly, past ``Fraction.__new__``'s type dispatch, so the
+germ ring's products and sums build their coefficients with it too.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import threading
 from fractions import Fraction
@@ -82,6 +86,22 @@ def rational(x) -> Fraction:
         except (TypeError, ValueError, OverflowError):
             pass
     raise NotInFragment(f"{x!r} is not a finite real number")
+
+
+_new = object.__new__
+
+
+def frac(n: int, d: int) -> Fraction:
+    """n/d as a reduced Fraction, for ints n and d > 0 (not checked): one
+    gcd, and the ``_numerator`` and ``_denominator`` slots, the same on
+    Python 3.10 through 3.13, set in place of ``Fraction.__new__``."""
+    g = math.gcd(n, d)
+    q = _new(Fraction)
+    if g == 1:
+        q._numerator, q._denominator = n, d
+    else:
+        q._numerator, q._denominator = n // g, d // g
+    return q
 
 
 def coord(a) -> Coord:
@@ -164,6 +184,8 @@ class SupportUniverse:
 
     def __new__(cls, arity: int, points: Iterable[Vec],
                 gens: Iterable[Vec] = ()):
+        if type(arity) is not int or arity < 0:
+            raise NotInFragment(f"{arity!r} is no arity")
         pts, cleaned = set(), set()
         if not all(hasattr(xs, "__iter__") for xs in (points, gens)):
             raise NotInFragment(f"{points!r}, {gens!r} are no vector sets")

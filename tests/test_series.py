@@ -568,7 +568,10 @@ def _bounded(call, timeout=10):
                                    "gps_from_terms_arity_str",
                                    "from_terms_dict_none", "sum_family_none",
                                    "sum_family_class_str",
-                                   "universe_points_none"])
+                                   "universe_points_none",
+                                   "universe_arity_str",
+                                   "universe_arity_float",
+                                   "universe_arity_negative"])
 def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
     # each public entry point that takes a vector, an index, a scalar or a
     # budget refuses one that does not fit with a typed error, not an
@@ -584,6 +587,14 @@ def test_wrong_arity_or_index_is_typed(sx, sxl, X, entry):
         "scale_monomial": (ArityMismatch, lambda: sx.monomial([1, 0])),
         # a miss used to raise a bare StopIteration from the lead search
         "contains": (ArityMismatch, lambda: uni.contains((1,))),
+        # an arity is a nonnegative int; a str or float one used to be kept
+        # and refuse every point, "has arity 2, expected 2"
+        "universe_arity_str": (NotInFragment,
+                               lambda: SupportUniverse("2", [])),
+        "universe_arity_float": (NotInFragment,
+                                 lambda: SupportUniverse(2.0, [(1, 2)])),
+        "universe_arity_negative": (NotInFragment,
+                                    lambda: SupportUniverse(-1, [])),
         "contains_explicit": (ArityMismatch, lambda: SupportUniverse(
             2, [(1, 0)]).contains((1,))),
         "universe_shifted": (ArityMismatch, lambda: uni.shifted((1,))),
@@ -850,7 +861,13 @@ def test_compose_right_refusal_keeps_its_cause(sl, X):
 
 @pytest.mark.parametrize("bad", [3, "x", None])
 def test_non_germ_argument_is_refused(sx, X, bad):
-    for call in (lambda: G.compose_exact(X, bad),
+    # the germ ring's public functions used to raise a bare AttributeError
+    for call in (lambda: g_add(X, bad), lambda: g_add(bad, X),
+                 lambda: G.g_mul(X, bad), lambda: G.g_mul(bad, X),
+                 lambda: g_scale(bad, 2), lambda: g_neg(bad),
+                 lambda: g_pow(bad, 2), lambda: G.compare(X, bad),
+                 lambda: G.compare(bad, X), lambda: G.derivative(bad),
+                 lambda: G.compose_exact(X, bad),
                  lambda: G.compose_exact(bad, X),
                  lambda: G.inverse(bad),
                  lambda: lift_germ(sx, bad),

@@ -3,16 +3,18 @@ import itertools
 import math
 import operator
 import os
+import pickle
 import random
 import sys
 import threading
 import weakref
+from copy import copy as shallow_copy, deepcopy
 from decimal import Decimal
 from fractions import Fraction as Q
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transgerm import gps, support
@@ -658,6 +660,44 @@ def test_vadder_adds_as_map_add(pair):
     got = support.vadder(2)((Q(1, 2), -3), (Q(1, 2), Q(5, 3)))
     assert got == (1, Q(-4, 3)) and type(got[0]) is Q
     assert support.vadder(0)((), ()) == ()
+
+
+@st.composite
+def int_pairs(draw):
+    # negative, zero and big numerators over coprime and non-coprime
+    # denominators: a common factor k > 1 multiplies both
+    big = st.integers(10**30, 10**40)
+    n = draw(st.one_of(st.just(0), st.integers(-10**6, 10**6), big,
+                       big.map(operator.neg)))
+    d = draw(st.one_of(st.integers(1, 10**6), big))
+    k = draw(st.one_of(st.just(1), st.integers(2, 10**6), big))
+    return n * k, d * k
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(int_pairs(), st.fractions(max_denominator=50))
+# denominators that reduce to 1
+@example((-6, 3), Q(1, 2))
+@example((10**40, 10**10), Q(-3))
+def test_frac_is_the_reduced_fraction(pair, other):
+    # frac sets Fraction's slots directly, so whatever reads a Fraction
+    # must see the one that Fraction(n, d) builds
+    n, d = pair
+    got, want = support.frac(n, d), Q(n, d)
+    assert type(got) is Q
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    if want.denominator == 1:
+        assert got == want.numerator and hash(got) == hash(want.numerator)
+    for twin in (shallow_copy(got), deepcopy(got),
+                 pickle.loads(pickle.dumps(got))):
+        assert type(twin) is Q and twin == want
+        assert (twin.numerator, twin.denominator) == (want.numerator,
+                                                      want.denominator)
+    for a, b in ((got + other, want + other), (other * got, other * want)):
+        assert type(a) is Q and a == b and a.denominator == b.denominator
 
 
 def test_rational_reads_a_real_exactly():

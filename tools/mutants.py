@@ -127,6 +127,19 @@ MUTATIONS = (
              "n * (t // k) + s * (d // k)", "n * (t // k) + s"),
     Mutation("compose oracle keeps nu = 0 at every grade", "gps.py",
              "p_memo.get(nu) if nu or not dv else (0, 1)", "p_memo.get(nu)"),
+    # the one build of a coefficient from its int pair, and the sites that
+    # hand it the pair
+    Mutation("frac skips its gcd", "support.py",
+             "g = math.gcd(n, d)", "g = 1"),
+    Mutation("geometric oracle powers only the numerator", "gps.py",
+             "frac(rn ** k, rd ** k)", "frac(rn ** k, rd)"),
+    Mutation("conv passes frac its first denominator, unsummed", "gps.py",
+             "n, d = n * (q // g) + p * (d // g), d // g * q",
+             "n, d = n * (q // g) + p * (d // g), d"),
+    Mutation("heap sum passes frac its first denominator, unsummed",
+             "series.py",
+             "n, d = n * (q // g) + p * (d // g), d // g * q",
+             "n, d = n * (q // g) + p * (d // g), d"),
 )
 
 
