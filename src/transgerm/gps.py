@@ -131,9 +131,12 @@ class GenSeries:
     def __mul__(self, other: "GenSeries") -> "GenSeries":
         self._check(other)
         # walk the box of a finite factor when only one is finite: an
-        # infinite factor's box under v grows with v
+        # infinite factor's box under v grows with v; of two infinite ones,
+        # the one whose least generator is lex-larger, since a lex read
+        # keeps v's earlier coordinates small
         a, b = self, other
-        if a.universe.gens and not b.universe.gens:
+        ga, gb = a.universe.gens, b.universe.gens
+        if ga and (not gb or ga[0] < gb[0]):
             a, b = b, a
 
         a_box, a_at = a.universe._box, a._at

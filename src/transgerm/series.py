@@ -113,9 +113,8 @@ class LaurentSeries:
         dropped.  Raises CutoffTooDeep when the budget runs out first."""
         check_monomial(cutoff, self.scale)
         _check_budget(budget)
-        items, get, cut = self._memo._items, self._memo.get, cutoff.vector
-        out, n = [], 0
-        while (t := items[n] if n < len(items) else get(n)) is not None:
+        cut, out = cutoff.vector, []
+        for n, t in enumerate(self._memo.prefix(cut, budget)):
             if t[0] > cut:
                 break
             if n >= budget:
@@ -123,7 +122,6 @@ class LaurentSeries:
                     f"enumeration above {cutoff} needs more than {budget} terms")
             if t[1]:
                 out.append(t)
-            n += 1
         return out
 
     # -- arithmetic ---------------------------------------------------------------
@@ -216,13 +214,15 @@ def _map(f: LaurentSeries, provenance: str, *, delta: Optional[Vec] = None,
     add = vadder(len(d))
     d, r = (d if delta is None else add(d, delta)), r * q
     keeps = keeps if keep is None else (keep, d, keeps)
+    rn, rd = r.numerator, r.denominator
 
     def factory():
         for v, c in src.iter_terms():
             k = keeps  # stops at the first keep that fails, else at None
             while k is not None and k[0](add(v, k[1])):
                 k = k[2]
-            yield add(v, d), (Q(0) if k else r * c)
+            yield add(v, d), (Q(0) if k else
+                              frac(rn * c.numerator, rd * c.denominator))
 
     sk = src._skeleton
     out._memo, out._map = MemoStream(factory), (src, d, r, keeps)
@@ -734,11 +734,8 @@ def order_type(f: LaurentSeries, budget: int = 512) -> OrderTypeBound:
     omega^k."""
     check_series(f)
     _check_budget(budget)
-    items, get = f._memo._items, f._memo.get
-    n = min(len(items), budget + 1)  # stored; pulls only past them
-    while n <= budget and get(n) is not None:
-        n += 1
-    head = items[:n]
+    f._memo.get(budget)
+    head = f._memo._items[:budget + 1]
     witness = sum(1 for _, c in head[:budget] if c)
     if len(head) <= budget:
         return OrderTypeBound(1 if witness else 0,
@@ -779,7 +776,10 @@ def sum_numeric(f: LaurentSeries, x: float, cutoff: Monomial,
     # each generator is evaluated once, when a term first needs it; c's
     # float is float(c)'s own correctly rounded int/int division
     y = functools.cache(lambda i: G.eval_germ(f.scale.generators[i], x))
-    items, get, total, tail, n = f._memo._items, f._memo.get, [], 0.0, 0
+    # the prefix to the cutoff is pulled at once, the first omitted nonzero
+    # term past it item by item
+    items = f._memo.prefix(cutoff.vector, budget)
+    get, total, tail, n = f._memo.get, [], 0.0, 0
     value, arity = _monomial_value, f.scale.arity
     while (t := items[n] if n < len(items) else get(n)) is not None:
         v, c = t

@@ -13,13 +13,16 @@ enumerates candidate support points in strictly decreasing monomial order.
 points, and a superset when the generator sets differ, since each side's
 points then take the other side's generators too.  A universe with
 generators is interned by its shape (arity, sorted points, sorted
-generators) in ``_universes``, which holds it strongly: the series over one
-shape share its membership memo and its stored lex points, so where shapes
-repeat across queries a membership question is searched once and a shape
-enumerated once.  A construction clears the table past ``_KNOWN_MAX`` memo
-entries and stored points in all, so those no live series holds stay within
-that, or at ``_UNIVERSES_MAX`` shapes, so that this sum stays short (both
-read at call time).  A universe with no generators is not interned.
+generators) in ``_universes``, which holds it strongly.  Each answer about
+a shape is a fact about it, so the series over one shape share three
+memos: its membership answers, its stored lex points and its boxes (the
+points under a bound, which the gps product walks), and where shapes
+repeat across queries a membership question is searched once, a shape
+enumerated once and a box walked once.  A construction clears the table
+past ``_KNOWN_MAX`` memo entries, stored points and boxed vectors in all,
+so those no live series holds stay within that, or at ``_UNIVERSES_MAX``
+shapes, so that this sum stays short (both read at call time).  A universe
+with no generators is not interned, and keeps no memo of its boxes.
 
 A coordinate is an ``int`` when it is integral and a ``Fraction`` otherwise;
 ``coord`` and ``vec`` normalise to that form, and every constructor of a
@@ -42,6 +45,11 @@ other point is read through ``GenSeries.coeff``, which does all three.
 Such a point may hold an integral ``Fraction`` coordinate.
 A series' oracle is asked only at members of its universe, so a series
 over another's universe (``-f``, ``partial_deriv``) reads it with ``_at``.
+A series' stream is read from its ``MemoStream``: ``get(i)`` pulls up to
+item i, and a read to a cutoff (``terms_to_cutoff``, ``truncate`` and
+``sum_numeric`` up to its cutoff) pulls its prefix at once, with
+``prefix(cut, limit)``, under one lock; each pulls exactly the items that
+reading one at a time would.
 
 Coefficients are exact: every coefficient a kernel stores or yields is a
 ``Fraction`` (``Q``).  Inside, a kernel that sums products of coefficients
@@ -65,7 +73,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ArityMismatch, NotInFragment, WitnessViolated
 
@@ -204,7 +212,7 @@ class SupportUniverse:
         key = (arity, tuple(sorted(pts)), tuple(sorted(cleaned)) if pts else ())
         if key[2]:
             if len(_universes) >= _UNIVERSES_MAX or sum(
-                    len(u._known) + len(u._pts)
+                    len(u._known) + len(u._pts) + u._boxed
                     for u in tuple(_universes.values())) > _KNOWN_MAX:
                 _universes.clear()
             if (hit := _universes.get(key)) is not None:
@@ -221,6 +229,10 @@ class SupportUniverse:
         # the same value and no lock is needed
         self._known: dict[Vec, bool] = dict.fromkeys(self.points, True)
         self._pts, self._merging, self._lock = [], None, threading.Lock()
+        # bound -> _box(bound), and the number of vectors it holds, keys
+        # included (a race may leave it short)
+        self._boxes: dict[Vec, tuple[Vec, ...]] = {}
+        self._boxed = 0
         # one of racing constructors wins the table
         return _universes.setdefault(key, self) if self.gens else self
 
@@ -361,9 +373,14 @@ class SupportUniverse:
         check_arity(bound, self.arity, "bound")
         return sorted(self._box(bound), key=lambda p: (grade(p), p))
 
-    def _box(self, bound: Vec) -> list[Vec]:
+    def _box(self, bound: Vec) -> Sequence[Vec]:
         """The points of box_points in no set order, for a bound of the
-        universe's arity."""
+        universe's arity.  A universe with generators keeps each box in a
+        memo shared by its shape, as it keeps its membership answers, until
+        the memo holds _KNOWN_MAX vectors; one without walks its points."""
+        hit = self._boxes.get(bound)
+        if hit is not None:
+            return hit
         self._need_nonnegative("box")
         out, seen, stack, gens = [], set(), list(self.points), self.gens
         add = vadder(self.arity)
@@ -374,6 +391,9 @@ class SupportUniverse:
                 out.append(v)
                 for g in gens:
                     stack.append(add(v, g))
+        if gens and self._boxed < _KNOWN_MAX:
+            out = self._boxes[bound] = tuple(out)
+            self._boxed += len(out) + 1
         return out
 
     def _need_nonnegative(self, what: str) -> None:
@@ -430,9 +450,12 @@ class MemoStream:
 
     Read rule: stored items never change and the list only grows, so an
     index below its length is read without the lock, here or by a reader of
-    ``_items`` that calls ``get`` only past it; a pull takes the lock,
-    re-checks the length and appends in one loop, so each item is pulled
-    once.  A done stream never grows, so a read past its end takes no lock.
+    ``_items`` that calls ``get`` or ``prefix`` only past it; a pull takes
+    the lock, re-checks the length and appends in one loop, so each item is
+    pulled once.  ``get(i)`` pulls up to item i; ``prefix(cut, limit)``, a
+    series' read to a cutoff, pulls under one lock until the last item
+    stored lies past the vector cut or item limit is stored.  A done stream
+    never grows, so a read past its end takes no lock.
 
     An exception out of the factory's iterator ends that iterator, so it is
     kept and raised again by every later pull: a stream that failed never
@@ -467,6 +490,33 @@ class MemoStream:
                     self._error = (exc, exc.__traceback__)
                     raise
         return items[i] if i < len(items) else None
+
+    def prefix(self, cut: Vec, limit: int) -> list:
+        """The stored items of a stream of (vector, ...) items, after one
+        pull that stops once the last item stored lies past the vector cut,
+        item limit is stored or the stream ends.  It runs get's protocol
+        with its own loop: a pull through a helper of both would put one
+        more frame on the stack per level of a series DAG, whose nodes pull
+        their operands through get."""
+        items = self._items
+        if self._done or len(items) > limit or items and items[-1][0] > cut:
+            return items
+        with self._lock:
+            if self._error is not None:
+                raise self._error[0].with_traceback(self._error[1])
+            try:
+                it = self._iter
+                if it is None:
+                    it = self._iter = self._factory()
+                while len(items) <= limit and (
+                        not items or items[-1][0] <= cut):
+                    items.append(next(it))
+            except StopIteration:
+                self._done = True
+            except BaseException as exc:
+                self._error = (exc, exc.__traceback__)
+                raise
+        return items
 
     def __iter__(self):
         items, i = self._items, 0

@@ -15,12 +15,15 @@ from transgerm.errors import (
     WitnessViolated,
     ZeroWithinBound,
 )
+from transgerm.germ import g_logk, g_x
 from transgerm.gps import (
     GenSeries,
     compose_ps,
     from_terms,
     geometric_in,
 )
+from transgerm.scale import make_scale
+from transgerm.series import make_laurent
 from transgerm.support import SupportUniverse
 
 
@@ -76,28 +79,52 @@ def test_mul_difference_of_squares():
     assert prod.coeff((3,)) == 0
 
 
-def test_mul_walks_the_finite_factor(monkeypatch):
-    # (2 + sum X^k)(1 - X) = 3 - 2X: each coefficient needs at most the two
-    # points of the finite factor's box, whichever side that factor is on;
-    # the infinite factor's box at X^k has k + 1 points; conv walks the
-    # unsorted box, so that walk is the one counted
-    walked = [0]
-    box = SupportUniverse._box
+@pytest.fixture
+def box_walks(monkeypatch):
+    """(universe, points) for each box that conv walks, through the
+    unsorted SupportUniverse._box."""
+    walks, box = [], SupportUniverse._box
 
     def counted(uni, bound):
         pts = box(uni, bound)
-        walked[0] += len(pts)
+        walks.append((uni, len(pts)))
         return pts
 
     monkeypatch.setattr(SupportUniverse, "_box", counted)
+    return walks
+
+
+def test_mul_walks_the_finite_factor(box_walks):
+    # (2 + sum X^k)(1 - X) = 3 - 2X: each coefficient needs at most the two
+    # points of the finite factor's box, whichever side that factor is on;
+    # the infinite factor's box at X^k has k + 1 points
     geo = from_terms(1, {(0,): 2}) + geometric_in(1, (1,))
     one_minus = from_terms(1, {(0,): 1, (1,): -1})
     n = 200
     for prod in (geo * one_minus, one_minus * geo):
-        walked[0] = 0
+        box_walks.clear()
         coeffs = [prod.coeff((k,)) for k in range(n + 1)]
         assert coeffs == [3, -2] + [0] * (n - 1)
-        assert n + 1 <= walked[0] <= 2 * (n + 1)
+        assert n + 1 <= sum(k for _, k in box_walks) <= 2 * (n + 1)
+
+
+def test_mul_walks_the_factor_a_lex_read_keeps_small(box_walks):
+    # over (x, log x), a read to m[0, n] keeps the first coordinate 0: the
+    # box of the factor along (1, 0) then holds one point, and that of the
+    # factor along (0, 1) k + 1 points at (0, k), so walking it would be
+    # quadratic; either order walks the first, which laurent-expand's
+    # (1, 0) * (0, 1) body walks as it did
+    sc = make_scale([g_x(), g_logk(1)])
+    along_x, along_log = geometric_in(2, (1, 0), 3), geometric_in(2, (0, 1),
+                                                                  Q(1, 2))
+    n = 256
+    for prod in (along_log * along_x, along_x * along_log):
+        box_walks.clear()
+        got = make_laurent(sc, sc.unit(), prod).terms_to_cutoff(
+            sc.monomial([0, n]))
+        assert got == [((0, k), Q(1, 2) ** k) for k in range(n + 1)]
+        assert n + 1 <= sum(k for _, k in box_walks) <= 2 * (n + 1)
+        assert {u for u, _ in box_walks} == {along_x.universe}
 
 
 def test_add_identity():

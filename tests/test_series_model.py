@@ -9,6 +9,7 @@ below the model's horizon."""
 
 import math
 import random
+import threading
 from fractions import Fraction as Q
 
 import model as M
@@ -17,6 +18,24 @@ from transgerm.scale import make_scale
 
 HORIZON = 24  # each geometric leaf of the model is exact down to m^24
 WINDOW = 24  # a node is compared down to m^(low + WINDOW), within its horizon
+
+
+def test_an_inverse_read_ends(X):
+    # the first test, so that a kernel which never leaves one vector fails
+    # here, in a daemon thread joined with a timeout, and does not hang the
+    # run: 1/(1 - m/2 + m^2/3) has c_k = c_(k-1)/2 - c_(k-2)/3
+    sx = make_scale([X])
+    f = S.from_terms(sx, {(0,): 1, (1,): Q(-1, 2), (2,): Q(1, 3)})
+    got = []
+    read = threading.Thread(target=lambda: got.append(
+        S.invert(f).terms_to_cutoff(sx.monomial([6]))), daemon=True)
+    read.start()
+    read.join(5)
+    assert not read.is_alive(), "the read of invert(f) to m^6 did not end"
+    want = [Q(1), Q(1, 2)]
+    while len(want) < 7:
+        want.append(want[-1] / 2 - want[-2] / 3)
+    assert got == [[((k,), c) for k, c in enumerate(want)]]
 
 
 def _cutoff(m: M.Model):

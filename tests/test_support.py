@@ -18,10 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transgerm import gps, support
-from transgerm.errors import NotInFragment, OrderNotPositive, WitnessViolated
+from transgerm.errors import (CutoffTooDeep, NotInFragment, OrderNotPositive,
+                              WitnessViolated)
 from transgerm.germ import g_logk, g_x
 from transgerm.scale import make_scale, project_class
-from transgerm.series import from_terms, invert, make_laurent
+from transgerm.series import (Convergence, LaurentSeries, from_terms, invert,
+                              make_laurent, order_type, sum_numeric)
 from transgerm.support import (
     SupportUniverse,
     grade,
@@ -341,6 +343,29 @@ def test_shared_memo_under_threads():
     assert built[0] is copy(u)
 
 
+def test_a_box_memo_no_series_holds_is_released(monkeypatch):
+    # a product reads its first factor's boxes from that shape's memo; the
+    # memo stops storing at the bound, and the stored boxes alone pass it,
+    # so once no series holds the universe the next construction frees it
+    monkeypatch.setattr(support, "_KNOWN_MAX", 1000)
+    support._universes.clear()
+    along_x = gps.geometric_in(2, (1, 0), Q(1, 2))
+    prod = along_x * gps.geometric_in(2, (0, 1), 3)
+    assert [prod.coeff((k, 0)) for k in range(60)] == [Q(1, 2) ** k
+                                                       for k in range(60)]
+    u = along_x.universe
+    assert len(u._known) == 1 and not u._pts
+    # a box under (k, 0) holds k + 1 points, and each entry counts its key
+    assert u._boxed >= 1000 and len(u._boxes) < 60
+    assert all(u._boxes[(k, 0)] == tuple((j, 0) for j in range(k + 1))
+               for k in range(len(u._boxes)))
+    deep = weakref.ref(u)
+    del along_x, prod, u
+    assert deep() is not None  # the table holds it
+    SupportUniverse(2, [(0, 0)], [(1, 1)])
+    assert deep() is None
+
+
 # -- interning: one universe object per shape ------------------------------------
 
 
@@ -523,6 +548,116 @@ def test_a_point_list_no_series_holds_is_released(monkeypatch):
     assert deep() is None
 
 
+# -- a series read to a cutoff: one locked prefix pull -------------------------
+
+
+def counted_series(coeffs, pulls, fail_at=None):
+    """A raw stream over (x) of the terms ((2k,), coeffs[k]), which records
+    in pulls each index it yields, and raises Alarm at index fail_at."""
+    sx = make_scale([g_x()])
+
+    def factory():
+        for k, c in enumerate(coeffs):
+            if k == fail_at:
+                raise Alarm
+            pulls.append(k)
+            yield (2 * k,), Q(c)
+
+    return sx, LaurentSeries(sx, factory, convergence=Convergence())
+
+
+# terms at 0, 2, ..., 10, zero at 6 and 8
+COEFFS = (1, Q(1, 2), Q(1, 4), 0, 0, Q(1, 32))
+
+
+@pytest.mark.parametrize("cut, budget, to_cutoff, summed, refused", [
+    (5, 100, 4, 6, False),  # a cut between two items
+    (4, 100, 4, 6, False),  # a cut on an item
+    (9, 2, 3, 3, True),  # the budget reached
+    (100, 100, 6, 6, False),  # the stream ends first
+    (4, 0, 1, 1, True),  # budget 0
+    (-1, 0, 1, 1, False),  # budget 0, every item past the cut
+])
+def test_a_read_to_a_cutoff_pulls_what_one_item_reads_pull(
+        cut, budget, to_cutoff, summed, refused):
+    # the number of items each read pulls, as reading one item at a time
+    # pulled them: terms_to_cutoff up to the first item past the cut or
+    # item budget, and sum_numeric on to the first nonzero one past it
+    pulls = []
+    sx, f = counted_series(COEFFS, pulls)
+    if refused:
+        with pytest.raises(CutoffTooDeep):
+            f.terms_to_cutoff(sx.monomial([cut]), budget)
+    else:
+        assert f.terms_to_cutoff(sx.monomial([cut]), budget) == [
+            ((2 * k,), Q(c)) for k, c in enumerate(COEFFS) if c and 2 * k <= cut]
+    assert pulls == list(range(to_cutoff))
+    pulls.clear()
+    sx, f = counted_series(COEFFS, pulls)
+    if refused:
+        with pytest.raises(CutoffTooDeep):
+            sum_numeric(f, 2.0, sx.monomial([cut]), budget)
+    else:
+        total, tail = sum_numeric(f, 2.0, sx.monomial([cut]), budget)
+        assert tail == (0.0 if cut >= 10 else math.exp(-2.0 * 2 * (summed - 1))
+                        * float(COEFFS[summed - 1]))
+    assert pulls == list(range(summed))
+
+
+def test_a_failed_pull_fails_every_later_read_and_keeps_its_prefix():
+    pulls = []
+    sx, f = counted_series(COEFFS, pulls, fail_at=3)
+    with pytest.raises(Alarm) as first:
+        f.terms_to_cutoff(sx.monomial([5]))
+    assert pulls == [0, 1, 2]
+    for read in (lambda: f.terms_to_cutoff(sx.monomial([5])),
+                 lambda: sum_numeric(f, 2.0, sx.monomial([5])),
+                 lambda: order_type(f, budget=10),
+                 lambda: f._memo.get(3), lambda: list(f.iter_terms())):
+        with pytest.raises(Alarm) as again:
+            read()
+        assert again.value is first.value
+    # the stored items past the cut end these reads without a pull
+    assert f.terms_to_cutoff(sx.monomial([3])) == [((0,), 1), ((2,), Q(1, 2))]
+    assert sum_numeric(f, 2.0, sx.monomial([3]))[1] == math.exp(-8.0) / 4
+    assert [f._memo.get(k) for k in range(3)] == [
+        ((0,), 1), ((2,), Q(1, 2)), ((4,), Q(1, 4))]
+    assert pulls == [0, 1, 2]
+
+
+def test_one_item_and_prefix_pulls_under_threads():
+    # threads mix one-item reads and reads to a cutoff of one cold stream:
+    # each item is pulled once, and every thread reads the one list
+    coeffs = [Q(1, k + 1) for k in range(400)]
+    pulls = []
+    sx, f = counted_series(coeffs, pulls)
+    nthreads = 2 * (os.cpu_count() or 1) + 2
+    results = [None] * nthreads
+
+    def work(k):
+        top = 390 - 9 * k
+        if k % 2:
+            results[k] = f.terms_to_cutoff(sx.monomial([2 * top]))
+        else:
+            results[k] = [f._memo.get(i) for i in range(top + 1)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    want = [((2 * k,), c) for k, c in enumerate(coeffs)]
+    assert all(got == want[:391 - 9 * k] for k, got in enumerate(results))
+    assert pulls == list(range(391)) and f._memo._items == want[:391]
+
+
 # -- exponent coordinates: int when integral, Fraction otherwise ---------------
 
 
@@ -698,6 +833,24 @@ def test_frac_is_the_reduced_fraction(pair, other):
                                                       want.denominator)
     for a, b in ((got + other, want + other), (other * got, other * want)):
         assert type(a) is Q and a == b and a.denominator == b.denominator
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.fractions(max_denominator=10**12), min_size=1, max_size=6),
+       st.fractions(max_denominator=10**6), st.fractions(max_denominator=50))
+def test_mapped_coefficients_are_the_fraction_products(coeffs, q, r):
+    # a map node builds each coefficient with frac from the int pairs of
+    # its folded scalar and the source's term: the Fraction product, a
+    # Fraction even when it is integral or 0
+    sx = make_scale([g_x()])
+    f = from_terms(sx, {(k,): c for k, c in enumerate(coeffs)})
+    src = list(f.iter_terms())
+    for g, s in ((f.scaled(q), q), (-f, -1), (f.scaled(q).scaled(r), q * r),
+                 (-f.scaled(q), -q)):
+        got, want = list(g.iter_terms()), [(v, s * c) for v, c in src]
+        assert got == want and all(type(c) is Q for _, c in got)
+        assert [(c.numerator, c.denominator) for _, c in got] == [
+            (c.numerator, c.denominator) for _, c in want]
 
 
 def test_rational_reads_a_real_exactly():

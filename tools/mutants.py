@@ -116,12 +116,25 @@ MUTATIONS = (
     Mutation("point stream restarts without skipping the stored points",
              "support.py", "_merge(self.points, self.gens), i, None)",
              "_merge(self.points, self.gens), 0, None)"),
-    Mutation("terms_to_cutoff reads one item past the stored end",
+    Mutation("sum_numeric reads one item past the stored end",
              "series.py",
-             "n < len(items) else get(n)) is not None:\n"
-             "            if t[0] > cut:",
-             "n <= len(items) else get(n)) is not None:\n"
-             "            if t[0] > cut:"),
+             "n < len(items) else get(n)) is not None:\n        v, c = t",
+             "n <= len(items) else get(n)) is not None:\n        v, c = t"),
+    # the prefix pull of a read to a cutoff, the box memo of a shape and
+    # the gps product's choice of the factor it walks
+    Mutation("prefix pull reads one item past its cut", "support.py",
+             "not items or items[-1][0] <= cut)",
+             "len(items) < 2 or items[-2][0] <= cut)"),
+    Mutation("prefix pull reads one item past its limit", "support.py",
+             "while len(items) <= limit and (",
+             "while len(items) <= limit + 1 and ("),
+    Mutation("box memo answers with another bound's box", "support.py",
+             "hit = self._boxes.get(bound)",
+             "hit = next(iter(self._boxes.values()), None)"),
+    Mutation("intern bound ignores the stored boxes", "support.py",
+             "len(u._pts) + u._boxed", "len(u._pts)"),
+    Mutation("gps product walks the factor of lex-smaller generators",
+             "gps.py", "ga[0] < gb[0]", "ga[0] > gb[0]"),
     Mutation("compose oracle adds p without rescaling to the common "
              "denominator", "gps.py",
              "n * (t // k) + s * (d // k)", "n * (t // k) + s"),
